@@ -12,7 +12,6 @@ lexicons.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -404,16 +403,7 @@ def extract_edits(source: Sentence, target: Sentence, config: ExtractConfig | No
     edits = merge_alignment(alignment, cfg.policy)
     typed = [replace(e, etype=classify_edit(e, source, cfg.lexicons)) for e in edits]
     # Safety net for the core contract; alignment construction guarantees it.
-    assert apply_edits(source, typed).tokens == target.tokens
+    if apply_edits(source, typed).tokens != target.tokens:
+        raise InvalidEditSet(f"extracted edits do not turn {source.text!r} into {target.text!r}")
     return typed
 
-
-def extract_edit_batch(
-    sources: Sequence[Sentence],
-    targets: Sequence[Sentence],
-    config: ExtractConfig | None = None,
-) -> list[list[Edit]]:
-    if len(sources) != len(targets):
-        raise ConfigError(f"{len(sources)} sources vs {len(targets)} targets")
-    cfg = config or ExtractConfig()
-    return [extract_edits(s, t, cfg) for s, t in zip(sources, targets)]

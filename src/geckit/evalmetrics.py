@@ -385,11 +385,14 @@ def ablation_run(
     """Train and score every variant over the seed list.
 
     stage is a TrainStage carrying the shared training pairs and
-    optimization settings; its name and loss are replaced per variant.
-    Each (variant, seed) cell trains a fresh model, decodes the test
-    sources (greedy, or beam search reranked by the judge), and scores
-    the result. Reported cells are means over seeds; the per-seed
-    values are kept so the means can be recomputed.
+    optimization settings; its name and loss are replaced per loss.
+    Variants differ in training only by their loss, so for each seed
+    one model is trained per distinct loss, and every variant with that
+    loss decodes the test sources from it (greedy, or beam search
+    reranked by the judge) and scores the result. Decoding leaves the
+    model unchanged, so this equals a fresh model per (variant, seed)
+    cell. Reported cells are means over seeds; the per-seed values are
+    kept so the means can be recomputed.
     """
     # Imported here because the trainer itself imports this module.
     from .gec import (
@@ -422,27 +425,33 @@ def ablation_run(
     vocab = Vocab.from_sentences(train_sentences)
     sources = [pair.source for pair in test_pairs]
     mode = sources[0].mode
-    per_seed: dict[str, tuple[Prf, ...]] = {}
-    for variant in variants:
-        scores = []
-        for seed in seeds:
+    losses = list(dict.fromkeys(v.loss for v in variants))
+    scores: dict[str, list[Prf]] = {name: [] for name in names}
+    for seed in seeds:
+        for loss in losses:
             model = Seq2SeqModel(vocab, replace(base_config, seed=seed))
-            vstage = replace(stage, name=variant.name, loss=variant.loss)
-            train_gec(model, [vstage], judge=judge, seed=seed)
-            if variant.rerank:
-                decoded = [
-                    rerank_with_cola(
-                        beam_decode(model, src, variant.beam_size),
-                        judge,
-                        variant.rerank_lam,
-                        mode,
-                    )
-                    for src in sources
-                ]
-            else:
-                decoded = greedy_decode_batch(model, sources)
-            report = evaluate_hypotheses(decoded, list(test_pairs), extract_config, match_config)
-            scores.append(Prf(report.precision, report.recall, report.f05))
-        per_seed[variant.name] = tuple(scores)
+            train_gec(model, [replace(stage, name=loss, loss=loss)], judge=judge, seed=seed)
+            for variant in variants:
+                if variant.loss != loss:
+                    continue
+                if variant.rerank:
+                    decoded = [
+                        rerank_with_cola(
+                            beam_decode(model, src, variant.beam_size),
+                            judge,
+                            variant.rerank_lam,
+                            mode,
+                        )
+                        for src in sources
+                    ]
+                else:
+                    decoded = greedy_decode_batch(model, sources)
+                report = evaluate_hypotheses(
+                    decoded, list(test_pairs), extract_config, match_config
+                )
+                scores[variant.name].append(Prf(report.precision, report.recall, report.f05))
+            # Free this model before the next one is built, so one is alive at a time.
+            del model
+    per_seed = {name: tuple(values) for name, values in scores.items()}
     means = {name: mean_prf(per_seed[name]) for name in names}
     return AblationReport(tuple(names), tuple(seeds), per_seed, means)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -397,10 +397,37 @@ class Seq2SeqModel:
             meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise FormatError("not a JSON metadata file", name=name, line=exc.lineno) from exc
-        if meta.get("format") != MODEL_FORMAT:
+        if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
             raise FormatError("unrecognized model format", name=name)
         if meta.get("version") != MODEL_VERSION:
             raise FormatError(f"unsupported model version {meta.get('version')}", name=name)
-        model = cls(Vocab(meta["vocab"]), ModelConfig(**meta["config"]))
-        model.set_flat_params(np.load(directory / "params.npy"))
+        config = meta.get("config")
+        keys = sorted(f.name for f in fields(ModelConfig))
+        if not isinstance(config, dict) or sorted(config) != keys:
+            raise FormatError(f"config must have exactly the keys {keys}", name=name)
+        bad = [
+            key
+            for key, value in config.items()
+            if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0)
+            and not (key == "attn_dim" and value is None)
+        ]
+        if bad:
+            raise FormatError(
+                f"config values for {sorted(bad)} must be non-negative integers", name=name
+            )
+        vocab = meta.get("vocab")
+        if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
+            raise FormatError("vocab must be a list of strings", name=name)
+        model = cls(Vocab(vocab), ModelConfig(**config))
+        params = directory / "params.npy"
+        try:
+            flat = np.load(params)
+        except (ValueError, EOFError) as exc:
+            raise FormatError(f"not a parameter array: {exc}", name=str(params)) from exc
+        if flat.shape != (model.num_params(),) or flat.dtype.kind != "f":
+            raise FormatError(
+                f"expected {model.num_params()} float parameters, got shape {flat.shape}",
+                name=str(params),
+            )
+        model.set_flat_params(flat)
         return model

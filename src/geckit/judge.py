@@ -169,6 +169,18 @@ def logistic_grad(
     return gw, -gb, gb
 
 
+_INT_KEYS = ("dim", "ngram_min", "ngram_max", "seed", "epochs")
+_REQUIRED_KEYS = (*_INT_KEYS, "bias0", "bias1", "dev_accuracy", "weight_indices", "weight_values")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
 @dataclass
 class JudgeModel:
     """Trained judge: hashed-feature weight vector plus a bias pair.
@@ -207,10 +219,6 @@ class JudgeModel:
     def score(self, sentence: Sentence) -> ColaScore:
         return cola_score(self.logits(sentence))
 
-    def predict(self, sentence: Sentence) -> int:
-        lg = self.logits(sentence)
-        return 1 if lg.logit1 > lg.logit0 else 0
-
     def save(self, path: str | Path) -> None:
         nz = np.flatnonzero(self.weights)
         payload = {
@@ -241,14 +249,44 @@ class JudgeModel:
             raise FormatError("unrecognized model format", name=name)
         if payload.get("version") != MODEL_VERSION:
             raise FormatError(f"unsupported model version {payload.get('version')}", name=name)
-        weights = np.zeros(payload["dim"])
-        indices = payload["weight_indices"]
-        weights[indices] = payload["weight_values"]
+        missing = [key for key in _REQUIRED_KEYS if key not in payload]
+        if missing:
+            raise FormatError(f"missing keys {missing}", name=name)
+        bad = [key for key in _INT_KEYS if not _is_int(payload[key])]
+        bad += [key for key in ("bias0", "bias1") if not _is_number(payload[key])]
+        bad += [
+            key
+            for key in ("dev_accuracy", "train_loss")
+            if payload.get(key) is not None and not _is_number(payload[key])
+        ]
+        if bad:
+            raise FormatError(f"bad values for {bad}", name=name)
+        dim = payload["dim"]
+        if dim < 1 or not (1 <= payload["ngram_min"] <= payload["ngram_max"]):
+            raise FormatError(f"bad dim {dim} or n-gram range", name=name)
+        try:
+            indices = np.asarray(payload["weight_indices"])
+            values = np.asarray(payload["weight_values"])
+        except ValueError as exc:
+            raise FormatError(f"bad weight lists: {exc}", name=name) from exc
+        if indices.ndim != 1 or indices.shape != values.shape:
+            raise FormatError(
+                "weight_indices and weight_values must be flat lists of equal length", name=name
+            )
+        weights = np.zeros(dim)
+        if indices.size:
+            if indices.dtype.kind not in "iu" or values.dtype.kind not in "iuf":
+                raise FormatError("weight entries must be numbers", name=name)
+            if indices[0] < 0 or indices[-1] >= dim or np.any(np.diff(indices) <= 0):
+                raise FormatError(
+                    f"weight_indices must increase strictly within [0, {dim})", name=name
+                )
+            weights[indices] = values
         return cls(
             weights=weights,
             bias0=payload["bias0"],
             bias1=payload["bias1"],
-            dim=payload["dim"],
+            dim=dim,
             ngram_min=payload["ngram_min"],
             ngram_max=payload["ngram_max"],
             seed=payload["seed"],

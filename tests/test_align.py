@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+import geckit.align
 from geckit.align import (
     ALL_SPLIT,
     DELETE,
@@ -262,6 +263,14 @@ class TestExtractEdits:
         edits = extract_edits(src, tgt)
         assert len(edits) == 1
         assert (edits[0].start, edits[0].end, edits[0].replacement) == (1, 2, ("walks",))
+
+    def test_lost_edit_raises_invalid_edit_set(self, monkeypatch):
+        def drop_last(alignment, policy=MERGE_ADJACENT):
+            return merge_alignment(alignment, policy)[:-1]
+
+        monkeypatch.setattr(geckit.align, "merge_alignment", drop_last)
+        with pytest.raises(InvalidEditSet):
+            extract_edits(Sentence(("she", "walk", "home")), Sentence(("she", "walks", "home")))
 
 
 class TestLexiconIO:

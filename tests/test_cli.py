@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from geckit.cli import main
@@ -413,6 +415,87 @@ class TestAblate:
         )
         assert code == 1
         assert "judge" in capsys.readouterr().err
+
+
+JUDGE_CORRUPTIONS = {
+    "missing dim": lambda d: d.pop("dim"),
+    "missing bias0": lambda d: d.pop("bias0"),
+    "missing weight_indices": lambda d: d.pop("weight_indices"),
+    "string dim": lambda d: d.update(dim=str(d["dim"])),
+    "index at dim": lambda d: d["weight_indices"].__setitem__(-1, d["dim"]),
+    "negative index": lambda d: d["weight_indices"].__setitem__(0, -1),
+    "unsorted indices": lambda d: d["weight_indices"].reverse(),
+    "short values": lambda d: d["weight_values"].pop(),
+    "text values": lambda d: d.update(weight_values=["x"] * len(d["weight_values"])),
+}
+
+META_CORRUPTIONS = {
+    "unknown config key": lambda m: m["config"].update(dropout=0.1),
+    "missing config key": lambda m: m["config"].pop("hidden_dim"),
+    "string config value": lambda m: m["config"].update(embed_dim="8"),
+    "negative seed": lambda m: m["config"].update(seed=-1),
+    "missing vocab": lambda m: m.pop("vocab"),
+    "config not an object": lambda m: m.update(config=[8, 12]),
+}
+
+
+def _single_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    return err
+
+
+class TestCorruptModelFiles:
+    """Hand-edited or damaged model files fail with exit 1 and one line."""
+
+    def _decode(self, model_dir, sources, out, judge=None):
+        argv = ["decode", "--model", str(model_dir), "--input", str(sources), "--out", str(out)]
+        return main(argv + (["--judge", str(judge)] if judge else []))
+
+    @pytest.mark.parametrize("command", ["decode", "ablate"])
+    @pytest.mark.parametrize("corruption", sorted(JUDGE_CORRUPTIONS))
+    def test_bad_judge(
+        self, command, corruption, bench_dir, judge_dir, gec_dir, decoded_dir, tmp_path, capsys
+    ):
+        payload = json.loads((judge_dir / "judge.json").read_text(encoding="utf-8"))
+        JUDGE_CORRUPTIONS[corruption](payload)
+        bad = tmp_path / "judge.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        if command == "decode":
+            code = self._decode(
+                gec_dir / "gec_model", decoded_dir / "sources.txt", tmp_path / "o", judge=bad
+            )
+        else:
+            code = main(
+                ["ablate", "--train", str(bench_dir / "gec_train.m2"),
+                 "--test", str(bench_dir / "gec_test.m2"), "--judge", str(bad),
+                 "--out", str(tmp_path / "o")]
+            )  # fmt: skip
+        assert code == 1
+        assert str(bad) in _single_error_line(capsys)
+
+    @pytest.mark.parametrize("corruption", sorted(META_CORRUPTIONS))
+    def test_bad_meta(self, corruption, gec_dir, decoded_dir, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        shutil.copytree(gec_dir / "gec_model", model_dir)
+        meta = json.loads((model_dir / "meta.json").read_text(encoding="utf-8"))
+        META_CORRUPTIONS[corruption](meta)
+        (model_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        assert self._decode(model_dir, decoded_dir / "sources.txt", tmp_path / "o") == 1
+        assert "meta.json" in _single_error_line(capsys)
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "too few values"])
+    def test_bad_params(self, damage, gec_dir, decoded_dir, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        shutil.copytree(gec_dir / "gec_model", model_dir)
+        params = model_dir / "params.npy"
+        if damage == "too few values":
+            np.save(params, np.load(params)[:-1])
+        else:
+            raw = params.read_bytes()
+            params.write_bytes(raw[: len(raw) // 2] if damage == "truncated" else b"")
+        assert self._decode(model_dir, decoded_dir / "sources.txt", tmp_path / "o") == 1
+        assert "params.npy" in _single_error_line(capsys)
 
 
 class TestRunLog:

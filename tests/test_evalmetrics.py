@@ -1,10 +1,12 @@
 """Tests for edit-level scoring, filtering, reports, and the ablation grid."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import geckit.gec
 from geckit.errors import ConfigError, EmptyEvaluation
 from geckit.evalmetrics import (
     DROP_EDITS,
@@ -23,7 +25,17 @@ from geckit.evalmetrics import (
     per_type_breakdown,
     prf,
 )
-from geckit.gec import DYNAMIC, ModelConfig, TrainStage
+from geckit.gec import (
+    DYNAMIC,
+    ModelConfig,
+    Seq2SeqModel,
+    TrainStage,
+    Vocab,
+    beam_decode,
+    greedy_decode_batch,
+    rerank_with_cola,
+    train_gec,
+)
 from geckit.judge import Logits, cola_score
 from geckit.textcore import DET, OTHER, PREP, PUNCT, SVA, AnnotatedPair, Edit, Sentence
 
@@ -383,3 +395,45 @@ class TestAblation:
             for _ in range(2)
         ]
         assert runs[0].per_seed == runs[1].per_seed
+
+    def test_variants_sharing_a_loss_share_one_model(self, toy_task, monkeypatch):
+        stage, test, config = toy_task
+        judge = FlatJudge()
+        variants = (
+            AblationVariant("plain"),
+            AblationVariant("plain+rerank", rerank=True, beam_size=2),
+            AblationVariant("dyn", loss=DYNAMIC),
+            AblationVariant("dyn+rerank", loss=DYNAMIC, rerank=True, beam_size=2),
+        )
+        seeds = (0, 1)
+        calls = []
+
+        def counting_train_gec(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return train_gec(*args, **kwargs)
+
+        monkeypatch.setattr(geckit.gec, "train_gec", counting_train_gec)
+        report = ablation_run(variants, stage, test, config, judge=judge, seeds=seeds)
+        assert calls == [0, 0, 1, 1]
+
+        # Reference: a fresh model for every (variant, seed) cell.
+        sentences = [p.source for p in stage.pairs] + [p.target for p in stage.pairs]
+        vocab = Vocab.from_sentences(sentences)
+        sources = [pair.source for pair in test]
+        for variant in variants:
+            expected = []
+            for seed in seeds:
+                model = Seq2SeqModel(vocab, replace(config, seed=seed))
+                train_gec(model, [replace(stage, loss=variant.loss)], judge=judge, seed=seed)
+                if variant.rerank:
+                    decoded = [
+                        rerank_with_cola(
+                            beam_decode(model, src, variant.beam_size), judge, variant.rerank_lam
+                        )
+                        for src in sources
+                    ]
+                else:
+                    decoded = greedy_decode_batch(model, sources)
+                r = evaluate_hypotheses(decoded, test)
+                expected.append(Prf(r.precision, r.recall, r.f05))
+            assert report.per_seed[variant.name] == tuple(expected)
