@@ -52,9 +52,7 @@ from .gec import (
     Seq2SeqModel,
     TrainStage,
     Vocab,
-    beam_decode,
-    greedy_decode_batch,
-    rerank_with_cola,
+    decode,
     train_gec,
 )
 from .judge import JudgeConfig, JudgeModel, acc, evaluate_judge, mcc, train_judge
@@ -327,18 +325,7 @@ def _run_train_gec(opts: dict, out: Path) -> list[str]:
 def _run_decode(opts: dict, out: Path) -> list[str]:
     model = Seq2SeqModel.load(opts["model"])
     sources = _read_sentences(opts["input"], opts["mode"])
-    judge = _load_judge(opts)
-    if judge is not None:
-        decoded = [
-            rerank_with_cola(
-                beam_decode(model, src, opts["beam"]), judge, opts["rerank_lam"], opts["mode"]
-            )
-            for src in sources
-        ]
-    elif opts["beam"] > 1:
-        decoded = [beam_decode(model, src, opts["beam"])[0].sentence(opts["mode"]) for src in sources]
-    else:
-        decoded = greedy_decode_batch(model, sources)
+    decoded = decode(model, sources, opts["beam"], _load_judge(opts), opts["rerank_lam"])
     _write_sentences(out / "corrected.txt", decoded)
     return [f"wrote {out / 'corrected.txt'} ({len(decoded)} sentences)"]
 

@@ -400,9 +400,7 @@ def ablation_run(
         ModelConfig,
         Seq2SeqModel,
         Vocab,
-        beam_decode,
-        greedy_decode_batch,
-        rerank_with_cola,
+        decode,
         train_gec,
     )
 
@@ -424,7 +422,6 @@ def ablation_run(
     train_sentences += [p.target for p in stage.pairs if p.target is not None]
     vocab = Vocab.from_sentences(train_sentences)
     sources = [pair.source for pair in test_pairs]
-    mode = sources[0].mode
     losses = list(dict.fromkeys(v.loss for v in variants))
     scores: dict[str, list[Prf]] = {name: [] for name in names}
     for seed in seeds:
@@ -435,17 +432,9 @@ def ablation_run(
                 if variant.loss != loss:
                     continue
                 if variant.rerank:
-                    decoded = [
-                        rerank_with_cola(
-                            beam_decode(model, src, variant.beam_size),
-                            judge,
-                            variant.rerank_lam,
-                            mode,
-                        )
-                        for src in sources
-                    ]
+                    decoded = decode(model, sources, variant.beam_size, judge, variant.rerank_lam)
                 else:
-                    decoded = greedy_decode_batch(model, sources)
+                    decoded = decode(model, sources)
                 report = evaluate_hypotheses(
                     decoded, list(test_pairs), extract_config, match_config
                 )

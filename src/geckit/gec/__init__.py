@@ -3,7 +3,7 @@
 from .decoding import (
     Hypothesis,
     beam_decode,
-    greedy_decode,
+    decode,
     greedy_decode_batch,
     rerank_score,
     rerank_with_cola,
@@ -13,10 +13,6 @@ from .losses import (
     LOSS_KINDS,
     PLAIN_CE,
     PROB_FLOOR,
-    CeResult,
-    LossBreakdown,
-    ce_loss,
-    dynamic_loss,
     loss_weight,
 )
 from .model import EncoderState, ModelConfig, Seq2SeqModel
@@ -45,7 +41,6 @@ __all__ = [
     "Adam",
     "BOS_ID",
     "BOS_TOKEN",
-    "CeResult",
     "DEFAULT_DYNAMIC_LR_MULTIPLIER",
     "DYNAMIC",
     "EOS_ID",
@@ -53,7 +48,6 @@ __all__ = [
     "EncoderState",
     "Hypothesis",
     "LOSS_KINDS",
-    "LossBreakdown",
     "ModelConfig",
     "PAD_ID",
     "PAD_TOKEN",
@@ -69,10 +63,8 @@ __all__ = [
     "UNK_TOKEN",
     "Vocab",
     "beam_decode",
-    "ce_loss",
     "clip_gradients",
-    "dynamic_loss",
-    "greedy_decode",
+    "decode",
     "greedy_decode_batch",
     "loss_weight",
     "make_optimizer",

@@ -64,10 +64,6 @@ def greedy_decode_batch(
     return [model.vocab.decode(ids, mode) for ids in outputs]
 
 
-def greedy_decode(model: Seq2SeqModel, source: Sentence, max_len: int | None = None) -> Sentence:
-    return greedy_decode_batch(model, [source], max_len)[0]
-
-
 def _replicate(enc: EncoderState, count: int) -> EncoderState:
     return EncoderState(
         henc=np.repeat(enc.henc, count, axis=0),
@@ -164,3 +160,28 @@ def rerank_score(hypothesis: Hypothesis, judge, lam: float, mode: str = WORD) ->
     sentence = hypothesis.sentence(mode)
     fluency = hypothesis.log_prob / max(1, len(hypothesis.tokens))
     return fluency - lam * cola_score(judge.logits(sentence)).value
+
+
+def decode(
+    model: Seq2SeqModel,
+    sources: list[Sentence],
+    beam_size: int = 1,
+    judge=None,
+    lam: float = 0.5,
+) -> list[Sentence]:
+    """Correct every source: the one decode entry point.
+
+    Without a judge, beam_size 1 decodes greedily over the whole batch
+    and a larger beam keeps each search's top hypothesis. With a judge,
+    each beam's n-best is reranked by rerank_with_cola with weight lam.
+    """
+    if not sources:
+        return []
+    if judge is None and beam_size == 1:
+        return greedy_decode_batch(model, sources)
+    mode = sources[0].mode
+    if judge is None:
+        return [beam_decode(model, src, beam_size)[0].sentence(mode) for src in sources]
+    return [
+        rerank_with_cola(beam_decode(model, src, beam_size), judge, lam, mode) for src in sources
+    ]

@@ -1,7 +1,8 @@
-"""Correction-model losses.
+"""Correction-model loss kinds and the dynamic-loss weight.
 
-The dynamic variant rescales plain token cross-entropy by a per-sentence
-weight sqrt(judge_accuracy * acceptability_score). The weight acts on the
+The one cross-entropy is Seq2SeqModel.loss_and_grads. The dynamic
+variant rescales it by a per-sentence weight sqrt(judge_accuracy *
+acceptability_score), passed as sentence_scale. The weight acts on the
 loss as a detached scalar: gradients are the cross-entropy gradients
 times the weight, never differentiated through the judge.
 """
@@ -9,9 +10,6 @@ times the weight, never differentiated through the judge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import ConfigError
 
@@ -22,67 +20,6 @@ _MAX_NLL = -math.log(PROB_FLOOR)
 PLAIN_CE = "plain_ce"
 DYNAMIC = "dynamic"
 LOSS_KINDS = (PLAIN_CE, DYNAMIC)
-
-
-@dataclass(frozen=True, slots=True)
-class LossBreakdown:
-    """Per-sentence (or per-batch) loss parts; total == ce * weight."""
-
-    ce: float
-    weight: float
-    total: float
-
-    def __post_init__(self) -> None:
-        if self.ce < 0:
-            raise ConfigError(f"negative cross-entropy {self.ce}")
-        if not (0.0 < self.weight <= 1.0):
-            raise ConfigError(f"weight outside (0, 1]: {self.weight}")
-        if abs(self.total - self.ce * self.weight) > 1e-9:
-            raise ConfigError(f"total {self.total} != ce*weight {self.ce * self.weight}")
-
-
-@dataclass(frozen=True, slots=True)
-class CeResult:
-    value: float
-    grad: np.ndarray
-    clamped_steps: int
-
-
-def _check_rows(probs: np.ndarray, targets: np.ndarray) -> None:
-    if probs.ndim != 2:
-        raise ConfigError(f"expected (steps, vocab) probabilities, got shape {probs.shape}")
-    if targets.shape != (probs.shape[0],):
-        raise ConfigError(f"targets shape {targets.shape} does not match {probs.shape[0]} steps")
-    sums = probs.sum(axis=1)
-    if probs.shape[0] and not np.all(np.abs(sums - 1.0) <= 1e-6):
-        raise ConfigError("probability rows must sum to 1 within 1e-6")
-
-
-def ce_loss(probs: np.ndarray, targets: np.ndarray, mask: np.ndarray | None = None) -> CeResult:
-    """Summed negative log-likelihood of gold tokens.
-
-    ``mask`` zeroes padded steps. Gold probabilities are floored at
-    PROB_FLOOR; floored steps contribute no gradient and are counted.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
-    _check_rows(probs, targets)
-    steps = probs.shape[0]
-    active = np.ones(steps, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    grad = np.zeros_like(probs)
-    value = 0.0
-    clamped = 0
-    for t in range(steps):
-        if not active[t]:
-            continue
-        p = probs[t, targets[t]]
-        if p < PROB_FLOOR:
-            value += _MAX_NLL
-            clamped += 1
-            continue
-        value += -math.log(p)
-        grad[t, targets[t]] = -1.0 / p
-    return CeResult(value, grad, clamped)
 
 
 def loss_weight(accuracy: float, score: float) -> float:
@@ -96,21 +33,3 @@ def loss_weight(accuracy: float, score: float) -> float:
     if not (0.0 < score <= 1.0):
         raise ConfigError(f"score outside (0, 1]: {score}")
     return math.sqrt(accuracy * score)
-
-
-def dynamic_loss(
-    probs: np.ndarray,
-    targets: np.ndarray,
-    accuracy: float,
-    score: float,
-    mask: np.ndarray | None = None,
-) -> tuple[LossBreakdown, np.ndarray, int]:
-    """Weighted cross-entropy: (breakdown, gradient, clamped step count).
-
-    The gradient is exactly weight * ce-gradient; the weight itself is
-    treated as a constant.
-    """
-    ce = ce_loss(probs, targets, mask)
-    weight = loss_weight(accuracy, score)
-    breakdown = LossBreakdown(ce=ce.value, weight=weight, total=ce.value * weight)
-    return breakdown, weight * ce.grad, ce.clamped_steps

@@ -351,11 +351,6 @@ class Seq2SeqModel:
         logits, _ = self._output(s_new, context)
         return _log_softmax(logits), s_new
 
-    def step_distribution(self, enc: EncoderState, s: np.ndarray, token_ids: np.ndarray):
-        """Probability rows (each sums to 1) for inspection and tests."""
-        logp, s_new = self.decode_step(enc, s, token_ids)
-        return np.exp(logp), s_new
-
     # --- parameter plumbing -------------------------------------------------
 
     def flat_params(self) -> np.ndarray:

@@ -11,7 +11,6 @@ constants in the gradient; only the cross-entropy part backpropagates.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,9 +18,9 @@ import numpy as np
 
 from .. import evalmetrics
 from ..errors import ConfigError
-from ..textcore import AnnotatedPair, Sentence
+from ..textcore import AnnotatedPair
 from .decoding import greedy_decode_batch
-from .losses import DYNAMIC, LOSS_KINDS, PLAIN_CE
+from .losses import DYNAMIC, LOSS_KINDS, PLAIN_CE, loss_weight
 from .model import Seq2SeqModel
 from .optim import clip_gradients, make_optimizer
 
@@ -108,10 +107,6 @@ class TrainLog:
         return self.records[-1]
 
 
-def _judge_score(judge, sentence: Sentence) -> float:
-    return judge.score(sentence).value
-
-
 def _dev_f05(model: Seq2SeqModel, dev_pairs) -> float:
     sources = [pair.source for pair in dev_pairs]
     decoded = greedy_decode_batch(model, sources)
@@ -163,10 +158,7 @@ def train_gec(
                 if stage.loss == DYNAMIC:
                     decoded = greedy_decode_batch(model, batch_src)
                     weights = np.array(
-                        [
-                            math.sqrt(judge.dev_accuracy * _judge_score(judge, hyp))
-                            for hyp in decoded
-                        ]
+                        [loss_weight(judge.dev_accuracy, judge.score(hyp).value) for hyp in decoded]
                     )
                 else:
                     weights = np.ones(len(batch_idx))

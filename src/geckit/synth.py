@@ -10,8 +10,10 @@ error label. Generation is pure given (seed, index).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import product
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -570,7 +572,30 @@ class Benchmark:
 _UNIQUE_ATTEMPT_FACTOR = 60
 
 
+def _distinct_bound(grammar: SynthGrammar) -> int:
+    """Upper bound on distinct sentences: over templates and (subject,
+    object) numbers, the product of the inventories _sample_sentence draws."""
+    dets = (grammar.determiners_sg, grammar.determiners_pl)
+    total = 0
+    for template in grammar.templates:
+        for subj_num, obj_num in product((_SG, _PL), repeat=2):
+            sizes = [
+                len(dets[subj_num if slot == DET_SUBJ else obj_num])
+                if slot in (DET_SUBJ, DET_OBJ)
+                else len(grammar._slot_inventory(slot))
+                for slot in template
+            ]
+            total += math.prod(sizes)
+    return total
+
+
 def _unique_pool(grammar: SynthGrammar, need: int, seed: int) -> list[Sentence]:
+    bound = _distinct_bound(grammar)
+    if bound < need:
+        raise ConfigError(
+            f"grammar yields at most {bound} unique sentences of {need}; "
+            "enlarge the lexicon or shrink sizes"
+        )
     pool: list[Sentence] = []
     seen: set[str] = set()
     cap = _UNIQUE_ATTEMPT_FACTOR * need

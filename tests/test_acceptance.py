@@ -41,8 +41,6 @@ from geckit.gec import (
     Seq2SeqModel,
     TrainStage,
     Vocab,
-    ce_loss,
-    dynamic_loss,
     greedy_decode_batch,
     loss_weight,
     train_gec,
@@ -175,38 +173,58 @@ def test_criterion_2_acceptability_score_properties():
 
 # --- criterion 3 ----------------------------------------------------------
 
-LOSS_IDENTITY_TOL = 1e-9
+GRAD_IDENTITY_TOL = 1e-12
 LOSS_IDENTITY_INSTANCES = 1000
 FD_STEP = 1e-6
 FD_REL_TOL = 1e-4
 FD_MAX_PARAMS = 5000
 
 
+def _random_loss_instance(rng):
+    """A random tiny model with a batch of 1-3 (source, target) pairs of 0-3 words."""
+    words = [f"w{i}" for i in range(int(rng.integers(1, 9)))]
+
+    def sentence():
+        return Sentence(tuple(words[k] for k in rng.integers(0, len(words), size=rng.integers(0, 4))))
+
+    batch = int(rng.integers(1, 4))
+    sources = [sentence() for _ in range(batch)]
+    targets = [sentence() for _ in range(batch)]
+    config = ModelConfig(
+        embed_dim=int(rng.integers(2, 5)),
+        hidden_dim=int(rng.integers(2, 6)),
+        seed=int(rng.integers(2**31)),
+    )
+    return Seq2SeqModel(Vocab.from_sentences(sources + targets), config), sources, targets
+
+
 def test_criterion_3_weighted_loss_identity_and_gradient():
-    """dynamic == weight x ce; analytic gradient matches central differences."""
+    """The dynamic loss is the production cross-entropy (loss_and_grads) with
+    per-sentence weights: weights leave the NLL alone and scale the gradient.
+    The analytic gradient matches central differences."""
     start = time.perf_counter()
     rng = np.random.default_rng(3)
     for _ in range(LOSS_IDENTITY_INSTANCES):
-        steps = int(rng.integers(1, 7))
-        vocab_size = int(rng.integers(3, 13))
-        probs = rng.dirichlet(np.ones(vocab_size), size=steps)
-        targets = rng.integers(0, vocab_size, size=steps)
-        accuracy = float(rng.uniform(1e-6, 1.0))
-        score = float(rng.uniform(1e-6, 1.0))
-        breakdown, grad, _ = dynamic_loss(probs, targets, accuracy, score)
-        plain = ce_loss(probs, targets)
-        weight = loss_weight(accuracy, score)
-        assert abs(breakdown.total - weight * plain.value) <= LOSS_IDENTITY_TOL
-        assert np.array_equal(grad, weight * plain.grad)
+        model, sources, targets = _random_loss_instance(rng)
+        batch = len(sources)
 
-    # Unit weight must reduce to plain cross-entropy bitwise.
-    probs = rng.dirichlet(np.ones(8), size=5)
-    targets = rng.integers(0, 8, size=5)
-    breakdown, grad, _ = dynamic_loss(probs, targets, 1.0, 1.0)
-    plain = ce_loss(probs, targets)
-    assert breakdown.weight == 1.0
-    assert breakdown.total == plain.value
-    assert np.array_equal(grad, plain.grad)
+        # The default scale is the batch mean.
+        nll_none, grads_none, _ = model.loss_and_grads(sources, targets)
+        nll_mean, grads_mean, _ = model.loss_and_grads(
+            sources, targets, sentence_scale=np.full(batch, 1.0 / batch)
+        )
+        assert np.array_equal(nll_none, nll_mean)
+        assert all(np.array_equal(grads_none[name], grads_mean[name]) for name in grads_mean)
+
+        # One sentence at weight w: the same NLL bits, and w x the unit-weight gradient.
+        one_src, one_tgt = sources[:1], targets[:1]
+        weight = loss_weight(rng.uniform(1e-6, 1.0), rng.uniform(1e-6, 1.0))
+        nll_w, grads_w, _ = model.loss_and_grads(one_src, one_tgt, sentence_scale=np.array([weight]))
+        nll_unit, grads_unit, _ = model.loss_and_grads(one_src, one_tgt, sentence_scale=np.ones(1))
+        assert np.array_equal(nll_w, nll_unit)
+        for name, unit in grads_unit.items():
+            limit = GRAD_IDENTITY_TOL * max(float(np.abs(unit).max()), np.finfo(float).tiny)
+            assert np.abs(grads_w[name] - weight * unit).max() <= limit
 
     # Full-model gradient of the weighted objective vs central finite
     # differences on every parameter of a deliberately tiny network.

@@ -341,6 +341,15 @@ class TestGecCommands:
         assert code == 0
         assert len((out / "corrected.txt").read_text(encoding="utf-8").splitlines()) == 20
 
+    def test_decode_rejects_beam_zero(self, gec_dir, decoded_dir, tmp_path, capsys):
+        code = main(
+            ["decode", "--model", str(gec_dir / "gec_model"),
+             "--input", str(decoded_dir / "sources.txt"), "--beam", "0",
+             "--out", str(tmp_path / "b0")]
+        )
+        assert code == 1
+        assert "beam_size must be >= 1" in _single_error_line(capsys)
+
 
 class TestEvaluateCommands:
     def test_evaluate_identity_is_perfect(self, bench_dir, tmp_path):

@@ -10,13 +10,11 @@ from geckit.gec import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    PROB_FLOOR,
     UNK_ID,
-    LossBreakdown,
     ModelConfig,
     Seq2SeqModel,
     Vocab,
-    ce_loss,
-    dynamic_loss,
     loss_weight,
 )
 from geckit.textcore import Sentence
@@ -56,56 +54,65 @@ class TestVocab:
         assert a.tokens == b.tokens
 
 
+def bias_only_model(out_b):
+    """Vocabulary (pad, bos, eos, unk, a); every parameter zero but out_b.
+
+    Zero weights make every decoder step's logits equal out_b, so the
+    gold-token probabilities are known in closed form.
+    """
+    model = Seq2SeqModel(Vocab.from_sentences([sent("a")]), ModelConfig(embed_dim=3, hidden_dim=4))
+    model.set_flat_params(np.zeros(model.num_params()))
+    model.params["out_b"] = np.asarray(out_b, dtype=np.float64)
+    return model
+
+
 class TestCeLoss:
+    """The production cross-entropy: Seq2SeqModel.loss_and_grads."""
+
     def test_frozen_example(self):
-        probs = np.array([[0.5, 0.3, 0.2], [0.25, 0.5, 0.25]])
-        result = ce_loss(probs, np.array([0, 0]))
-        assert result.value == pytest.approx(2.079442, abs=5e-7)
-        assert result.clamped_steps == 0
+        model = bias_only_model(np.log([0.1, 0.1, 0.25, 0.05, 0.5]))
+        nll, _, clamped = model.loss_and_grads([sent("a")], [sent("a")])
+        # -log p(a) - log p(eos) = -log 0.5 - log 0.25
+        assert nll[0] == pytest.approx(2.079442, abs=5e-7)
+        assert clamped == 0
 
     def test_perfect_prediction_is_zero(self):
-        probs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert ce_loss(probs, np.array([0, 1])).value == 0.0
+        model = bias_only_model([0.0, 0.0, 1000.0, 0.0, 0.0])
+        nll, grads, _ = model.loss_and_grads([sent("a")], [Sentence(())])
+        assert nll[0] == 0.0
+        assert all(np.all(g == 0) for g in grads.values())
 
     def test_uniform_closed_form(self):
-        v, t = 7, 5
-        probs = np.full((t, v), 1.0 / v)
-        assert ce_loss(probs, np.zeros(t, dtype=int)).value == pytest.approx(t * math.log(v))
+        model = bias_only_model(np.zeros(5))
+        v = len(model.vocab)
+        targets = [Sentence(()), sent("a"), sent("a a a a")]
+        nll, _, _ = model.loss_and_grads([sent("a")] * 3, targets)
+        for i, target in enumerate(targets):
+            assert nll[i] == pytest.approx((len(target) + 1) * math.log(v), rel=1e-12)
 
     def test_mask_skips_steps(self):
-        probs = np.array([[0.5, 0.5], [0.5, 0.5]])
-        masked = ce_loss(probs, np.array([0, 0]), mask=np.array([1.0, 0.0]))
-        assert masked.value == pytest.approx(math.log(2))
-        assert np.all(masked.grad[1] == 0)
+        model, _ = toy_model(seed=6)
+        sources = [sent("a b c d"), sent("e"), Sentence(())]
+        targets = [sent("f"), sent("a b c e f"), sent("d d")]
+        batch, _, _ = model.loss_and_grads(sources, targets)
+        for i in range(len(sources)):
+            alone, _, _ = model.loss_and_grads(sources[i : i + 1], targets[i : i + 1])
+            assert batch[i] == pytest.approx(alone[0], rel=1e-12, abs=0)
 
     def test_clamp_counts_and_flat_gradient(self):
-        probs = np.array([[1.0, 0.0]])
-        result = ce_loss(probs, np.array([1]))
-        assert result.clamped_steps == 1
-        assert result.value == pytest.approx(-math.log(1e-12))
-        assert np.all(result.grad == 0)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(4)
-        raw = rng.uniform(0.05, 1.0, size=(4, 5))
-        probs = raw / raw.sum(axis=1, keepdims=True)
-        targets = rng.integers(0, 5, size=4)
-        result = ce_loss(probs, targets)
-        h = 1e-7
-        for t in range(4):
-            for v in range(5):
-                bumped = probs.copy()
-                bumped[t, v] += h
-                dipped = probs.copy()
-                dipped[t, v] -= h
-                fd = (ce_loss(bumped, targets).value - ce_loss(dipped, targets).value) / (2 * h)
-                assert fd == pytest.approx(result.grad[t, v], abs=1e-4, rel=1e-4)
+        # Both gold steps (a, then eos) sit far below log(PROB_FLOOR).
+        model = bias_only_model([0.0, 0.0, -100.0, 0.0, -100.0])
+        nll, grads, clamped = model.loss_and_grads([sent("a")], [sent("a")])
+        assert clamped == 2
+        assert nll[0] == pytest.approx(-2 * math.log(PROB_FLOOR))
+        assert all(np.all(g == 0) for g in grads.values())
 
     def test_rejects_invalid_rows(self):
+        model, corpus = toy_model()
         with pytest.raises(ConfigError):
-            ce_loss(np.array([[0.9, 0.3]]), np.array([0]))
+            model.loss_and_grads(corpus, corpus[:-1])
         with pytest.raises(ConfigError):
-            ce_loss(np.array([[0.5, 0.5]]), np.array([0, 1]))
+            model.loss_and_grads(corpus, corpus, sentence_scale=np.ones(len(corpus) + 1))
 
 
 class TestLossWeight:
@@ -129,43 +136,40 @@ class TestLossWeight:
 
 
 class TestDynamicLoss:
+    """The dynamic loss: loss_and_grads with loss_weight as sentence_scale."""
+
     def test_frozen_example(self):
-        probs = np.array([[0.5, 0.3, 0.2], [0.25, 0.5, 0.25]])
-        breakdown, grad, clamped = dynamic_loss(probs, np.array([0, 0]), 0.85, 0.5)
-        # Exact product of the two component values.
-        assert breakdown.total == pytest.approx(1.355630, abs=5e-7)
-        assert breakdown.total == breakdown.ce * breakdown.weight
+        model = bias_only_model(np.log([0.1, 0.1, 0.25, 0.05, 0.5]))
+        weight = loss_weight(0.85, 0.5)
+        nll, grads, clamped = model.loss_and_grads([sent("a")], [sent("a")], np.array([weight]))
+        _, unit, _ = model.loss_and_grads([sent("a")], [sent("a")], np.ones(1))
+        assert weight * nll[0] == pytest.approx(1.355630, abs=5e-7)
         assert clamped == 0
+        for name in grads:
+            assert np.allclose(grads[name], weight * unit[name], rtol=0, atol=1e-15)
 
     def test_identity_when_weight_one(self):
-        probs = np.array([[0.5, 0.5]])
-        targets = np.array([0])
-        breakdown, grad, _ = dynamic_loss(probs, targets, 1.0, 1.0)
-        plain = ce_loss(probs, targets)
-        assert breakdown.total == plain.value
-        assert np.array_equal(grad, plain.grad)
+        model, corpus = toy_model(seed=8)
+        ones = np.ones(len(corpus))
+        weights = np.array([loss_weight(1.0, 1.0)] * len(corpus))
+        nll_w, grads_w, _ = model.loss_and_grads(corpus, corpus, weights)
+        nll, grads, _ = model.loss_and_grads(corpus, corpus, ones)
+        assert np.array_equal(nll_w, nll)
+        assert all(np.array_equal(grads_w[name], grads[name]) for name in grads)
 
     def test_total_matches_product_on_random_inputs(self):
         rng = np.random.default_rng(9)
-        for _ in range(300):
-            t, v = int(rng.integers(1, 6)), int(rng.integers(2, 8))
-            raw = rng.uniform(0.05, 1.0, size=(t, v))
-            probs = raw / raw.sum(axis=1, keepdims=True)
-            targets = rng.integers(0, v, size=t)
-            accuracy = float(rng.uniform(0.1, 1.0))
-            score = float(rng.uniform(0.01, 0.99))
-            breakdown, grad, _ = dynamic_loss(probs, targets, accuracy, score)
-            assert abs(breakdown.total - breakdown.ce * breakdown.weight) <= 1e-9
-            plain = ce_loss(probs, targets)
-            assert np.allclose(grad, breakdown.weight * plain.grad, rtol=0, atol=1e-15)
-
-    def test_breakdown_validation(self):
-        with pytest.raises(ConfigError):
-            LossBreakdown(ce=1.0, weight=0.5, total=0.9)
-        with pytest.raises(ConfigError):
-            LossBreakdown(ce=1.0, weight=0.0, total=0.0)
-        with pytest.raises(ConfigError):
-            LossBreakdown(ce=-1.0, weight=0.5, total=-0.5)
+        model, corpus = toy_model(seed=9)
+        for _ in range(30):
+            i = int(rng.integers(len(corpus)))
+            src, tgt = [corpus[i]], [corpus[int(rng.integers(len(corpus)))]]
+            weight = loss_weight(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.01, 0.99)))
+            nll_w, grads_w, _ = model.loss_and_grads(src, tgt, np.array([weight]))
+            nll, grads, _ = model.loss_and_grads(src, tgt, np.ones(1))
+            assert np.array_equal(nll_w, nll)
+            for name in grads:
+                limit = 1e-12 * max(1.0, float(np.abs(grads[name]).max()))
+                assert np.abs(grads_w[name] - weight * grads[name]).max() <= limit
 
 
 class TestModelBasics:
@@ -179,9 +183,8 @@ class TestModelBasics:
     def test_step_distributions_sum_to_one(self):
         model, corpus = toy_model()
         enc = model.encode(corpus)
-        probs, _ = model.step_distribution(
-            enc, enc.s0, np.full(len(corpus), BOS_ID, dtype=np.int64)
-        )
+        logp, _ = model.decode_step(enc, enc.s0, np.full(len(corpus), BOS_ID, dtype=np.int64))
+        probs = np.exp(logp)
         assert probs.shape == (len(corpus), len(model.vocab))
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-6)
 

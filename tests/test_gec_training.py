@@ -17,7 +17,7 @@ from geckit.gec import (
     TrainStage,
     Vocab,
     beam_decode,
-    greedy_decode,
+    decode,
     greedy_decode_batch,
     rerank_with_cola,
     train_gec,
@@ -99,7 +99,7 @@ class TestGreedyAndBeam:
     def test_beam_one_equals_greedy(self, copy_model):
         model, _ = copy_model
         for pair in copy_pairs(25, 3):
-            greedy = greedy_decode(model, pair.source)
+            greedy = greedy_decode_batch(model, [pair.source])[0]
             beam = beam_decode(model, pair.source, beam_size=1)
             assert len(beam) == 1
             assert beam[0].tokens == greedy.tokens
@@ -126,12 +126,12 @@ class TestGreedyAndBeam:
 
     def test_greedy_respects_max_len(self, copy_model):
         model, _ = copy_model
-        decoded = greedy_decode(model, sent("a b c d e f"), max_len=3)
+        decoded = greedy_decode_batch(model, [sent("a b c d e f")], 3)[0]
         assert len(decoded) <= 3
 
     def test_empty_source_decodes(self, copy_model):
         model, _ = copy_model
-        decoded = greedy_decode(model, Sentence(()))
+        decoded = greedy_decode_batch(model, [Sentence(())])[0]
         assert isinstance(decoded, Sentence)
 
     def test_bad_args(self, copy_model):
@@ -139,7 +139,7 @@ class TestGreedyAndBeam:
         with pytest.raises(ConfigError):
             beam_decode(model, sent("a b"), beam_size=0)
         with pytest.raises(ConfigError):
-            greedy_decode(model, sent("a b"), max_len=0)
+            greedy_decode_batch(model, [sent("a b")], 0)
 
 
 class TestRerank:
@@ -176,6 +176,48 @@ class TestRerank:
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError):
             rerank_with_cola([], ConstantJudge(0.5, 1.0), lam=0.5)
+
+
+class TestDecode:
+    """decode is the one dispatch over greedy, beam and judge-reranked beam."""
+
+    LAM = 100.0  # large enough for the judge to overrule the decoder
+
+    @pytest.fixture(scope="class")
+    def sources(self):
+        return [pair.source for pair in copy_pairs(20, 5)]
+
+    @pytest.fixture(scope="class")
+    def table_judge(self, copy_model, sources):
+        # Mark every greedy output unacceptable so reranking has work to do.
+        model, _ = copy_model
+        return TableJudge({d.text: 50.0 for d in greedy_decode_batch(model, sources)})
+
+    @pytest.mark.parametrize("beam_size", [1, 4])
+    @pytest.mark.parametrize("with_judge", [False, True])
+    def test_equals_spelled_out_calls(self, copy_model, sources, table_judge, beam_size, with_judge):
+        model, _ = copy_model
+        judge = table_judge if with_judge else None
+        if with_judge:
+            expected = [
+                rerank_with_cola(beam_decode(model, src, beam_size), judge, self.LAM)
+                for src in sources
+            ]
+        elif beam_size == 1:
+            expected = greedy_decode_batch(model, sources)
+        else:
+            expected = [beam_decode(model, src, beam_size)[0].sentence() for src in sources]
+        assert decode(model, sources, beam_size, judge, self.LAM) == expected
+
+    def test_judge_changes_beam_choice(self, copy_model, sources, table_judge):
+        model, _ = copy_model
+        assert decode(model, sources, 4, table_judge, self.LAM) != decode(model, sources, 4)
+
+    @pytest.mark.parametrize("beam_size", [1, 4])
+    @pytest.mark.parametrize("with_judge", [False, True])
+    def test_empty_sources(self, copy_model, table_judge, beam_size, with_judge):
+        model, _ = copy_model
+        assert decode(model, [], beam_size, table_judge if with_judge else None) == []
 
 
 class TestTrainValidation:

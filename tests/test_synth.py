@@ -414,6 +414,31 @@ class TestBenchmark:
         with pytest.raises(ConfigError):
             make_benchmark(grammar, spec, SizeConfig(2000, 300, 500, 10000), seed=0)
 
+    def test_distinct_bound_is_tight_and_rejects_before_sampling(self, monkeypatch):
+        grammar = SynthGrammar(
+            nouns=(("dog", "dogs"), ("cat", "cats")),
+            verbs=(("is", "are"),),
+            determiners_sg=("a", "the"),
+            determiners_pl=("the",),
+            modifiers=(),
+            prepositions=("near",),
+            confusion_prepositions=(),
+            punctuation=(".",),
+            templates=(
+                ("det_subj", "noun_subj", "verb", "prep", "det_obj", "noun_obj", "punct"),
+            ),
+        )
+        # 2 nouns each side; determiners 2 (sg) or 1 (pl) each side: 4 * (2 + 1) ** 2.
+        bound = 36
+        assert len({s.text for s in gen_corpus(grammar, 2000, seed=0)}) == bound
+
+        def no_sampling(*args):
+            raise AssertionError("sampled although the grammar is too small")
+
+        monkeypatch.setattr(synth, "_sample_sentence", no_sampling)
+        with pytest.raises(ConfigError, match=f"at most {bound} unique"):
+            make_benchmark(grammar, uniform_spec(grammar), SizeConfig(20, 5, 5, 7), seed=0)
+
     def test_char_benchmark_works(self, char_mix):
         grammar, spec = char_mix
         bench = make_benchmark(grammar, spec, SizeConfig(120, 30, 40, 300), seed=1)
