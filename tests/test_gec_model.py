@@ -107,6 +107,33 @@ class TestCeLoss:
         assert nll[0] == pytest.approx(-2 * math.log(PROB_FLOOR))
         assert all(np.all(g == 0) for g in grads.values())
 
+    def test_gradient_matches_finite_differences(self):
+        # With every weight zero, each step's logits are out_b, so d(loss)/d(out_b)
+        # is the cross-entropy's gradient with respect to the logits.
+        rng = np.random.default_rng(4)
+        model = bias_only_model(rng.uniform(-1.0, 1.0, size=5))
+        sources = [sent("a"), Sentence(()), sent("a a")]
+        targets = [sent("a a"), Sentence(()), sent("a b")]
+        scale = np.ones(len(sources))
+
+        def objective():
+            nll, _, _ = model.loss_and_grads(sources, targets, sentence_scale=scale)
+            return float(scale @ nll)
+
+        _, grads, clamped = model.loss_and_grads(sources, targets, sentence_scale=scale)
+        assert clamped == 0
+        out_b = model.params["out_b"].copy()
+        h = 1e-7
+        for v in range(out_b.size):
+            model.params["out_b"] = out_b.copy()
+            model.params["out_b"][v] += h
+            up = objective()
+            model.params["out_b"][v] -= 2 * h
+            down = objective()
+            fd = (up - down) / (2 * h)
+            assert fd == pytest.approx(grads["out_b"][v], abs=1e-4, rel=1e-4)
+        model.params["out_b"] = out_b
+
     def test_rejects_invalid_rows(self):
         model, corpus = toy_model()
         with pytest.raises(ConfigError):
