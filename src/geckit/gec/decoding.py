@@ -35,13 +35,21 @@ def _step_limit(sources: list[Sentence], max_len: int | None) -> int:
 
 
 def greedy_decode_batch(
-    model: Seq2SeqModel, sources: list[Sentence], max_len: int | None = None
+    model: Seq2SeqModel,
+    sources: list[Sentence],
+    max_len: int | None = None,
+    *,
+    _enc: EncoderState | None = None,
 ) -> list[Sentence]:
-    """Argmax decoding over a whole batch; ties take the lowest token id."""
+    """Argmax decoding over a whole batch; ties take the lowest token id.
+
+    _enc, when given, is model.encode(sources) under the current
+    parameters, shared with a loss computation on the same batch.
+    """
     if not sources:
         return []
     limit = _step_limit(sources, max_len)
-    enc = model.encode(sources)
+    enc = model.encode(sources) if _enc is None else _enc
     batch = len(sources)
     s = enc.s0
     tokens = np.full(batch, BOS_ID, dtype=np.int64)
@@ -70,6 +78,8 @@ def _replicate(enc: EncoderState, count: int) -> EncoderState:
         kproj=np.repeat(enc.kproj, count, axis=0),
         src_mask=np.repeat(enc.src_mask, count, axis=0),
         s0=np.repeat(enc.s0, count, axis=0),
+        dec_gru=enc.dec_gru,
+        cache=enc.cache,
     )
 
 
@@ -82,6 +92,10 @@ def beam_decode(
     by beam index then token id, so beam_size=1 reproduces greedy
     decoding exactly. The returned list is sorted by descending log
     probability, ties by lexicographic token order.
+
+    The search stops once beam_size hypotheses have finished and the best
+    alive score is below the beam_size-th finished one: log-probabilities
+    are <= 0, so no extension could enter the returned list.
     """
     if beam_size < 1:
         raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
@@ -92,9 +106,12 @@ def beam_decode(
     alive_states = enc.s0
     alive_last = np.full(1, BOS_ID, dtype=np.int64)
     finished: list[Hypothesis] = []
+    replicas = {1: enc}
     for _ in range(limit):
         k = len(alive_tokens)
-        logp, states = model.decode_step(_replicate(enc, k), alive_states, alive_last)
+        if k not in replicas:
+            replicas[k] = _replicate(enc, k)
+        logp, states = model.decode_step(replicas[k], alive_states, alive_last)
         vocab_size = logp.shape[1]
         cand = (alive_logps[:, None] + logp).ravel()
         beam_idx = np.repeat(np.arange(k), vocab_size)
@@ -122,6 +139,10 @@ def beam_decode(
         alive_logps = np.array(next_logps)
         alive_states = np.stack(next_states)
         alive_last = np.array(next_last, dtype=np.int64)
+        if len(finished) >= beam_size:
+            kth_best = sorted((h.log_prob for h in finished), reverse=True)[beam_size - 1]
+            if alive_logps.max() < kth_best:
+                break
     for tokens, logp_val in zip(alive_tokens, alive_logps):
         finished.append(Hypothesis(model.vocab.decode(tokens).tokens, float(logp_val), True))
     finished.sort(key=lambda h: (-h.log_prob, h.tokens))

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, FormatError
+from ..judge import sigmoid
 from ..textcore import Sentence
 from .losses import _MAX_NLL
 from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocab
@@ -42,23 +43,32 @@ class ModelConfig:
         return self.hidden_dim if self.attn_dim is None else self.attn_dim
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _gru_weights(p: dict, prefix: str) -> tuple[np.ndarray, ...]:
+    """One GRU's weights for the fused step: [Wxz|Wxr|Wxn], [Whz|Whr], [bz|br], Whn, bn.
+
+    Built once per forward pass, so the parameters keep their per-gate
+    names. Each column of a fused product is computed as the per-gate
+    product computes it, so the fusion changes no bits.
+    """
+    names = ("Wxz", "Wxr", "Wxn", "Whz", "Whr", "Whn", "bz", "br", "bn")
+    g = {name: p[f"{prefix}_{name}"] for name in names}
+    return (
+        np.concatenate([g["Wxz"], g["Wxr"], g["Wxn"]], axis=1),
+        np.concatenate([g["Whz"], g["Whr"]], axis=1),
+        np.concatenate([g["bz"], g["br"]]),
+        g["Whn"],
+        g["bn"],
+    )
 
 
-def _gru_step(p: dict, prefix: str, x: np.ndarray, h_prev: np.ndarray):
-    az = x @ p[f"{prefix}_Wxz"] + h_prev @ p[f"{prefix}_Whz"] + p[f"{prefix}_bz"]
-    z = _sigmoid(az)
-    ar = x @ p[f"{prefix}_Wxr"] + h_prev @ p[f"{prefix}_Whr"] + p[f"{prefix}_br"]
-    r = _sigmoid(ar)
+def _gru_step(fused: tuple[np.ndarray, ...], x: np.ndarray, h_prev: np.ndarray):
+    wx, wh_zr, b_zr, whn, bn = fused
+    hd = h_prev.shape[1]
+    gx = x @ wx
+    zr = sigmoid(gx[:, : 2 * hd] + h_prev @ wh_zr + b_zr)
+    z, r = zr[:, :hd], zr[:, hd:]
     rh = r * h_prev
-    an = x @ p[f"{prefix}_Wxn"] + rh @ p[f"{prefix}_Whn"] + p[f"{prefix}_bn"]
-    n = np.tanh(an)
+    n = np.tanh(gx[:, 2 * hd :] + rh @ whn + bn)
     h = (1.0 - z) * n + z * h_prev
     return h, (x, h_prev, z, r, n, rh)
 
@@ -98,12 +108,18 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EncoderState:
-    """Everything decoding needs from one encoded batch."""
+    """Everything decoding needs from one encoded batch.
+
+    It holds for the parameters it was encoded with: dec_gru is the
+    decoder's gate-fused weights, and cache the encoder's backward cache.
+    """
 
     henc: np.ndarray  # (B, S, H)
     kproj: np.ndarray  # (B, S, A)
     src_mask: np.ndarray  # (B, S)
     s0: np.ndarray  # (B, H)
+    dec_gru: tuple[np.ndarray, ...]
+    cache: dict
 
 
 class Seq2SeqModel:
@@ -174,12 +190,13 @@ class Seq2SeqModel:
     def _encode(self, src_ids: np.ndarray, src_mask: np.ndarray):
         p = self.params
         batch, steps = src_ids.shape
+        fused = _gru_weights(p, "enc")
         h = np.zeros((batch, self.config.hidden_dim))
         states = np.zeros((batch, steps, self.config.hidden_dim))
         caches = []
         for t in range(steps):
             x = p["emb"][src_ids[:, t]]
-            h_new, cache = _gru_step(p, "enc", x, h)
+            h_new, cache = _gru_step(fused, x, h)
             m = src_mask[:, t : t + 1]
             h = m * h_new + (1.0 - m) * h
             states[:, t, :] = h
@@ -191,8 +208,8 @@ class Seq2SeqModel:
 
     def encode(self, sources: list[Sentence]) -> EncoderState:
         src_ids, src_mask = self.source_arrays(sources)
-        henc, kproj, s0, _ = self._encode(src_ids, src_mask)
-        return EncoderState(henc=henc, kproj=kproj, src_mask=src_mask, s0=s0)
+        henc, kproj, s0, cache = self._encode(src_ids, src_mask)
+        return EncoderState(henc, kproj, src_mask, s0, _gru_weights(self.params, "dec"), cache)
 
     # --- attention -------------------------------------------------------
 
@@ -251,11 +268,15 @@ class Seq2SeqModel:
         sources: list[Sentence],
         targets: list[Sentence],
         sentence_scale: np.ndarray | None = None,
+        *,
+        _enc: EncoderState | None = None,
     ):
         """Per-sentence summed NLL and gradients of sum_i scale_i * nll_i.
 
         scale defaults to 1/B, making the objective the batch mean.
-        Returns (nll (B,), grads, clamped_step_count).
+        Returns (nll (B,), grads, clamped_step_count). _enc, when given,
+        is encode(sources) under the current parameters, shared with a
+        decode of the same batch.
         """
         p = self.params
         batch = len(sources)
@@ -264,9 +285,9 @@ class Seq2SeqModel:
         scale = np.full(batch, 1.0 / batch) if sentence_scale is None else np.asarray(sentence_scale)
         if scale.shape != (batch,):
             raise ConfigError(f"scale shape {scale.shape} does not match batch {batch}")
-        src_ids, src_mask = self.source_arrays(sources)
+        enc = self.encode(sources) if _enc is None else _enc
+        henc, kproj, src_mask, s0 = enc.henc, enc.kproj, enc.src_mask, enc.s0
         tgt_in, tgt_out, tgt_mask = self.target_arrays(targets)
-        henc, kproj, s0, enc_cache = self._encode(src_ids, src_mask)
         steps = tgt_in.shape[1]
         s = s0
         dec_caches = []
@@ -275,7 +296,7 @@ class Seq2SeqModel:
         clamped = 0
         for t in range(steps):
             x = p["emb"][tgt_in[:, t]]
-            s, gru_cache = _gru_step(p, "dec", x, s)
+            s, gru_cache = _gru_step(enc.dec_gru, x, s)
             context, attn_cache = self._attend(s, henc, kproj, src_mask)
             logits, out_cache = self._output(s, context)
             logp = _log_softmax(logits)
@@ -308,29 +329,20 @@ class Seq2SeqModel:
             dx, ds_next = _gru_backward(p, grads, "dec", ds, gru_cache)
             np.add.at(grads["emb"], tgt_in[:, t], dx)
         ds0 = ds_next
-        self._encode_backward(grads, dhenc, dkproj, ds0, src_mask, enc_cache)
+        self._encode_backward(grads, henc, dhenc, dkproj, ds0, src_mask, enc.cache)
         return nll, grads, clamped
 
-    def _encode_backward(self, grads, dhenc, dkproj, ds0, src_mask, enc_cache):
+    def _encode_backward(self, grads, henc, dhenc, dkproj, ds0, src_mask, enc_cache):
         p = self.params
         batch, steps, h_dim = dhenc.shape
-        henc_states = np.empty((batch, steps, h_dim))
-        # Recompute the stored states from caches to fold in attn_Wk grads.
-        # caches[t] holds h_prev; the state after step t is the merged h.
-        caches = enc_cache["caches"]
-        for t in range(steps):
-            x, h_prev, z, r, n, rh = caches[t]
-            h_new = (1.0 - z) * n + z * h_prev
-            m = src_mask[:, t : t + 1]
-            henc_states[:, t, :] = m * h_new + (1.0 - m) * h_prev
-        flat_states = henc_states.reshape(batch * steps, h_dim)
+        flat_states = henc.reshape(batch * steps, h_dim)
         grads["attn_Wk"] += flat_states.T @ dkproj.reshape(batch * steps, -1)
         dhenc = dhenc + dkproj @ p["attn_Wk"].T
         ds0_pre = ds0 * (1.0 - enc_cache["s0"] ** 2)
         grads["init_W"] += enc_cache["h_final"].T @ ds0_pre
         grads["init_b"] += ds0_pre.sum(axis=0)
         dh = ds0_pre @ p["init_W"].T
-        src_ids = enc_cache["src_ids"]
+        src_ids, caches = enc_cache["src_ids"], enc_cache["caches"]
         for t in reversed(range(steps)):
             dh = dh + dhenc[:, t, :]
             m = src_mask[:, t : t + 1]
@@ -346,7 +358,7 @@ class Seq2SeqModel:
         """One decoder step: returns (log-probabilities (B, V), next state)."""
         p = self.params
         x = p["emb"][token_ids]
-        s_new, _ = _gru_step(p, "dec", x, s)
+        s_new, _ = _gru_step(enc.dec_gru, x, s)
         context, _ = self._attend(s_new, enc.henc, enc.kproj, enc.src_mask)
         logits, _ = self._output(s_new, context)
         return _log_softmax(logits), s_new

@@ -155,15 +155,17 @@ def train_gec(
                 batch_idx = order[start : start + stage.batch_size]
                 batch_src = [sources[i] for i in batch_idx]
                 batch_tgt = [targets[i] for i in batch_idx]
+                enc = None
                 if stage.loss == DYNAMIC:
-                    decoded = greedy_decode_batch(model, batch_src)
+                    enc = model.encode(batch_src)  # shared by the decode and the loss
+                    decoded = greedy_decode_batch(model, batch_src, _enc=enc)
                     weights = np.array(
                         [loss_weight(judge.dev_accuracy, judge.score(hyp).value) for hyp in decoded]
                     )
                 else:
                     weights = np.ones(len(batch_idx))
                 nll, grads, clamped = model.loss_and_grads(
-                    batch_src, batch_tgt, sentence_scale=weights / len(batch_idx)
+                    batch_src, batch_tgt, sentence_scale=weights / len(batch_idx), _enc=enc
                 )
                 clip_gradients(grads, stage.grad_clip)
                 optimizer.step(model.params, grads)

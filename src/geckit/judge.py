@@ -12,11 +12,11 @@ import json
 import math
 import zlib
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     ConfigError,
@@ -27,6 +27,9 @@ from .errors import (
     MissingLogits,
 )
 from .textcore import ColaInstance, Sentence
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _SCORE_FLOOR = 1e-300
 _SCORE_CEIL = math.nextafter(1.0, 0.0)
@@ -66,6 +69,16 @@ def _sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function, stable at any magnitude.
+
+    exp(-|x|) never overflows; each branch is the formula the scalar
+    ``_sigmoid`` uses on that side of zero.
+    """
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def cola_score(logits: Logits) -> ColaScore:
@@ -121,6 +134,8 @@ def featurize(
     sentences: Sequence[Sentence], dim: int, ngram_min: int = 1, ngram_max: int = 4
 ) -> sparse.csr_matrix:
     """Hashed n-gram count rows, each L2-normalized."""
+    from scipy import sparse  # imported here so that only judge training loads scipy
+
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
@@ -140,15 +155,6 @@ def featurize(
 # --- training -------------------------------------------------------------
 
 
-def _sigmoid_vec(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def logistic_loss(
     w: np.ndarray, b0: float, b1: float, x: sparse.csr_matrix, y: np.ndarray, l2: float
 ) -> float:
@@ -163,12 +169,13 @@ def logistic_grad(
     w: np.ndarray, b0: float, b1: float, x: sparse.csr_matrix, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float, float]:
     d = x @ w + (b1 - b0)
-    g = _sigmoid_vec(d) - y
+    g = sigmoid(d) - y
     gw = (x.T @ g) / len(y) + l2 * w
     gb = float(g.mean())
     return gw, -gb, gb
 
 
+_MARGIN_INPUTS = frozenset({"weights", "dim", "ngram_min", "ngram_max"})
 _INT_KEYS = ("dim", "ngram_min", "ngram_max", "seed", "epochs")
 _REQUIRED_KEYS = (*_INT_KEYS, "bias0", "bias1", "dev_accuracy", "weight_indices", "weight_values")
 
@@ -200,18 +207,35 @@ class JudgeModel:
     epochs: int = 0
     dev_accuracy: float | None = None
     train_loss: float | None = None
+    _margins: dict[str, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.shape != (self.dim,):
             raise ConfigError(f"weights shape {self.weights.shape} does not match dim {self.dim}")
         if not np.all(np.isfinite(self.weights)):
             raise InvalidLogits("non-finite weights")
 
+    def __setattr__(self, name: str, value) -> None:
+        # margin() memoizes by text, so its inputs may be replaced but not
+        # edited in place: weights are stored as a read-only copy, and
+        # reassigning any input forgets every memoized margin.
+        if name == "weights":
+            value = np.array(value, dtype=np.float64)
+            value.flags.writeable = False
+        if name in _MARGIN_INPUTS:
+            object.__setattr__(self, "_margins", {})
+        object.__setattr__(self, name, value)
+
     def margin(self, sentence: Sentence) -> float:
-        counts = _feature_counts(sentence.text, self.dim, self.ngram_min, self.ngram_max)
+        text = sentence.text
+        cached = self._margins.get(text)
+        if cached is not None:
+            return cached
+        counts = _feature_counts(text, self.dim, self.ngram_min, self.ngram_max)
         norm = math.sqrt(sum(v * v for v in counts.values())) or 1.0
-        return sum(self.weights[i] * v for i, v in counts.items()) / norm
+        value = sum(self.weights[i] * v for i, v in counts.items()) / norm
+        self._margins[text] = value
+        return value
 
     def logits(self, sentence: Sentence) -> Logits:
         return Logits(self.bias0, self.margin(sentence) + self.bias1)

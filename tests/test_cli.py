@@ -1,12 +1,16 @@
 """End-to-end tests for the command-line front end."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geckit
 from geckit.cli import main
 from geckit.textcore import apply_edits, parse_m2
 
@@ -121,6 +125,17 @@ class TestParsing:
     def test_missing_required_option(self, capsys):
         assert main(["evaluate", "--hyp", "x.txt"]) == 1
         assert "gold" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    """Only judge training needs scipy, so no other command pays for importing it."""
+    code = "import sys, geckit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(geckit.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestConfigResolution:

@@ -204,6 +204,43 @@ class TestModelFile:
             JudgeModel.load(path)
 
 
+class TestMarginMemo:
+    """margin() memoizes by text; no edit to its inputs may serve a stale value."""
+
+    def test_weights_are_read_only_and_copied(self):
+        weights = np.zeros(64)
+        model = JudgeModel(weights=weights, bias0=0.0, bias1=0.0, dim=64)
+        weights[:] = 1.0  # the caller's array stays writable and is not shared
+        assert model.margin(sent("a b")) == 0.0
+        with pytest.raises(ValueError):
+            model.weights[3] = 1.0
+        with pytest.raises(ValueError):
+            model.weights *= 2.0
+
+    def test_reassigning_an_input_forgets_memoized_margins(self):
+        probe = sent("the cat runs")
+        rng = np.random.default_rng(3)
+        model = JudgeModel(weights=rng.normal(size=256), bias0=0.0, bias1=0.0, dim=256)
+        model.margin(probe)
+        changes = [
+            ("weights", rng.normal(size=256)),
+            ("ngram_min", 2),
+            ("ngram_max", 3),
+            ("dim", 128),
+        ]
+        for name, value in changes:
+            setattr(model, name, value)
+            fresh = JudgeModel(
+                weights=model.weights[: model.dim],
+                bias0=0.0,
+                bias1=0.0,
+                dim=model.dim,
+                ngram_min=model.ngram_min,
+                ngram_max=model.ngram_max,
+            )
+            assert model.margin(probe) == fresh.margin(probe), name
+
+
 class TestMetrics:
     def test_frozen_confusion_example(self):
         counts = ConfusionCounts(tp=40, fp=5, fn=10, tn=45)
