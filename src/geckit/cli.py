@@ -1,9 +1,9 @@
 """Command-line front end: every pipeline stage as one subcommand.
 
 Option resolution order, lowest to highest: built-in defaults, the
---config JSON file, GECKIT_* environment variables (GECKIT_SEED,
-GECKIT_OUT, GECKIT_THREADS), explicit command-line flags. Config keys
-use the flag names with underscores; unknown keys are rejected.
+--config JSON file, the GECKIT_SEED and GECKIT_OUT environment
+variables, explicit command-line flags. Config keys use the flag names
+with underscores; unknown keys are rejected.
 
 Every run writes an effective-config snapshot
 (<subcommand>.config.json) beside its outputs. Reports are JSON plus an
@@ -43,6 +43,7 @@ from .evalmetrics import (
     evaluate_corpus,
     evaluate_hypotheses,
     filter_eval,
+    prf_table,
 )
 from .gec import (
     DYNAMIC,
@@ -69,7 +70,7 @@ from .textcore import (
     parse_m2,
 )
 
-_ENV_VARS = (("seed", "GECKIT_SEED"), ("out", "GECKIT_OUT"), ("threads", "GECKIT_THREADS"))
+_ENV_VARS = (("seed", "GECKIT_SEED"), ("out", "GECKIT_OUT"))
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,6 @@ class _Opt:
 _GLOBAL_OPTS = {
     "seed": _Opt("int", 0, "base random seed for every stochastic step"),
     "out": _Opt("str", "geckit_out", "output directory"),
-    "threads": _Opt("int", 1, "worker threads (reserved; current code paths are serial)"),
 }
 
 
@@ -171,6 +171,34 @@ def _extract_config(opts: dict) -> ExtractConfig:
     if opts.get("lexicons"):
         return ExtractConfig(lexicons=load_lexicons(opts["lexicons"]))
     return ExtractConfig()
+
+
+def _read_hypotheses(opts: dict) -> tuple[list[Sentence], list[AnnotatedPair]]:
+    """The --hyp sentences and the --gold pairs they correct, one for one."""
+    pairs = parse_m2(_read_text(opts["gold"]), mode=opts["mode"], name=opts["gold"])
+    hyps = _read_sentences(opts["hyp"], opts["mode"])
+    if len(hyps) != len(pairs):
+        raise ConfigError(
+            f"{opts['hyp']} has {len(hyps)} sentences but {opts['gold']} has {len(pairs)}"
+        )
+    return hyps, pairs
+
+
+def _train_recipe(opts: dict, name: str, pairs) -> tuple[TrainStage, ModelConfig]:
+    """The training stage and model shape that the shared training options set."""
+    stage = TrainStage(
+        name=name,
+        pairs=tuple(pairs),
+        epochs=opts["epochs"],
+        lr=opts["lr"],
+        loss=opts.get("loss", PLAIN_CE),
+        batch_size=opts["batch_size"],
+        optimizer=opts["optimizer"],
+    )
+    config = ModelConfig(
+        embed_dim=opts["embed_dim"], hidden_dim=opts["hidden_dim"], seed=opts["seed"]
+    )
+    return stage, config
 
 
 def _load_judge(opts: dict) -> JudgeModel | None:
@@ -294,22 +322,8 @@ def _run_train_gec(opts: dict, out: Path) -> list[str]:
     if opts["dev"]:
         dev_pairs = parse_m2(_read_text(opts["dev"]), mode=opts["mode"], name=opts["dev"])
     judge = _load_judge(opts)
-    stage = TrainStage(
-        name="main",
-        pairs=tuple(pairs),
-        epochs=opts["epochs"],
-        lr=opts["lr"],
-        loss=opts["loss"],
-        batch_size=opts["batch_size"],
-        optimizer=opts["optimizer"],
-    )
-    sentences = [p.source for p in pairs] + [p.target for p in pairs if p.target is not None]
-    model = Seq2SeqModel(
-        Vocab.from_sentences(sentences),
-        ModelConfig(
-            embed_dim=opts["embed_dim"], hidden_dim=opts["hidden_dim"], seed=opts["seed"]
-        ),
-    )
+    stage, config = _train_recipe(opts, "main", pairs)
+    model = Seq2SeqModel(Vocab.from_pairs(pairs), config)
     log = train_gec(model, [stage], judge=judge, dev_pairs=dev_pairs, seed=opts["seed"])
     model.save(out / "gec_model")
     log.write(out / "train_log.jsonl")
@@ -331,12 +345,7 @@ def _run_decode(opts: dict, out: Path) -> list[str]:
 
 
 def _run_evaluate(opts: dict, out: Path) -> list[str]:
-    pairs = parse_m2(_read_text(opts["gold"]), mode=opts["mode"], name=opts["gold"])
-    hyps = _read_sentences(opts["hyp"], opts["mode"])
-    if len(hyps) != len(pairs):
-        raise ConfigError(
-            f"{opts['hyp']} has {len(hyps)} sentences but {opts['gold']} has {len(pairs)}"
-        )
+    hyps, pairs = _read_hypotheses(opts)
     report = evaluate_hypotheses(hyps, pairs, _extract_config(opts))
     _write_json(out / "evaluate.json", report.to_json_dict())
     (out / "evaluate.txt").write_text(report.render_table(), encoding="utf-8")
@@ -351,12 +360,7 @@ def _run_error_analysis(opts: dict, out: Path) -> list[str]:
                 f"error-analysis: unknown error type {etype!r} in 'types'"
                 f" (known: {', '.join(CORE_ERROR_TYPES)})"
             )
-    pairs = parse_m2(_read_text(opts["gold"]), mode=opts["mode"], name=opts["gold"])
-    hyps = _read_sentences(opts["hyp"], opts["mode"])
-    if len(hyps) != len(pairs):
-        raise ConfigError(
-            f"{opts['hyp']} has {len(hyps)} sentences but {opts['gold']} has {len(pairs)}"
-        )
+    hyps, pairs = _read_hypotheses(opts)
     config = _extract_config(opts)
     hyp_edits = [extract_edits(pair.source, hyp, config) for hyp, pair in zip(hyps, pairs)]
     sections: dict[str, MetricsReport] = {"unfiltered": evaluate_corpus(hyp_edits, pairs)}
@@ -371,13 +375,9 @@ def _run_error_analysis(opts: dict, out: Path) -> list[str]:
         )
     data = {name: report.to_json_dict() for name, report in sections.items()}
     _write_json(out / "error_analysis.json", data)
-    width = max(len(name) for name in sections)
-    lines = [f"{'analysis':<{width}} {'P':>7} {'R':>7} {'F0.5':>7}"]
-    for name, report in sections.items():
-        d = report.to_json_dict()
-        lines.append(f"{name:<{width}} {d['precision']:>7.2f} {d['recall']:>7.2f} {d['f0.5']:>7.2f}")
-    (out / "error_analysis.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return lines
+    table = prf_table("analysis", list(sections.items()))
+    (out / "error_analysis.txt").write_text(table, encoding="utf-8")
+    return table.splitlines()
 
 
 def _run_ablate(opts: dict, out: Path) -> list[str]:
@@ -389,36 +389,15 @@ def _run_ablate(opts: dict, out: Path) -> list[str]:
     train_pairs = parse_m2(_read_text(opts["train"]), mode=opts["mode"], name=opts["train"])
     test_pairs = parse_m2(_read_text(opts["test"]), mode=opts["mode"], name=opts["test"])
     judge = _load_judge(opts)
-    stage = TrainStage(
-        name="ablate",
-        pairs=tuple(train_pairs),
-        epochs=opts["epochs"],
-        lr=opts["lr"],
-        batch_size=opts["batch_size"],
-        optimizer=opts["optimizer"],
-    )
+    stage, config = _train_recipe(opts, "ablate", train_pairs)
+    rerank = {"rerank": True, "beam_size": opts["beam"], "rerank_lam": opts["rerank_lam"]}
     variants = (
         AblationVariant("plain_ce", loss=PLAIN_CE),
         AblationVariant("dynamic", loss=DYNAMIC),
-        AblationVariant(
-            "plain_ce+rerank",
-            loss=PLAIN_CE,
-            rerank=True,
-            beam_size=opts["beam"],
-            rerank_lam=opts["rerank_lam"],
-        ),
-        AblationVariant(
-            "dynamic+rerank",
-            loss=DYNAMIC,
-            rerank=True,
-            beam_size=opts["beam"],
-            rerank_lam=opts["rerank_lam"],
-        ),
+        AblationVariant("plain_ce+rerank", loss=PLAIN_CE, **rerank),
+        AblationVariant("dynamic+rerank", loss=DYNAMIC, **rerank),
     )
-    config = ModelConfig(embed_dim=opts["embed_dim"], hidden_dim=opts["hidden_dim"])
-    report = ablation_run(
-        variants, stage, test_pairs, config, judge=judge, seeds=opts["seeds"]
-    )
+    report = ablation_run(variants, stage, test_pairs, config, judge=judge, seeds=opts["seeds"])
     _write_json(out / "ablation.json", report.to_json_dict())
     (out / "ablation.txt").write_text(report.render_table(), encoding="utf-8")
     return report.render_table().splitlines()
@@ -436,6 +415,20 @@ class _Command:
 
 _MODE_OPT = _Opt("str", WORD, "tokenization granularity", choices=MODES)
 _LEXICONS_OPT = _Opt("str", None, "lexicon directory for edit classification")
+# Shared by train-gec and ablate; _train_recipe builds their stage and model shape.
+_TRAIN_OPTS = {
+    "epochs": _Opt("int", 30, "training epochs"),
+    "lr": _Opt("float", 0.002, "learning rate"),
+    "batch_size": _Opt("int", 32, "minibatch size"),
+    "optimizer": _Opt("str", "adam", "optimizer", choices=("adam", "sgd")),
+    "embed_dim": _Opt("int", 32, "embedding width"),
+    "hidden_dim": _Opt("int", 64, "recurrent state width"),
+    "mode": _MODE_OPT,
+}
+_BEAM_OPTS = {
+    "beam": _Opt("int", 4, "beam size; in ablate, that of the reranking variants"),
+    "rerank_lam": _Opt("float", 0.5, "judge penalty weight while reranking"),
+}
 
 _COMMANDS: dict[str, _Command] = {
     "synth-gen": _Command(
@@ -505,13 +498,7 @@ _COMMANDS: dict[str, _Command] = {
             "dev": _Opt("str", None, "dev M2 for per-epoch F0.5"),
             "judge": _Opt("str", None, "saved judge JSON (required for the dynamic loss)"),
             "loss": _Opt("str", PLAIN_CE, "training loss", choices=LOSS_KINDS),
-            "epochs": _Opt("int", 30, "training epochs"),
-            "lr": _Opt("float", 0.002, "learning rate"),
-            "batch_size": _Opt("int", 32, "minibatch size"),
-            "optimizer": _Opt("str", "adam", "optimizer", choices=("adam", "sgd")),
-            "embed_dim": _Opt("int", 32, "embedding width"),
-            "hidden_dim": _Opt("int", 64, "recurrent state width"),
-            "mode": _MODE_OPT,
+            **_TRAIN_OPTS,
         },
         _run_train_gec,
     ),
@@ -521,8 +508,7 @@ _COMMANDS: dict[str, _Command] = {
             "model": _Opt("str", None, "saved model directory", required=True),
             "input": _Opt("str", None, "sentences to correct, one per line", required=True),
             "judge": _Opt("str", None, "saved judge JSON; enables beam reranking"),
-            "beam": _Opt("int", 4, "beam size"),
-            "rerank_lam": _Opt("float", 0.5, "judge penalty weight while reranking"),
+            **_BEAM_OPTS,
             "mode": _MODE_OPT,
         },
         _run_decode,
@@ -556,15 +542,8 @@ _COMMANDS: dict[str, _Command] = {
             "test": _Opt("str", None, "test M2", required=True),
             "judge": _Opt("str", None, "saved judge JSON", required=True),
             "seeds": _Opt("seeds", (0, 1, 2, 3, 4), "comma-separated per-cell seeds"),
-            "epochs": _Opt("int", 30, "training epochs per cell"),
-            "lr": _Opt("float", 0.002, "learning rate"),
-            "batch_size": _Opt("int", 32, "minibatch size"),
-            "optimizer": _Opt("str", "adam", "optimizer", choices=("adam", "sgd")),
-            "embed_dim": _Opt("int", 32, "embedding width"),
-            "hidden_dim": _Opt("int", 64, "recurrent state width"),
-            "beam": _Opt("int", 4, "beam size for reranking variants"),
-            "rerank_lam": _Opt("float", 0.5, "judge penalty weight while reranking"),
-            "mode": _MODE_OPT,
+            **_TRAIN_OPTS,
+            **_BEAM_OPTS,
         },
         _run_ablate,
     ),

@@ -1,9 +1,10 @@
 """Edit-level scoring of corrections against multi-annotator references.
 
-Hypothesis edits are matched to gold edits by span and replacement
-(optionally also by type). Each sentence is scored against every
-annotator and keeps the one maximizing sentence-level F0.5, so systems
-are never penalized for following a legitimate alternative reference.
+Hypothesis edits are matched to gold edits by span and replacement,
+ignoring their type, as the M2 scorer and ERRANT do. Each sentence is
+scored against every annotator and keeps the one maximizing
+sentence-level F0.5, so systems are never penalized for following a
+legitimate alternative reference.
 """
 
 from __future__ import annotations
@@ -54,62 +55,54 @@ def prf(counts: MatchCounts, beta: float = 0.5) -> Prf:
     return Prf(p, r, fbeta(p, r, beta))
 
 
-@dataclass(frozen=True, slots=True)
-class MatchConfig:
-    type_sensitive: bool = False
-    beta: float = 0.5
+def _edit_key(edit: Edit) -> tuple:
+    return (edit.start, edit.end, edit.replacement)
 
 
-def _edit_key(edit: Edit, type_sensitive: bool):
-    key = (edit.start, edit.end, edit.replacement)
-    return key + (edit.etype,) if type_sensitive else key
+def _match(hyp: Sequence[Edit], gold: Sequence[Edit]) -> list[int | None]:
+    """For each gold edit, the index of the hypothesis edit it matches, or None.
 
-
-def _count_against(
-    hyp: Sequence[Edit], gold: Sequence[Edit], config: MatchConfig
-) -> MatchCounts:
-    remaining: dict = {}
-    for edit in hyp:
-        key = _edit_key(edit, config.type_sensitive)
-        remaining[key] = remaining.get(key, 0) + 1
-    tp = 0
+    Edits match on span and replacement; the type is ignored. Each gold
+    edit takes the lowest-index unmatched hypothesis edit with its key.
+    """
+    unmatched: dict[tuple, list[int]] = {}
+    for idx in reversed(range(len(hyp))):
+        unmatched.setdefault(_edit_key(hyp[idx]), []).append(idx)
+    matches = []
     for edit in gold:
-        key = _edit_key(edit, config.type_sensitive)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            tp += 1
-    return MatchCounts(tp, len(hyp) - tp, len(gold) - tp)
+        free = unmatched.get(_edit_key(edit))
+        matches.append(free.pop() if free else None)
+    return matches
 
 
-def match_sentence(
-    hyp: Sequence[Edit], pair: AnnotatedPair, config: MatchConfig | None = None
-) -> tuple[MatchCounts, int | None]:
+def _counts(hyp: Sequence[Edit], matches: list[int | None]) -> MatchCounts:
+    misses = matches.count(None)
+    tp = len(matches) - misses
+    return MatchCounts(tp, len(hyp) - tp, misses)
+
+
+def _best_reference(
+    hyp: Sequence[Edit], pair: AnnotatedPair
+) -> tuple[int | None, tuple[Edit, ...], list[int | None]]:
+    """The annotator that flatters hyp most, with its edits and their matches."""
+    best: tuple[int | None, tuple[Edit, ...], list[int | None]] = (None, (), [])
+    best_f = -1.0
+    for aid, gold in sorted(zip(pair.annotator_ids, pair.gold)):
+        matches = _match(hyp, gold)
+        f = prf(_counts(hyp, matches)).f05
+        if f > best_f:
+            best, best_f = (aid, gold, matches), f
+    return best
+
+
+def match_sentence(hyp: Sequence[Edit], pair: AnnotatedPair) -> tuple[MatchCounts, int | None]:
     """Score one sentence, keeping the annotator that flatters it most.
 
     Ties go to the lower annotator id. A pair without annotators counts
     as a single empty reference.
     """
-    cfg = config or MatchConfig()
-    if not pair.annotator_ids:
-        return _count_against(hyp, (), cfg), None
-    best_counts = MatchCounts()
-    best_id: int | None = None
-    best_f = -1.0
-    order = sorted(range(len(pair.annotator_ids)), key=lambda i: pair.annotator_ids[i])
-    for i in order:
-        counts = _count_against(hyp, pair.gold[i], cfg)
-        f = prf(counts, cfg.beta).f05
-        if f > best_f:
-            best_counts, best_id, best_f = counts, pair.annotator_ids[i], f
-    return best_counts, best_id
-
-
-@dataclass(frozen=True, slots=True)
-class TypeCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    gold_total: int = 0
+    annotator, _, matches = _best_reference(hyp, pair)
+    return _counts(hyp, matches), annotator
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,20 +113,20 @@ class MetricsReport:
     precision: float
     recall: float
     f05: float
-    per_type: Mapping[str, TypeCounts] = field(default_factory=dict)
+    per_type: Mapping[str, MatchCounts] = field(default_factory=dict)
     n_sentences: int = 0
 
     def to_json_dict(self) -> dict:
-        gold_total = sum(t.gold_total for t in self.per_type.values())
+        gold_total = sum(t.tp + t.fn for t in self.per_type.values())
         per_type = {}
         for etype in sorted(self.per_type):
             t = self.per_type[etype]
-            share = 100.0 * t.gold_total / gold_total if gold_total else 0.0
+            share = 100.0 * (t.tp + t.fn) / gold_total if gold_total else 0.0
             per_type[etype] = {
                 "tp": t.tp,
                 "fp": t.fp,
                 "fn": t.fn,
-                "gold_total": t.gold_total,
+                "gold_total": t.tp + t.fn,
                 "gold_share_pct": round(share, 2),
             }
         return {
@@ -167,54 +160,34 @@ class MetricsReport:
 
 
 def evaluate_corpus(
-    hyp_edits: Sequence[Sequence[Edit]],
-    pairs: Sequence[AnnotatedPair],
-    config: MatchConfig | None = None,
+    hyp_edits: Sequence[Sequence[Edit]], pairs: Sequence[AnnotatedPair]
 ) -> MetricsReport:
-    """Aggregate edit-level scores over aligned hypothesis/reference lists."""
-    cfg = config or MatchConfig()
+    """Aggregate edit-level scores over aligned hypothesis/reference lists.
+
+    Per-type counts come from each sentence's chosen annotator: a gold
+    edit is a tp or fn of its own type, an unmatched hypothesis edit an
+    fp of its type.
+    """
     if len(hyp_edits) != len(pairs):
         raise ConfigError(f"{len(hyp_edits)} hypothesis lists for {len(pairs)} references")
     total = MatchCounts()
-    type_counts: dict[str, dict[str, int]] = {}
-
-    def bucket(etype: str) -> dict[str, int]:
-        return type_counts.setdefault(etype, {"tp": 0, "fp": 0, "fn": 0, "gold_total": 0})
-
+    per_type: dict[str, list[int]] = {}  # etype -> [tp, fp, fn]
     for hyp, pair in zip(hyp_edits, pairs):
-        counts, annotator = match_sentence(hyp, pair, cfg)
-        total = total + counts
-        if annotator is None:
-            gold: tuple[Edit, ...] = ()
-        else:
-            gold = pair.gold[pair.annotator_ids.index(annotator)]
-        consumable: dict = {}
+        _, gold, matches = _best_reference(hyp, pair)
+        total = total + _counts(hyp, matches)
+        for edit, idx in zip(gold, matches):
+            per_type.setdefault(edit.etype, [0, 0, 0])[0 if idx is not None else 2] += 1
+        matched = set(matches)
         for idx, edit in enumerate(hyp):
-            consumable.setdefault(_edit_key(edit, cfg.type_sensitive), []).append(idx)
-        matched_hyp: set[int] = set()
-        for edit in gold:
-            b = bucket(edit.etype)
-            b["gold_total"] += 1
-            queue = consumable.get(_edit_key(edit, cfg.type_sensitive))
-            if queue:
-                matched_hyp.add(queue.pop(0))
-                b["tp"] += 1
-            else:
-                b["fn"] += 1
-        for idx, edit in enumerate(hyp):
-            if idx not in matched_hyp:
-                bucket(edit.etype)["fp"] += 1
-    scores = prf(total, cfg.beta)
-    per_type = {
-        etype: TypeCounts(c["tp"], c["fp"], c["fn"], c["gold_total"])
-        for etype, c in type_counts.items()
-    }
+            if idx not in matched:
+                per_type.setdefault(edit.etype, [0, 0, 0])[1] += 1
+    scores = prf(total)
     return MetricsReport(
         counts=total,
         precision=scores.precision,
         recall=scores.recall,
         f05=scores.f05,
-        per_type=per_type,
+        per_type={etype: MatchCounts(*c) for etype, c in per_type.items()},
         n_sentences=len(pairs),
     )
 
@@ -223,27 +196,13 @@ def evaluate_hypotheses(
     hypotheses: Sequence[Sentence],
     pairs: Sequence[AnnotatedPair],
     extract_config: ExtractConfig | None = None,
-    match_config: MatchConfig | None = None,
 ) -> MetricsReport:
     """Extract edits from corrected sentences, then score them."""
     if len(hypotheses) != len(pairs):
         raise ConfigError(f"{len(hypotheses)} hypotheses for {len(pairs)} references")
     ecfg = extract_config or ExtractConfig()
     hyp_edits = [extract_edits(pair.source, hyp, ecfg) for hyp, pair in zip(hypotheses, pairs)]
-    return evaluate_corpus(hyp_edits, pairs, match_config)
-
-
-def per_type_breakdown(pairs: Sequence[AnnotatedPair]) -> dict[str, float]:
-    """Percentage of canonical gold edits per type; sums to 100."""
-    counts: dict[str, int] = {}
-    total = 0
-    for pair in pairs:
-        for edit in pair.canonical_edits:
-            counts[edit.etype] = counts.get(edit.etype, 0) + 1
-            total += 1
-    if total == 0:
-        raise EmptyEvaluation("no gold edits in the corpus")
-    return {etype: 100.0 * n / total for etype, n in sorted(counts.items())}
+    return evaluate_corpus(hyp_edits, pairs)
 
 
 def _observed_types(pairs: Sequence[AnnotatedPair]) -> set[str]:
@@ -255,7 +214,6 @@ def filter_eval(
     pairs: Sequence[AnnotatedPair],
     exclude: set[str],
     mode: str = DROP_EDITS,
-    config: MatchConfig | None = None,
 ) -> MetricsReport:
     """Rescore with some error types excluded.
 
@@ -278,7 +236,7 @@ def filter_eval(
                 continue
             kept_h.append(hyp)
             kept_p.append(pair)
-        return evaluate_corpus(kept_h, kept_p, config)
+        return evaluate_corpus(kept_h, kept_p)
     filtered_h = []
     filtered_p = []
     for hyp, pair in zip(hyp_edits, pairs):
@@ -294,7 +252,7 @@ def filter_eval(
                 annotator_ids=pair.annotator_ids,
             )
         )
-    return evaluate_corpus(filtered_h, filtered_p, config)
+    return evaluate_corpus(filtered_h, filtered_p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,6 +276,17 @@ class AblationVariant:
             raise ConfigError(f"variant {self.name!r}: beam_size must be >= 1")
         if self.rerank_lam < 0:
             raise ConfigError(f"variant {self.name!r}: rerank_lam must be >= 0")
+
+
+def prf_table(title: str, rows: Sequence[tuple[str, Prf | MetricsReport]]) -> str:
+    """Aligned P, R and F0.5 columns in percent, one row per named score."""
+    width = max(len(name) for name in (title, *(name for name, _ in rows)))
+    lines = [f"{title:<{width}} {'P':>7} {'R':>7} {'F0.5':>7}"]
+    for name, s in rows:
+        lines.append(
+            f"{name:<{width}} {100 * s.precision:>7.2f} {100 * s.recall:>7.2f} {100 * s.f05:>7.2f}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def mean_prf(values: Sequence[Prf]) -> Prf:
@@ -361,15 +330,7 @@ class AblationReport:
         return out
 
     def render_table(self) -> str:
-        width = max(len(name) for name in ("variant", *self.variants))
-        lines = [f"{'variant':<{width}} {'P':>7} {'R':>7} {'F0.5':>7}"]
-        for name in self.variants:
-            m = self.means[name]
-            lines.append(
-                f"{name:<{width}} {100 * m.precision:>7.2f}"
-                f" {100 * m.recall:>7.2f} {100 * m.f05:>7.2f}"
-            )
-        return "\n".join(lines) + "\n"
+        return prf_table("variant", [(name, self.means[name]) for name in self.variants])
 
 
 def ablation_run(
@@ -379,8 +340,6 @@ def ablation_run(
     model_config=None,
     judge=None,
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    extract_config: ExtractConfig | None = None,
-    match_config: MatchConfig | None = None,
 ) -> AblationReport:
     """Train and score every variant over the seed list.
 
@@ -418,9 +377,7 @@ def ablation_run(
     if needy and judge is None:
         raise ConfigError(f"variants {needy} need a judge")
     base_config = model_config or ModelConfig()
-    train_sentences = [p.source for p in stage.pairs]
-    train_sentences += [p.target for p in stage.pairs if p.target is not None]
-    vocab = Vocab.from_sentences(train_sentences)
+    vocab = Vocab.from_pairs(stage.pairs)
     sources = [pair.source for pair in test_pairs]
     losses = list(dict.fromkeys(v.loss for v in variants))
     scores: dict[str, list[Prf]] = {name: [] for name in names}
@@ -435,9 +392,7 @@ def ablation_run(
                     decoded = decode(model, sources, variant.beam_size, judge, variant.rerank_lam)
                 else:
                     decoded = decode(model, sources)
-                report = evaluate_hypotheses(
-                    decoded, list(test_pairs), extract_config, match_config
-                )
+                report = evaluate_hypotheses(decoded, list(test_pairs))
                 scores[variant.name].append(Prf(report.precision, report.recall, report.f05))
             # Free this model before the next one is built, so one is alive at a time.
             del model

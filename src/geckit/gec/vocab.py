@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from ..errors import ConfigError
-from ..textcore import Sentence
+from ..textcore import AnnotatedPair, Sentence
 
 PAD_ID = 0
 BOS_ID = 1
@@ -33,6 +33,13 @@ class Vocab:
     def from_sentences(cls, sentences: Iterable[Sentence]) -> "Vocab":
         seen = {token for sentence in sentences for token in sentence.tokens}
         return cls(SPECIALS + tuple(sorted(seen - set(SPECIALS))))
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[AnnotatedPair]) -> "Vocab":
+        """The training vocabulary: every source and every present target."""
+        return cls.from_sentences(
+            s for pair in pairs for s in (pair.source, pair.target) if s is not None
+        )
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -12,7 +12,7 @@ import json
 import math
 import zlib
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -175,7 +175,6 @@ def logistic_grad(
     return gw, -gb, gb
 
 
-_MARGIN_INPUTS = frozenset({"weights", "dim", "ngram_min", "ngram_max"})
 _INT_KEYS = ("dim", "ngram_min", "ngram_max", "seed", "epochs")
 _REQUIRED_KEYS = (*_INT_KEYS, "bias0", "bias1", "dev_accuracy", "weight_indices", "weight_values")
 
@@ -188,13 +187,13 @@ def _is_number(value) -> bool:
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
-@dataclass
+@dataclass(frozen=True)
 class JudgeModel:
     """Trained judge: hashed-feature weight vector plus a bias pair.
 
     ``dev_accuracy`` is measured once on the dev split at the end of
-    training and never updated afterwards; downstream loss weighting
-    reads it from here.
+    training; downstream loss weighting reads it from here. The model is
+    immutable, so the margins it memoizes by text never go stale.
     """
 
     weights: np.ndarray
@@ -210,21 +209,14 @@ class JudgeModel:
     _margins: dict[str, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.weights.shape != (self.dim,):
-            raise ConfigError(f"weights shape {self.weights.shape} does not match dim {self.dim}")
-        if not np.all(np.isfinite(self.weights)):
+        # A read-only copy, so that no edit in place can stale the memo either.
+        weights = np.array(self.weights, dtype=np.float64)
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+        if weights.shape != (self.dim,):
+            raise ConfigError(f"weights shape {weights.shape} does not match dim {self.dim}")
+        if not np.all(np.isfinite(weights)):
             raise InvalidLogits("non-finite weights")
-
-    def __setattr__(self, name: str, value) -> None:
-        # margin() memoizes by text, so its inputs may be replaced but not
-        # edited in place: weights are stored as a read-only copy, and
-        # reassigning any input forgets every memoized margin.
-        if name == "weights":
-            value = np.array(value, dtype=np.float64)
-            value.flags.writeable = False
-        if name in _MARGIN_INPUTS:
-            object.__setattr__(self, "_margins", {})
-        object.__setattr__(self, name, value)
 
     def margin(self, sentence: Sentence) -> float:
         text = sentence.text
@@ -376,8 +368,7 @@ def train_judge(
         epochs=cfg.epochs,
         train_loss=loss,
     )
-    model.dev_accuracy = acc(evaluate_judge(model, dev))
-    return model
+    return replace(model, dev_accuracy=acc(evaluate_judge(model, dev)))
 
 
 # --- evaluation -----------------------------------------------------------

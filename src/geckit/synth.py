@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
@@ -21,7 +22,7 @@ from numpy.random import default_rng
 
 from .align import InflectionTable, LexiconSet, save_lexicons
 from .colacorpus import Corpus, SplitConfig, corpus_stats, merge_corpora
-from .errors import ConfigError
+from .errors import ConfigError, InvalidEditSet
 from .textcore import (
     CHARACTER,
     DET,
@@ -534,7 +535,8 @@ def inject(sentence: Sentence, spec: ErrorInjectionSpec, seed=None) -> Injection
             gold.append(Edit(len(out) - 2, len(out), (tokens[i], tokens[i + 1]), label))
             i += 2
     corrupted = Sentence(tuple(out), sentence.mode)
-    assert apply_edits(corrupted, gold).tokens == sentence.tokens
+    if apply_edits(corrupted, gold).tokens != sentence.tokens:
+        raise InvalidEditSet(f"gold edits do not restore {sentence.text!r}")
     return InjectionResult(corrupted, tuple(gold), tuple(e.etype for e in gold), skipped=False)
 
 
@@ -614,26 +616,6 @@ def _unique_pool(grammar: SynthGrammar, need: int, seed: int) -> list[Sentence]:
     return pool
 
 
-def _inject_pairs(
-    sentences: Sequence[Sentence], spec: ErrorInjectionSpec, seed: int, offset: int
-) -> tuple[list[AnnotatedPair], int, dict[str, int]]:
-    pairs = []
-    skipped = 0
-    counts: dict[str, int] = {}
-    for j, sentence in enumerate(sentences):
-        result = inject(sentence, spec, seed=[seed, 1, offset + j])
-        if result.skipped:
-            skipped += 1
-            pairs.append(
-                AnnotatedPair(source=sentence, target=sentence, gold=((),), annotator_ids=(0,))
-            )
-            continue
-        pairs.append(AnnotatedPair.from_edits(result.corrupted, result.gold))
-        for label in result.types:
-            counts[label] = counts.get(label, 0) + 1
-    return pairs, skipped, counts
-
-
 def make_benchmark(
     grammar: SynthGrammar,
     spec: ErrorInjectionSpec,
@@ -654,8 +636,9 @@ def make_benchmark(
     gec_total = sizes.gec_train + sizes.gec_dev + sizes.gec_test
     pool = _unique_pool(grammar, gec_total + sizes.cola_pairs, seed)
 
+    results = [inject(sentence, spec, seed=[seed, 1, j]) for j, sentence in enumerate(pool)]
+    error_counts = Counter(label for result in results for label in result.types)
     sections = {}
-    error_counts: dict[str, int] = {}
     skipped_counts = {}
     offset = 0
     for name, size in (
@@ -663,24 +646,18 @@ def make_benchmark(
         ("dev", sizes.gec_dev),
         ("test", sizes.gec_test),
     ):
-        pairs, skipped, counts = _inject_pairs(pool[offset : offset + size], spec, seed, offset)
-        sections[name] = tuple(pairs)
-        skipped_counts[name] = skipped
-        for label, count in counts.items():
-            error_counts[label] = error_counts.get(label, 0) + count
+        part = results[offset : offset + size]
+        # A skipped injection returns its sentence unchanged: an identity pair.
+        sections[name] = tuple(AnnotatedPair.from_edits(r.corrupted, r.gold) for r in part)
+        skipped_counts[name] = sum(r.skipped for r in part)
         offset += size
 
     instances: list[ColaInstance] = []
-    cola_skipped = 0
-    for j, sentence in enumerate(pool[offset:]):
-        result = inject(sentence, spec, seed=[seed, 1, offset + j])
-        if result.skipped:
-            cola_skipped += 1
-            continue
-        for label, count in _count_types(result.types).items():
-            error_counts[label] = error_counts.get(label, 0) + count
-        instances.append(ColaInstance(result.corrupted, 0, ORIGIN_SYNTHETIC))
-        instances.append(ColaInstance(sentence, 1, ORIGIN_SYNTHETIC))
+    for sentence, result in zip(pool[offset:], results[offset:]):
+        if not result.skipped:
+            instances.append(ColaInstance(result.corrupted, 0, ORIGIN_SYNTHETIC))
+            instances.append(ColaInstance(sentence, 1, ORIGIN_SYNTHETIC))
+    cola_skipped = sum(result.skipped for result in results[offset:])
     cola = merge_corpora(
         {"synthetic": instances}, split=SplitConfig(), seed=seed, dedupe=True, balance=False
     )
@@ -726,13 +703,6 @@ def make_benchmark(
         grammar=grammar,
         spec=spec,
     )
-
-
-def _count_types(types: tuple[str, ...]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for label in types:
-        counts[label] = counts.get(label, 0) + 1
-    return counts
 
 
 def write_benchmark(benchmark: Benchmark, out_dir: str | Path) -> dict[str, str]:

@@ -210,13 +210,12 @@ class TestConfigResolution:
     def test_missing_config_file(self, tmp_path):
         assert main(["synth-gen", "--config", str(tmp_path / "nope.json")]) == 2
 
-    def test_threads_recorded(self, tmp_path):
-        out = tmp_path / "out"
-        args = ["synth-gen", "--gec-train", "20", "--gec-dev", "5", "--gec-test", "5",
-                "--cola-pairs", "60", "--threads", "2", "--out", str(out)]
-        assert main(args) == 0
-        snapshot = json.loads((out / "synth-gen.config.json").read_text(encoding="utf-8"))
-        assert snapshot["threads"] == 2
+    def test_threads_is_not_an_option(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"threads": 2}), encoding="utf-8")
+        assert main(["synth-gen", "--config", str(config)]) == 1
+        assert "unknown config key 'threads'" in capsys.readouterr().err
+        assert main(["synth-gen", "--threads", "2", "--out", str(tmp_path / "x")]) == 1
 
 
 class TestSynthGen:

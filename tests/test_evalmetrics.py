@@ -12,7 +12,6 @@ from geckit.evalmetrics import (
     DROP_EDITS,
     DROP_SENTENCES,
     AblationVariant,
-    MatchConfig,
     MatchCounts,
     Prf,
     ablation_run,
@@ -22,7 +21,6 @@ from geckit.evalmetrics import (
     filter_eval,
     match_sentence,
     mean_prf,
-    per_type_breakdown,
     prf,
 )
 from geckit.gec import (
@@ -94,9 +92,7 @@ class TestMatchSentence:
         pair = pair_multi("She go home", {0: [Edit(1, 2, ("goes",), SVA)]})
         hyp = [Edit(1, 2, ("goes",), PUNCT)]
         counts, _ = match_sentence(hyp, pair)
-        assert counts.tp == 1
-        strict, _ = match_sentence(hyp, pair, MatchConfig(type_sensitive=True))
-        assert (strict.tp, strict.fp, strict.fn) == (0, 1, 1)
+        assert (counts.tp, counts.fp, counts.fn) == (1, 0, 0)
 
     def test_picks_flattering_annotator(self):
         pair = pair_multi(
@@ -162,8 +158,27 @@ class TestEvaluateCorpus:
         assert report.per_type[SVA].tp == 1
         assert report.per_type[PREP].fn == 1
         assert report.per_type[DET].fp == 1
-        assert report.per_type[SVA].gold_total == 1
-        assert report.per_type[PREP].gold_total == 1
+        per_type = report.to_json_dict()["per_type"]
+        assert per_type[SVA]["gold_total"] == 1
+        assert per_type[PREP]["gold_total"] == 1
+
+    def test_duplicate_hypothesis_edits_match_lowest_index_first(self):
+        # Two hypothesis edits share a key; the gold edit takes the first,
+        # so the second counts as an fp of its own type.
+        pair = pair_multi("a b", {0: [Edit(1, 1, ("x",), DET)]})
+        hyp = [Edit(1, 1, ("x",), DET), Edit(1, 1, ("x",), PUNCT)]
+        report = evaluate_corpus([hyp], [pair])
+        assert report.per_type[DET] == MatchCounts(tp=1, fp=0, fn=0)
+        assert report.per_type[PUNCT] == MatchCounts(tp=0, fp=1, fn=0)
+        assert report.counts == MatchCounts(tp=1, fp=1, fn=0)
+
+    def test_per_type_counts_sum_to_totals(self):
+        hyps, pairs = self.corpus()
+        report = evaluate_corpus(hyps, pairs)
+        summed = MatchCounts()
+        for counts in report.per_type.values():
+            summed = summed + counts
+        assert summed == report.counts
 
     def test_json_dict_percent_scale(self):
         hyps, pairs = self.corpus()
@@ -206,13 +221,10 @@ class TestPerTypeBreakdown:
             pair_multi("a b c", {0: [Edit(0, 1, ("x",), DET), Edit(2, 3, ("y",), SVA)]}),
             pair_multi("d e f", {0: [Edit(1, 2, ("z",), DET)]}),
         ]
-        shares = per_type_breakdown(pairs)
+        per_type = evaluate_corpus([[], []], pairs).to_json_dict()["per_type"]
+        shares = {etype: t["gold_share_pct"] for etype, t in per_type.items()}
         assert sum(shares.values()) == pytest.approx(100.0, abs=0.05)
-        assert shares[DET] == pytest.approx(200 / 3, abs=1e-9)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyEvaluation):
-            per_type_breakdown([pair_multi("a b", {0: []})])
+        assert shares[DET] == round(200 / 3, 2)
 
 
 class TestFilterEval:

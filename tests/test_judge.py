@@ -1,5 +1,6 @@
 """Tests for the acceptability judge and its scoring conventions."""
 
+import dataclasses
 import math
 import random
 
@@ -217,28 +218,22 @@ class TestMarginMemo:
         with pytest.raises(ValueError):
             model.weights *= 2.0
 
-    def test_reassigning_an_input_forgets_memoized_margins(self):
+    def test_assigning_any_field_raises(self):
         probe = sent("the cat runs")
         rng = np.random.default_rng(3)
         model = JudgeModel(weights=rng.normal(size=256), bias0=0.0, bias1=0.0, dim=256)
-        model.margin(probe)
-        changes = [
-            ("weights", rng.normal(size=256)),
-            ("ngram_min", 2),
-            ("ngram_max", 3),
-            ("dim", 128),
-        ]
-        for name, value in changes:
-            setattr(model, name, value)
-            fresh = JudgeModel(
-                weights=model.weights[: model.dim],
-                bias0=0.0,
-                bias1=0.0,
-                dim=model.dim,
-                ngram_min=model.ngram_min,
-                ngram_max=model.ngram_max,
-            )
-            assert model.margin(probe) == fresh.margin(probe), name
+        memoized = model.margin(probe)
+        for field in dataclasses.fields(JudgeModel):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, field.name, getattr(model, field.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.dim = 128
+        # A replaced model starts with an empty memo.
+        other = rng.normal(size=256)
+        fresh = JudgeModel(weights=other, bias0=0.0, bias1=0.0, dim=256)
+        replaced = dataclasses.replace(model, weights=other)
+        assert replaced.margin(probe) == fresh.margin(probe) != memoized
+        assert model.margin(probe) == memoized
 
 
 class TestMetrics:

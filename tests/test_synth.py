@@ -8,7 +8,7 @@ import pytest
 
 from geckit import synth
 from geckit.align import ExtractConfig, extract_edits, load_lexicons
-from geckit.errors import ConfigError
+from geckit.errors import ConfigError, InvalidEditSet
 from geckit.synth import (
     AGREEMENT_BREAK,
     CHAR_TYPO,
@@ -222,6 +222,17 @@ class TestInject:
             assert result.types == tuple(e.etype for e in result.gold)
             starts = [e.start for e in result.gold]
             assert starts == sorted(starts)
+
+    def test_unrestored_sentence_raises_invalid_edit_set(self, mix_a, monkeypatch):
+        def drop_last_token(sentence, edits):
+            restored = apply_edits(sentence, edits)
+            return Sentence(restored.tokens[:-1], restored.mode)
+
+        monkeypatch.setattr(synth, "apply_edits", drop_last_token)
+        grammar, _ = mix_a
+        spec = uniform_spec(grammar, kinds=(PUNCTUATION_DROP,))
+        with pytest.raises(InvalidEditSet):
+            inject(Sentence(("She", "goes", "home", ".")), spec, seed=0)
 
     def test_deterministic_under_seed(self, mix_a):
         grammar, spec = mix_a
