@@ -60,8 +60,6 @@ from .judge import JudgeConfig, JudgeModel, acc, evaluate_judge, mcc, train_judg
 from .synth import PRESETS, SizeConfig, make_benchmark, make_preset, write_benchmark
 from .textcore import (
     CORE_ERROR_TYPES,
-    MODES,
-    WORD,
     AnnotatedPair,
     Sentence,
     emit_cola_tsv,
@@ -158,9 +156,9 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _read_sentences(path: str, mode: str) -> list[Sentence]:
+def _read_sentences(path: str) -> list[Sentence]:
     # A blank line is a legitimate empty sentence (e.g. a deleted correction).
-    return [Sentence(tuple(line.split()), mode) for line in _read_text(path).splitlines()]
+    return [Sentence(tuple(line.split())) for line in _read_text(path).splitlines()]
 
 
 def _write_sentences(path: Path, sentences) -> None:
@@ -175,8 +173,8 @@ def _extract_config(opts: dict) -> ExtractConfig:
 
 def _read_hypotheses(opts: dict) -> tuple[list[Sentence], list[AnnotatedPair]]:
     """The --hyp sentences and the --gold pairs they correct, one for one."""
-    pairs = parse_m2(_read_text(opts["gold"]), mode=opts["mode"], name=opts["gold"])
-    hyps = _read_sentences(opts["hyp"], opts["mode"])
+    pairs = parse_m2(_read_text(opts["gold"]), name=opts["gold"])
+    hyps = _read_sentences(opts["hyp"])
     if len(hyps) != len(pairs):
         raise ConfigError(
             f"{opts['hyp']} has {len(hyps)} sentences but {opts['gold']} has {len(pairs)}"
@@ -241,8 +239,8 @@ def _run_synth_gen(opts: dict, out: Path) -> list[str]:
 
 
 def _run_extract_edits(opts: dict, out: Path) -> list[str]:
-    sources = _read_sentences(opts["source"], opts["mode"])
-    targets = _read_sentences(opts["target"], opts["mode"])
+    sources = _read_sentences(opts["source"])
+    targets = _read_sentences(opts["target"])
     if len(sources) != len(targets):
         raise ConfigError(
             f"{opts['source']} has {len(sources)} sentences"
@@ -267,7 +265,7 @@ def _run_build_cola(opts: dict, out: Path) -> list[str]:
     filters = FilterConfig(opts["min_len"], opts["max_len"], opts["max_edits"])
     parts = {}
     for path in opts["m2"]:
-        pairs = parse_m2(_read_text(path), mode=opts["mode"], name=path)
+        pairs = parse_m2(_read_text(path), name=path)
         parts[path] = build_cola_from_gec(pairs, filters)
     split = SplitConfig(opts["train_frac"], opts["dev_frac"], opts["test_frac"])
     corpus = merge_corpora(
@@ -294,8 +292,8 @@ def _run_train_judge(opts: dict, out: Path) -> list[str]:
         batch_size=None if opts["batch_size"] == 0 else opts["batch_size"],
         seed=opts["seed"],
     )
-    train = parse_cola_tsv(_read_text(opts["train"]), mode=opts["mode"], name=opts["train"])
-    dev = parse_cola_tsv(_read_text(opts["dev"]), mode=opts["mode"], name=opts["dev"])
+    train = parse_cola_tsv(_read_text(opts["train"]), name=opts["train"])
+    dev = parse_cola_tsv(_read_text(opts["dev"]), name=opts["dev"])
     model = train_judge(train, dev, config)
     model.save(out / "judge.json")
     data, text = _judge_report(evaluate_judge(model, dev))
@@ -309,7 +307,7 @@ def _run_train_judge(opts: dict, out: Path) -> list[str]:
 
 def _run_judge_eval(opts: dict, out: Path) -> list[str]:
     model = JudgeModel.load(opts["model"])
-    instances = parse_cola_tsv(_read_text(opts["data"]), mode=opts["mode"], name=opts["data"])
+    instances = parse_cola_tsv(_read_text(opts["data"]), name=opts["data"])
     data, text = _judge_report(evaluate_judge(model, instances))
     _write_json(out / "judge_eval.json", data)
     (out / "judge_eval.txt").write_text(text, encoding="utf-8")
@@ -317,10 +315,10 @@ def _run_judge_eval(opts: dict, out: Path) -> list[str]:
 
 
 def _run_train_gec(opts: dict, out: Path) -> list[str]:
-    pairs = parse_m2(_read_text(opts["train"]), mode=opts["mode"], name=opts["train"])
+    pairs = parse_m2(_read_text(opts["train"]), name=opts["train"])
     dev_pairs = None
     if opts["dev"]:
-        dev_pairs = parse_m2(_read_text(opts["dev"]), mode=opts["mode"], name=opts["dev"])
+        dev_pairs = parse_m2(_read_text(opts["dev"]), name=opts["dev"])
     judge = _load_judge(opts)
     stage, config = _train_recipe(opts, "main", pairs)
     model = Seq2SeqModel(Vocab.from_pairs(pairs), config)
@@ -338,7 +336,7 @@ def _run_train_gec(opts: dict, out: Path) -> list[str]:
 
 def _run_decode(opts: dict, out: Path) -> list[str]:
     model = Seq2SeqModel.load(opts["model"])
-    sources = _read_sentences(opts["input"], opts["mode"])
+    sources = _read_sentences(opts["input"])
     decoded = decode(model, sources, opts["beam"], _load_judge(opts), opts["rerank_lam"])
     _write_sentences(out / "corrected.txt", decoded)
     return [f"wrote {out / 'corrected.txt'} ({len(decoded)} sentences)"]
@@ -386,8 +384,8 @@ def _run_ablate(opts: dict, out: Path) -> list[str]:
             "ablate: missing required option 'judge'"
             " (the variant grid includes dynamic-loss and reranking rows)"
         )
-    train_pairs = parse_m2(_read_text(opts["train"]), mode=opts["mode"], name=opts["train"])
-    test_pairs = parse_m2(_read_text(opts["test"]), mode=opts["mode"], name=opts["test"])
+    train_pairs = parse_m2(_read_text(opts["train"]), name=opts["train"])
+    test_pairs = parse_m2(_read_text(opts["test"]), name=opts["test"])
     judge = _load_judge(opts)
     stage, config = _train_recipe(opts, "ablate", train_pairs)
     rerank = {"rerank": True, "beam_size": opts["beam"], "rerank_lam": opts["rerank_lam"]}
@@ -413,7 +411,6 @@ class _Command:
     run: Callable[[dict, Path], list[str]]
 
 
-_MODE_OPT = _Opt("str", WORD, "tokenization granularity", choices=MODES)
 _LEXICONS_OPT = _Opt("str", None, "lexicon directory for edit classification")
 # Shared by train-gec and ablate; _train_recipe builds their stage and model shape.
 _TRAIN_OPTS = {
@@ -423,7 +420,6 @@ _TRAIN_OPTS = {
     "optimizer": _Opt("str", "adam", "optimizer", choices=("adam", "sgd")),
     "embed_dim": _Opt("int", 32, "embedding width"),
     "hidden_dim": _Opt("int", 64, "recurrent state width"),
-    "mode": _MODE_OPT,
 }
 _BEAM_OPTS = {
     "beam": _Opt("int", 4, "beam size; in ablate, that of the reranking variants"),
@@ -448,7 +444,6 @@ _COMMANDS: dict[str, _Command] = {
             "source": _Opt("str", None, "source sentences, one per line", required=True),
             "target": _Opt("str", None, "corrected sentences, one per line", required=True),
             "lexicons": _LEXICONS_OPT,
-            "mode": _MODE_OPT,
         },
         _run_extract_edits,
     ),
@@ -464,7 +459,6 @@ _COMMANDS: dict[str, _Command] = {
             "test_frac": _Opt("float", 0.1, "test split fraction"),
             "balance": _Opt("bool", False, "downsample the majority label"),
             "no_dedupe": _Opt("bool", False, "keep exact duplicate sentences"),
-            "mode": _MODE_OPT,
         },
         _run_build_cola,
     ),
@@ -478,7 +472,6 @@ _COMMANDS: dict[str, _Command] = {
             "lr": _Opt("float", 8.0, "learning rate"),
             "l2": _Opt("float", 1e-6, "L2 penalty"),
             "batch_size": _Opt("int", 64, "minibatch size; 0 = full batch"),
-            "mode": _MODE_OPT,
         },
         _run_train_judge,
     ),
@@ -487,7 +480,6 @@ _COMMANDS: dict[str, _Command] = {
         {
             "model": _Opt("str", None, "saved judge JSON", required=True),
             "data": _Opt("str", None, "labeled TSV to score", required=True),
-            "mode": _MODE_OPT,
         },
         _run_judge_eval,
     ),
@@ -509,7 +501,6 @@ _COMMANDS: dict[str, _Command] = {
             "input": _Opt("str", None, "sentences to correct, one per line", required=True),
             "judge": _Opt("str", None, "saved judge JSON; enables beam reranking"),
             **_BEAM_OPTS,
-            "mode": _MODE_OPT,
         },
         _run_decode,
     ),
@@ -519,7 +510,6 @@ _COMMANDS: dict[str, _Command] = {
             "hyp": _Opt("str", None, "corrected sentences, one per line", required=True),
             "gold": _Opt("str", None, "gold M2", required=True),
             "lexicons": _LEXICONS_OPT,
-            "mode": _MODE_OPT,
         },
         _run_evaluate,
     ),
@@ -531,7 +521,6 @@ _COMMANDS: dict[str, _Command] = {
             "types": _Opt("names", ("PUNCT", "OTHER"), "error types to exclude"),
             "filter_mode": _Opt("str", DROP_EDITS, "exclusion mode", choices=FILTER_MODES),
             "lexicons": _LEXICONS_OPT,
-            "mode": _MODE_OPT,
         },
         _run_error_analysis,
     ),
@@ -582,8 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
     for name, command in _COMMANDS.items():
+        # Flags match exactly: a prefix such as --mode must not select --model.
         sub = subparsers.add_parser(
-            name, help=command.help, formatter_class=argparse.RawDescriptionHelpFormatter
+            name,
+            help=command.help,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+            allow_abbrev=False,
         )
         sub.add_argument("--config", type=str, default=None, help="JSON config file")
         _add_options(sub, _GLOBAL_OPTS)
@@ -625,6 +618,11 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
                 f"{command}: missing required option {key!r}"
                 f" (--{key.replace('_', '-')} or config key)"
             )
+    # numpy's seed sequences take only non-negative integers.
+    if resolved["seed"] < 0:
+        raise ConfigError(f"{command}: option 'seed' must be >= 0, got {resolved['seed']}")
+    if any(seed < 0 for seed in resolved.get("seeds", ())):
+        raise ConfigError(f"{command}: option 'seeds' must all be >= 0, got {list(resolved['seeds'])}")
     return resolved
 
 

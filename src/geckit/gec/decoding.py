@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..judge import cola_score
-from ..textcore import WORD, Sentence
+from ..textcore import Sentence
 from .model import EncoderState, Seq2SeqModel
 from .vocab import BOS_ID, EOS_ID, PAD_ID
 
@@ -21,8 +21,8 @@ class Hypothesis:
     log_prob: float
     truncated: bool = False
 
-    def sentence(self, mode: str = WORD) -> Sentence:
-        return Sentence(self.tokens, mode)
+    def sentence(self) -> Sentence:
+        return Sentence(self.tokens)
 
 
 def _step_limit(sources: list[Sentence], max_len: int | None) -> int:
@@ -68,8 +68,7 @@ def greedy_decode_batch(
                 outputs[i].append(int(tokens[i]))
         if done.all():
             break
-    mode = sources[0].mode
-    return [model.vocab.decode(ids, mode) for ids in outputs]
+    return [model.vocab.decode(ids) for ids in outputs]
 
 
 def _replicate(enc: EncoderState, count: int) -> EncoderState:
@@ -153,7 +152,6 @@ def rerank_with_cola(
     hypotheses: list[Hypothesis],
     judge,
     lam: float = 0.5,
-    mode: str = WORD,
 ) -> Sentence:
     """Pick the hypothesis maximizing normalized log-prob minus lam * score.
 
@@ -167,18 +165,18 @@ def rerank_with_cola(
     if lam < 0:
         raise ConfigError(f"lam must be >= 0, got {lam}")
     if lam == 0:
-        return hypotheses[0].sentence(mode)
+        return hypotheses[0].sentence()
     best = hypotheses[0]
     best_score = -np.inf
     for hyp in hypotheses:
-        score = rerank_score(hyp, judge, lam, mode)
+        score = rerank_score(hyp, judge, lam)
         if score > best_score:
             best, best_score = hyp, score
-    return best.sentence(mode)
+    return best.sentence()
 
 
-def rerank_score(hypothesis: Hypothesis, judge, lam: float, mode: str = WORD) -> float:
-    sentence = hypothesis.sentence(mode)
+def rerank_score(hypothesis: Hypothesis, judge, lam: float) -> float:
+    sentence = hypothesis.sentence()
     fluency = hypothesis.log_prob / max(1, len(hypothesis.tokens))
     return fluency - lam * cola_score(judge.logits(sentence)).value
 
@@ -200,9 +198,8 @@ def decode(
         return []
     if judge is None and beam_size == 1:
         return greedy_decode_batch(model, sources)
-    mode = sources[0].mode
     if judge is None:
-        return [beam_decode(model, src, beam_size)[0].sentence(mode) for src in sources]
+        return [beam_decode(model, src, beam_size)[0].sentence() for src in sources]
     return [
-        rerank_with_cola(beam_decode(model, src, beam_size), judge, lam, mode) for src in sources
+        rerank_with_cola(beam_decode(model, src, beam_size), judge, lam) for src in sources
     ]

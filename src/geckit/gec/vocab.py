@@ -47,6 +47,6 @@ class Vocab:
     def encode(self, sentence: Sentence) -> list[int]:
         return [self.index.get(token, UNK_ID) for token in sentence.tokens]
 
-    def decode(self, ids: Iterable[int], mode: str = "word") -> Sentence:
+    def decode(self, ids: Iterable[int]) -> Sentence:
         tokens = tuple(self.tokens[i] for i in ids if i not in (PAD_ID, BOS_ID, EOS_ID))
-        return Sentence(tokens, mode)
+        return Sentence(tokens)

@@ -187,13 +187,15 @@ def _is_number(value) -> bool:
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JudgeModel:
     """Trained judge: hashed-feature weight vector plus a bias pair.
 
     ``dev_accuracy`` is measured once on the dev split at the end of
     training; downstream loss weighting reads it from here. The model is
     immutable, so the margins it memoizes by text never go stale.
+    Equality and hashing are by identity, as befits an object that owns
+    a memo.
     """
 
     weights: np.ndarray
@@ -206,7 +208,7 @@ class JudgeModel:
     epochs: int = 0
     dev_accuracy: float | None = None
     train_loss: float | None = None
-    _margins: dict[str, float] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _margins: dict[str, float] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # A read-only copy, so that no edit in place can stale the memo either.

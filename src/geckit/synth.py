@@ -98,7 +98,8 @@ class SynthGrammar:
     drawn independently. ``confusion_prepositions`` and ``typo_forms``
     are corruption inventories: they never appear in generated output
     but belong to the grammar's lexicon so edit classification can see
-    them. Templates are sequences of slot names.
+    them. Templates are sequences of slot names. ``mode`` labels the
+    preset's tokenization in grammar.json and the manifest.
     """
 
     nouns: tuple[tuple[str, str], ...]
@@ -209,7 +210,7 @@ class SynthGrammar:
         noun must directly follow a determiner, and each determiner
         must agree with the nearest noun to its right.
         """
-        if sentence.mode != self.mode or not sentence.tokens:
+        if not sentence.tokens:
             return False
         tokens = sentence.tokens
         punct = set(self.punctuation)
@@ -408,7 +409,7 @@ def _sample_sentence(grammar: SynthGrammar, rng) -> Sentence:
         else:
             inventory = grammar._slot_inventory(slot)
             tokens.append(inventory[int(rng.integers(len(inventory)))])
-    return Sentence(tuple(tokens), grammar.mode)
+    return Sentence(tuple(tokens))
 
 
 def gen_corpus(grammar: SynthGrammar, n: int, seed: int | None = None) -> list[Sentence]:
@@ -474,8 +475,6 @@ def inject(sentence: Sentence, spec: ErrorInjectionSpec, seed=None) -> Injection
     spec's own seed is used.
     """
     grammar = spec.grammar
-    if sentence.mode != grammar.mode:
-        raise ConfigError(f"sentence mode {sentence.mode!r} does not match the grammar")
     rng = default_rng([spec.seed] if seed is None else seed)
     kinds = tuple(spec.kind_weights)
     kind_p = [spec.kind_weights[k] for k in kinds]
@@ -534,7 +533,7 @@ def inject(sentence: Sentence, spec: ErrorInjectionSpec, seed=None) -> Injection
             out.append(tokens[i])
             gold.append(Edit(len(out) - 2, len(out), (tokens[i], tokens[i + 1]), label))
             i += 2
-    corrupted = Sentence(tuple(out), sentence.mode)
+    corrupted = Sentence(tuple(out))
     if apply_edits(corrupted, gold).tokens != sentence.tokens:
         raise InvalidEditSet(f"gold edits do not restore {sentence.text!r}")
     return InjectionResult(corrupted, tuple(gold), tuple(e.etype for e in gold), skipped=False)
@@ -845,8 +844,8 @@ def make_preset(name: str, seed: int = 0) -> tuple[SynthGrammar, ErrorInjectionS
 
     mix_a is punctuation-light, mix_b punctuation-heavy with a wider
     punctuation inventory (so its punctuation is out-of-distribution
-    for models trained on mix_a), char_mix runs the character-mode
-    pipeline with the mix_a error profile.
+    for models trained on mix_a), char_mix generates single-character
+    tokens with the mix_a error profile.
     """
     if name == MIX_A:
         grammar = _word_grammar((".",), seed)

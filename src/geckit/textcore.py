@@ -55,18 +55,11 @@ def _check_token(token: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
-    """An immutable tokenized sentence.
-
-    ``mode`` records the tokenization granularity; character-mode sentences
-    hold one token per non-space character.
-    """
+    """An immutable tokenized sentence."""
 
     tokens: tuple[str, ...]
-    mode: str = WORD
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise InvalidEditSet(f"unknown mode {self.mode!r}")
         if not isinstance(self.tokens, tuple):
             object.__setattr__(self, "tokens", tuple(self.tokens))
         for token in self.tokens:
@@ -97,7 +90,7 @@ def tokenize(raw: str, mode: str = WORD) -> Sentence:
         tokens = tuple(ch for ch in raw if not ch.isspace())
     if not tokens:
         raise EmptySentence(f"no tokens in {raw!r}")
-    return Sentence(tokens, mode)
+    return Sentence(tokens)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,7 +150,7 @@ def apply_edits(source: Sentence, edits: Sequence[Edit]) -> Sentence:
     tokens = list(source.tokens)
     for edit in reversed(_sorted_edits(edits)):
         tokens[edit.start : edit.end] = edit.replacement
-    return Sentence(tuple(tokens), source.mode)
+    return Sentence(tuple(tokens))
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,12 +237,12 @@ class ColaInstance:
 # edits. Files are UTF-8 with LF line endings and no trailing blank line.
 
 
-def _parse_sentence_field(text: str, mode: str, name: str, line: int) -> Sentence:
+def _parse_sentence_field(text: str, name: str, line: int) -> Sentence:
     tokens = text.split(" ")
     if any(not t for t in tokens):
         raise FormatError("empty token (doubled or trailing space)", name=name, line=line)
     try:
-        return Sentence(tuple(tokens), mode)
+        return Sentence(tuple(tokens))
     except InvalidEditSet as exc:
         raise FormatError(str(exc), name=name, line=line) from exc
 
@@ -320,7 +313,7 @@ def _flush_block(block: _Block, name: str) -> AnnotatedPair:
         raise FormatError(str(exc), name=name, line=block.start_line) from exc
 
 
-def parse_m2(text: str, mode: str = WORD, name: str = "<m2>") -> list[AnnotatedPair]:
+def parse_m2(text: str, name: str = "<m2>") -> list[AnnotatedPair]:
     """Parse M2 text into annotated pairs. Strict; FormatError names the line."""
     if text == "":
         return []
@@ -332,7 +325,7 @@ def parse_m2(text: str, mode: str = WORD, name: str = "<m2>") -> list[AnnotatedP
     for lineno, line in enumerate(lines, 1):
         if block is None:
             if line.startswith("S "):
-                block = _Block(_parse_sentence_field(line[2:], mode, name, lineno), lineno)
+                block = _Block(_parse_sentence_field(line[2:], name, lineno), lineno)
             elif line == "":
                 raise FormatError("blank line where a sentence block must start", name=name, line=lineno)
             elif line.startswith("A "):
@@ -401,7 +394,6 @@ def emit_m2(pairs: Iterable[AnnotatedPair]) -> str:
 
 def parse_cola_tsv(
     text: str,
-    mode: str = WORD,
     origin: str = ORIGIN_LINGUISTICS,
     name: str = "<tsv>",
 ) -> list[ColaInstance]:
@@ -420,7 +412,7 @@ def parse_cola_tsv(
             raise FormatError(f"label must be 0 or 1, got {label_part!r}", name=name, line=lineno)
         if not sentence_part:
             raise FormatError("empty sentence", name=name, line=lineno)
-        sentence = _parse_sentence_field(sentence_part, mode, name, lineno)
+        sentence = _parse_sentence_field(sentence_part, name, lineno)
         instances.append(ColaInstance(sentence, int(label_part), origin))
     return instances
 

@@ -217,6 +217,67 @@ class TestConfigResolution:
         assert "unknown config key 'threads'" in capsys.readouterr().err
         assert main(["synth-gen", "--threads", "2", "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "extract-edits",
+            "build-cola",
+            "train-judge",
+            "judge-eval",
+            "train-gec",
+            "decode",
+            "evaluate",
+            "error-analysis",
+            "ablate",
+        ],
+    )
+    def test_mode_is_not_an_option(self, tmp_path, capsys, command):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"mode": "character"}), encoding="utf-8")
+        assert main([command, "--config", str(config)]) == 1
+        assert "unknown config key 'mode'" in capsys.readouterr().err
+        # Not even as a prefix of --model (decode, judge-eval).
+        assert main([command, "--mode", "character", "--out", str(tmp_path / "x")]) == 1
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    # Required options point nowhere: the seed is rejected before any file is read.
+    NEGATIVE_SEED_ARGS = {
+        "synth-gen": [],
+        "train-judge": ["--train", "t.tsv", "--dev", "d.tsv"],
+        "train-gec": ["--train", "t.m2"],
+        "ablate": ["--train", "t.m2", "--test", "s.m2", "--judge", "j.json"],
+    }
+
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    @pytest.mark.parametrize("command", list(NEGATIVE_SEED_ARGS))
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys, monkeypatch, command, source):
+        argv = [command, *self.NEGATIVE_SEED_ARGS[command], "--out", str(tmp_path / "x")]
+        if source == "flag":
+            argv += ["--seed", "-2"]
+        elif source == "config":
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"seed": -2}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        else:
+            monkeypatch.setenv("GECKIT_SEED", "-2")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {command}: option 'seed' must be >= 0, got -2\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_ablate_seeds_is_one_error_line(self, tmp_path, capsys, source):
+        argv = ["ablate", *self.NEGATIVE_SEED_ARGS["ablate"], "--out", str(tmp_path / "x")]
+        if source == "flag":
+            argv.append("--seeds=-1,2")
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"seeds": [-1, 2]}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: ablate: option 'seeds' must all be >= 0, got [-1, 2]\n"
+
 
 class TestSynthGen:
     def test_outputs_exist(self, bench_dir):

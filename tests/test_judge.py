@@ -235,6 +235,13 @@ class TestMarginMemo:
         assert replaced.margin(probe) == fresh.margin(probe) != memoized
         assert model.margin(probe) == memoized
 
+    def test_equality_and_hash_are_by_identity(self):
+        a = JudgeModel(weights=np.zeros(8), bias0=0.0, bias1=0.0, dim=8)
+        b = JudgeModel(weights=np.zeros(8), bias0=0.0, bias1=0.0, dim=8)
+        assert a == a
+        assert a != b
+        assert len({a, b, a}) == 2
+
 
 class TestMetrics:
     def test_frozen_confusion_example(self):

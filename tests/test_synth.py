@@ -144,13 +144,12 @@ class TestGeneration:
         grammar, _ = char_mix
         sentences = gen_corpus(grammar, 100, seed=3)
         for sentence in sentences:
-            assert sentence.mode == CHARACTER
             assert grammar.is_valid(sentence)
             assert all(len(token) == 1 for token in sentence.tokens)
 
 
 class TestValidityChecker:
-    def test_rejects_structural_breaks(self, mix_a):
+    def test_rejects_structural_breaks(self, mix_a, char_mix):
         grammar, _ = mix_a
         assert grammar.is_valid(Sentence(("the", "dog", "is", "running", ".")))
         assert not grammar.is_valid(Sentence(("the", "dog", "are", "running", ".")))
@@ -159,7 +158,8 @@ class TestValidityChecker:
         assert not grammar.is_valid(Sentence(("a", "dogs", "are", "running", ".")))
         assert not grammar.is_valid(Sentence(("the", "dgo", "is", "running", ".")))
         assert not grammar.is_valid(Sentence(()))
-        assert not grammar.is_valid(Sentence(("t", "a", "h", "!"), mode=CHARACTER))
+        # char_mix sentences fall outside the word grammar.
+        assert not any(grammar.is_valid(s) for s in gen_corpus(char_mix[0], 20, seed=0))
 
 
 class TestSpecValidation:
@@ -226,7 +226,7 @@ class TestInject:
     def test_unrestored_sentence_raises_invalid_edit_set(self, mix_a, monkeypatch):
         def drop_last_token(sentence, edits):
             restored = apply_edits(sentence, edits)
-            return Sentence(restored.tokens[:-1], restored.mode)
+            return Sentence(restored.tokens[:-1])
 
         monkeypatch.setattr(synth, "apply_edits", drop_last_token)
         grammar, _ = mix_a
@@ -276,13 +276,6 @@ class TestInject:
         assert result.skipped
         assert result.corrupted.tokens == ("hello",)
         assert result.gold == ()
-
-    def test_mode_mismatch_rejected(self, mix_a, char_mix):
-        _, spec = mix_a
-        grammar_c, _ = char_mix
-        sentence = gen_corpus(grammar_c, 1, seed=0)[0]
-        with pytest.raises(ConfigError):
-            inject(sentence, spec, seed=0)
 
     def test_corruption_kinds_do_what_they_say(self, mix_a):
         grammar, _ = mix_a
@@ -454,9 +447,9 @@ class TestBenchmark:
         grammar, spec = char_mix
         bench = make_benchmark(grammar, spec, SizeConfig(120, 30, 40, 300), seed=1)
         assert bench.manifest["mode"] == CHARACTER
-        pair = bench.gec_train[0]
-        assert pair.source.mode == CHARACTER
-        assert all(len(token) == 1 for token in pair.source.tokens)
+        for pair in bench.gec_train:
+            for sentence in (pair.source, pair.target):
+                assert all(len(token) == 1 for token in sentence.tokens)
 
 
 class TestSerialization:
@@ -464,11 +457,9 @@ class TestSerialization:
         grammar, spec = char_mix
         bench = make_benchmark(grammar, spec, SizeConfig(60, 15, 20, 150), seed=2)
         paths = write_benchmark(bench, tmp_path)
-        reparsed = parse_m2((tmp_path / "gec_test.m2").read_text(encoding="utf-8"), mode=CHARACTER)
+        reparsed = parse_m2((tmp_path / "gec_test.m2").read_text(encoding="utf-8"))
         assert tuple(reparsed) == bench.gec_test
-        cola_dev = parse_cola_tsv(
-            (tmp_path / "cola_dev.tsv").read_text(encoding="utf-8"), mode=CHARACTER
-        )
+        cola_dev = parse_cola_tsv((tmp_path / "cola_dev.tsv").read_text(encoding="utf-8"))
         assert [i.sentence.text for i in cola_dev] == [
             i.sentence.text for i in bench.cola.split("dev")
         ]

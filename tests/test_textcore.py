@@ -3,7 +3,6 @@ import pytest
 from geckit.errors import EmptySentence, FormatError, InvalidEditSet
 from geckit.textcore import (
     CHARACTER,
-    WORD,
     AnnotatedPair,
     ColaInstance,
     Edit,
@@ -21,12 +20,11 @@ class TestTokenize:
     def test_word_mode_splits_on_whitespace_runs(self):
         s = tokenize("The  cat\tsat ")
         assert s.tokens == ("The", "cat", "sat")
-        assert s.mode == WORD
 
     def test_character_mode_one_token_per_nonspace_char(self):
-        s = tokenize("ab c", CHARACTER)
-        assert s.tokens == ("a", "b", "c")
-        assert s.mode == CHARACTER
+        s = tokenize("ab  c\tde", CHARACTER)
+        assert s.tokens == ("a", "b", "c", "d", "e")
+        assert all(len(token) == 1 for token in s.tokens)
 
     @pytest.mark.parametrize("raw", ["", "   ", "\t\n"])
     def test_empty_input_raises(self, raw):
@@ -249,8 +247,9 @@ class TestM2:
 
     def test_character_mode_round_trip(self):
         text = "S 我 吃 饭\nA 1 2|||VERB|||喝|||REQUIRED|||-NONE-|||0\n"
-        pairs = parse_m2(text, mode=CHARACTER)
-        assert pairs[0].source.mode == CHARACTER
+        pairs = parse_m2(text)
+        assert pairs[0].source.tokens == ("我", "吃", "饭")
+        assert pairs[0].target.tokens == ("我", "喝", "饭")
         assert emit_m2(pairs) == text
 
 
