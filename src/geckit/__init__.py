@@ -18,7 +18,6 @@ from .errors import (
     GeckitError,
     InvalidEditSet,
     InvalidLogits,
-    MissingLogits,
 )
 from .textcore import AnnotatedPair, ColaInstance, Edit, Sentence, apply_edits, tokenize
 
@@ -34,7 +33,6 @@ __all__ = [
     "GeckitError",
     "InvalidEditSet",
     "InvalidLogits",
-    "MissingLogits",
     "Sentence",
     "apply_edits",
     "tokenize",

@@ -12,7 +12,7 @@ lexicons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -37,10 +37,6 @@ DELETE = "delete"
 TRANSPOSE = "transpose"
 OP_KINDS = (MATCH, SUBSTITUTE, INSERT, DELETE, TRANSPOSE)
 
-ALL_SPLIT = "all_split"
-MERGE_ADJACENT = "merge_adjacent"
-MERGE_POLICIES = (ALL_SPLIT, MERGE_ADJACENT)
-
 
 @lru_cache(maxsize=262144)
 def char_edit_distance(a: str, b: str) -> int:
@@ -60,38 +56,25 @@ def char_edit_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
-@dataclass(frozen=True, slots=True)
-class CostConfig:
-    """Per-operation alignment costs.
+# Damerau costs. A substitution costs SUBSTITUTE_BASE + (1 - similarity) *
+# SUBSTITUTE_SCALE, where similarity is 1 - charEditDistance / max(token
+# lengths); one that only changes letter case costs CASE_SUBSTITUTE_COST.
+MATCH_COST = 0.0
+DELETE_COST = 1.0
+INSERT_COST = 1.0
+TRANSPOSE_COST = 0.9
+CASE_SUBSTITUTE_COST = 0.25
+SUBSTITUTE_BASE = 1.0
+SUBSTITUTE_SCALE = 0.5
 
-    Substitution costs ``substitute_base + (1 - similarity) * substitute_scale``
-    where similarity is 1 - charEditDistance / max(token lengths); a
-    substitution that only changes letter case costs ``case_substitute``.
-    """
 
-    match: float = 0.0
-    delete: float = 1.0
-    insert: float = 1.0
-    transpose: float = 0.9
-    case_substitute: float = 0.25
-    substitute_base: float = 1.0
-    substitute_scale: float = 0.5
-
-    def __post_init__(self) -> None:
-        for name in ("match", "delete", "insert", "transpose", "case_substitute",
-                     "substitute_base", "substitute_scale"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-                raise ConfigError(f"cost {name} must be finite and >= 0, got {value!r}")
-        if self.match != 0.0:
-            raise ConfigError("match cost must be 0")
-
-    def substitute(self, a: str, b: str) -> float:
-        if a != b and a.lower() == b.lower():
-            return self.case_substitute
-        distance = char_edit_distance(a, b)
-        similarity = 1.0 - distance / max(len(a), len(b))
-        return self.substitute_base + (1.0 - similarity) * self.substitute_scale
+def substitute_cost(a: str, b: str) -> float:
+    """Cost of aligning token ``a`` to a different token ``b``."""
+    if a != b and a.lower() == b.lower():
+        return CASE_SUBSTITUTE_COST
+    distance = char_edit_distance(a, b)
+    similarity = 1.0 - distance / max(len(a), len(b))
+    return SUBSTITUTE_BASE + (1.0 - similarity) * SUBSTITUTE_SCALE
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,69 +109,65 @@ class Alignment:
     cost: float
 
 
-def align_tokens(source: Sentence, target: Sentence, costs: CostConfig | None = None) -> Alignment:
+def align_tokens(source: Sentence, target: Sentence) -> Alignment:
     """Minimal-cost alignment between two sentences.
 
     Ties are broken by op preference match > substitute > transpose >
     delete > insert, applied left to right, so the result is deterministic.
     """
-    cfg = costs or CostConfig()
     src, tgt = source.tokens, target.tokens
     n, m = len(src), len(tgt)
     # best[i][j] = minimal cost of aligning src[i:] with tgt[j:]
     best = [[0.0] * (m + 1) for _ in range(n + 1)]
     for j in range(m - 1, -1, -1):
-        best[n][j] = best[n][j + 1] + cfg.insert
+        best[n][j] = best[n][j + 1] + INSERT_COST
     for i in range(n - 1, -1, -1):
-        best[i][m] = best[i + 1][m] + cfg.delete
+        best[i][m] = best[i + 1][m] + DELETE_COST
         row, below = best[i], best[i + 1]
         for j in range(m - 1, -1, -1):
             if src[i] == tgt[j]:
-                value = below[j + 1] + cfg.match
+                value = below[j + 1] + MATCH_COST
             else:
-                value = below[j + 1] + cfg.substitute(src[i], tgt[j])
+                value = below[j + 1] + substitute_cost(src[i], tgt[j])
             if (i + 1 < n and j + 1 < m and src[i] == tgt[j + 1] and src[i + 1] == tgt[j]):
-                value = min(value, best[i + 2][j + 2] + cfg.transpose)
-            value = min(value, below[j] + cfg.delete, row[j + 1] + cfg.insert)
+                value = min(value, best[i + 2][j + 2] + TRANSPOSE_COST)
+            value = min(value, below[j] + DELETE_COST, row[j + 1] + INSERT_COST)
             row[j] = value
     ops: list[AlignOp] = []
     i = j = 0
     while i < n or j < m:
         here = best[i][j]
-        if i < n and j < m and src[i] == tgt[j] and here == best[i + 1][j + 1] + cfg.match:
-            ops.append(AlignOp(MATCH, (i, i + 1), (j, j + 1), cfg.match))
+        if i < n and j < m and src[i] == tgt[j] and here == best[i + 1][j + 1] + MATCH_COST:
+            ops.append(AlignOp(MATCH, (i, i + 1), (j, j + 1), MATCH_COST))
             i, j = i + 1, j + 1
             continue
-        if i < n and j < m and src[i] != tgt[j] and here == best[i + 1][j + 1] + cfg.substitute(src[i], tgt[j]):
-            ops.append(AlignOp(SUBSTITUTE, (i, i + 1), (j, j + 1), cfg.substitute(src[i], tgt[j])))
+        if i < n and j < m and src[i] != tgt[j] and here == best[i + 1][j + 1] + substitute_cost(src[i], tgt[j]):
+            ops.append(AlignOp(SUBSTITUTE, (i, i + 1), (j, j + 1), substitute_cost(src[i], tgt[j])))
             i, j = i + 1, j + 1
             continue
         if (i + 1 < n and j + 1 < m and src[i] == tgt[j + 1] and src[i + 1] == tgt[j]
-                and here == best[i + 2][j + 2] + cfg.transpose):
-            ops.append(AlignOp(TRANSPOSE, (i, i + 2), (j, j + 2), cfg.transpose))
+                and here == best[i + 2][j + 2] + TRANSPOSE_COST):
+            ops.append(AlignOp(TRANSPOSE, (i, i + 2), (j, j + 2), TRANSPOSE_COST))
             i, j = i + 2, j + 2
             continue
-        if i < n and here == best[i + 1][j] + cfg.delete:
-            ops.append(AlignOp(DELETE, (i, i + 1), (j, j), cfg.delete))
+        if i < n and here == best[i + 1][j] + DELETE_COST:
+            ops.append(AlignOp(DELETE, (i, i + 1), (j, j), DELETE_COST))
             i += 1
             continue
-        if j < m and here == best[i][j + 1] + cfg.insert:
-            ops.append(AlignOp(INSERT, (i, i), (j, j + 1), cfg.insert))
+        if j < m and here == best[i][j + 1] + INSERT_COST:
+            ops.append(AlignOp(INSERT, (i, i), (j, j + 1), INSERT_COST))
             j += 1
             continue
         raise AssertionError("alignment backtrace lost the optimal path")
     return Alignment(source, target, tuple(ops), best[0][0])
 
 
-def merge_alignment(alignment: Alignment, policy: str = MERGE_ADJACENT) -> list[Edit]:
+def merge_alignment(alignment: Alignment) -> list[Edit]:
     """Turn alignment ops into untyped edits.
 
-    ``all_split`` emits one edit per non-match op. ``merge_adjacent``
-    coalesces maximal runs of consecutive non-match ops. Transpositions are
-    kept as single edits under both policies and never merge into a run.
+    Maximal runs of consecutive non-match ops coalesce into one edit. A
+    transposition is always a single edit and never merges into a run.
     """
-    if policy not in MERGE_POLICIES:
-        raise ConfigError(f"unknown merge policy {policy!r}")
     tgt = alignment.target.tokens
     edits: list[Edit] = []
     run: list[AlignOp] = []
@@ -204,13 +183,8 @@ def merge_alignment(alignment: Alignment, policy: str = MERGE_ADJACENT) -> list[
     for op in alignment.ops:
         if op.kind == MATCH:
             flush()
-            continue
-        if op.kind == TRANSPOSE:
+        elif op.kind == TRANSPOSE:
             flush()
-            run.append(op)
-            flush()
-            continue
-        if policy == ALL_SPLIT:
             run.append(op)
             flush()
         else:
@@ -276,9 +250,8 @@ class LexiconSet:
             or any(token in table.forms for table in self.morphology)
         )
 
-    @classmethod
-    def default(cls) -> "LexiconSet":
-        return cls()
+
+_DEFAULT_LEXICONS = LexiconSet()
 
 
 def load_token_set(path: str | Path) -> frozenset[str]:
@@ -356,7 +329,7 @@ def classify_edit(edit: Edit, source: Sentence, lexicons: LexiconSet | None = No
     lexicon, close in character distance), then DET/PREP (all tokens in the
     respective set), then morphology-table categories, then OTHER.
     """
-    lex = lexicons or LexiconSet.default()
+    lex = lexicons or _DEFAULT_LEXICONS
     src_tokens = source.tokens[edit.start : edit.end]
     repl = edit.replacement
     both = (*src_tokens, *repl)
@@ -385,25 +358,13 @@ def classify_edit(edit: Edit, source: Sentence, lexicons: LexiconSet | None = No
     return OTHER
 
 
-@dataclass(frozen=True, slots=True)
-class ExtractConfig:
-    costs: CostConfig = field(default_factory=CostConfig)
-    policy: str = MERGE_ADJACENT
-    lexicons: LexiconSet = field(default_factory=LexiconSet.default)
-
-    def __post_init__(self) -> None:
-        if self.policy not in MERGE_POLICIES:
-            raise ConfigError(f"unknown merge policy {self.policy!r}")
-
-
-def extract_edits(source: Sentence, target: Sentence, config: ExtractConfig | None = None) -> list[Edit]:
+def extract_edits(
+    source: Sentence, target: Sentence, lexicons: LexiconSet | None = None
+) -> list[Edit]:
     """Typed, sorted, non-overlapping edits turning source into target."""
-    cfg = config or ExtractConfig()
-    alignment = align_tokens(source, target, cfg.costs)
-    edits = merge_alignment(alignment, cfg.policy)
-    typed = [replace(e, etype=classify_edit(e, source, cfg.lexicons)) for e in edits]
+    edits = merge_alignment(align_tokens(source, target))
+    typed = [replace(e, etype=classify_edit(e, source, lexicons)) for e in edits]
     # Safety net for the core contract; alignment construction guarantees it.
     if apply_edits(source, typed).tokens != target.tokens:
         raise InvalidEditSet(f"extracted edits do not turn {source.text!r} into {target.text!r}")
     return typed
-

@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from .align import ExtractConfig, extract_edits, load_lexicons
+from .align import LexiconSet, extract_edits, load_lexicons
 from .colacorpus import (
     FilterConfig,
     SplitConfig,
@@ -165,10 +165,8 @@ def _write_sentences(path: Path, sentences) -> None:
     path.write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
 
 
-def _extract_config(opts: dict) -> ExtractConfig:
-    if opts.get("lexicons"):
-        return ExtractConfig(lexicons=load_lexicons(opts["lexicons"]))
-    return ExtractConfig()
+def _load_lexicons(opts: dict) -> LexiconSet | None:
+    return load_lexicons(opts["lexicons"]) if opts.get("lexicons") else None
 
 
 def _read_hypotheses(opts: dict) -> tuple[list[Sentence], list[AnnotatedPair]]:
@@ -246,12 +244,12 @@ def _run_extract_edits(opts: dict, out: Path) -> list[str]:
             f"{opts['source']} has {len(sources)} sentences"
             f" but {opts['target']} has {len(targets)}"
         )
-    config = _extract_config(opts)
+    lexicons = _load_lexicons(opts)
     pairs = [
         AnnotatedPair(
             source=src,
             target=tgt,
-            gold=(tuple(extract_edits(src, tgt, config)),),
+            gold=(tuple(extract_edits(src, tgt, lexicons)),),
             annotator_ids=(0,),
         )
         for src, tgt in zip(sources, targets)
@@ -267,15 +265,15 @@ def _run_build_cola(opts: dict, out: Path) -> list[str]:
     for path in opts["m2"]:
         pairs = parse_m2(_read_text(path), name=path)
         parts[path] = build_cola_from_gec(pairs, filters)
-    split = SplitConfig(opts["train_frac"], opts["dev_frac"], opts["test_frac"])
+    # M2 input yields only GEC-origin instances, which never enter test.
     corpus = merge_corpora(
         parts,
-        split,
+        SplitConfig(dev=opts["dev_frac"], test=0.0),
         seed=opts["seed"],
         dedupe=not opts["no_dedupe"],
         balance=bool(opts["balance"]),
     )
-    for name in ("train", "dev", "test"):
+    for name in ("train", "dev"):
         (out / f"cola_{name}.tsv").write_text(
             emit_cola_tsv(corpus.split(name)), encoding="utf-8"
         )
@@ -344,7 +342,7 @@ def _run_decode(opts: dict, out: Path) -> list[str]:
 
 def _run_evaluate(opts: dict, out: Path) -> list[str]:
     hyps, pairs = _read_hypotheses(opts)
-    report = evaluate_hypotheses(hyps, pairs, _extract_config(opts))
+    report = evaluate_hypotheses(hyps, pairs, _load_lexicons(opts))
     _write_json(out / "evaluate.json", report.to_json_dict())
     (out / "evaluate.txt").write_text(report.render_table(), encoding="utf-8")
     d = report.to_json_dict()
@@ -359,8 +357,8 @@ def _run_error_analysis(opts: dict, out: Path) -> list[str]:
                 f" (known: {', '.join(CORE_ERROR_TYPES)})"
             )
     hyps, pairs = _read_hypotheses(opts)
-    config = _extract_config(opts)
-    hyp_edits = [extract_edits(pair.source, hyp, config) for hyp, pair in zip(hyps, pairs)]
+    lexicons = _load_lexicons(opts)
+    hyp_edits = [extract_edits(pair.source, hyp, lexicons) for hyp, pair in zip(hyps, pairs)]
     sections: dict[str, MetricsReport] = {"unfiltered": evaluate_corpus(hyp_edits, pairs)}
     for etype in opts["types"]:
         sections[f"no_{etype}"] = filter_eval(
@@ -448,15 +446,13 @@ _COMMANDS: dict[str, _Command] = {
         _run_extract_edits,
     ),
     "build-cola": _Command(
-        "mine labeled acceptability splits from M2 correction data",
+        "mine labeled acceptability train/dev splits from M2 correction data",
         {
             "m2": _Opt("paths", None, "M2 file (repeatable)", required=True),
             "min_len": _Opt("int", 3, "minimum source length"),
             "max_len": _Opt("int", 80, "maximum source length"),
             "max_edits": _Opt("int", 10, "maximum edits per pair"),
-            "train_frac": _Opt("float", 0.8, "train split fraction"),
-            "dev_frac": _Opt("float", 0.1, "dev split fraction"),
-            "test_frac": _Opt("float", 0.1, "test split fraction"),
+            "dev_frac": _Opt("float", 0.1, "dev split fraction; train takes the rest"),
             "balance": _Opt("bool", False, "downsample the majority label"),
             "no_dedupe": _Opt("bool", False, "keep exact duplicate sentences"),
         },

@@ -46,18 +46,18 @@ class FilterConfig:
 
 @dataclass(frozen=True, slots=True)
 class SplitConfig:
-    train: float = 0.8
+    """Dev and test fractions of the merged corpus; train takes the rest."""
+
     dev: float = 0.1
     test: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("train", "dev", "test"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"negative split fraction {name}")
-        if abs(self.train + self.dev + self.test - 1.0) > 1e-9:
-            raise ConfigError(
-                f"split fractions must sum to 1, got {self.train + self.dev + self.test}"
-            )
+        for name in ("dev", "test"):
+            value = getattr(self, name)
+            if not value >= 0:  # also rejects NaN
+                raise ConfigError(f"split fraction {name} must be >= 0, got {value}")
+        if self.dev + self.test > 1.0:
+            raise ConfigError(f"dev and test fractions sum to {self.dev + self.test} > 1")
 
 
 @dataclass(frozen=True, slots=True)

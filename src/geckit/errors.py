@@ -45,10 +45,6 @@ class InvalidLogits(GeckitError):
     """Logit values that are NaN or infinite."""
 
 
-class MissingLogits(GeckitError):
-    """A precomputed-logits file has no entry for the requested sentence."""
-
-
 class EmptyEvaluation(GeckitError):
     """An evaluation over zero edits, zero instances, or zero counts."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
-from .align import ExtractConfig, extract_edits
+from .align import LexiconSet, extract_edits
 from .errors import ConfigError, EmptyEvaluation
 from .textcore import AnnotatedPair, Edit, Sentence
 
@@ -195,13 +195,12 @@ def evaluate_corpus(
 def evaluate_hypotheses(
     hypotheses: Sequence[Sentence],
     pairs: Sequence[AnnotatedPair],
-    extract_config: ExtractConfig | None = None,
+    lexicons: LexiconSet | None = None,
 ) -> MetricsReport:
     """Extract edits from corrected sentences, then score them."""
     if len(hypotheses) != len(pairs):
         raise ConfigError(f"{len(hypotheses)} hypotheses for {len(pairs)} references")
-    ecfg = extract_config or ExtractConfig()
-    hyp_edits = [extract_edits(pair.source, hyp, ecfg) for hyp, pair in zip(hypotheses, pairs)]
+    hyp_edits = [extract_edits(pair.source, hyp, lexicons) for hyp, pair in zip(hypotheses, pairs)]
     return evaluate_corpus(hyp_edits, pairs)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -24,7 +24,6 @@ from .errors import (
     EmptyEvaluation,
     FormatError,
     InvalidLogits,
-    MissingLogits,
 )
 from .textcore import ColaInstance, Sentence
 
@@ -395,7 +394,7 @@ class ConfusionCounts:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def evaluate_judge(model: JudgeModel | "LogitsAdapter", instances: Sequence[ColaInstance]) -> ConfusionCounts:
+def evaluate_judge(model: JudgeModel, instances: Sequence[ColaInstance]) -> ConfusionCounts:
     tp = fp = fn = tn = 0
     for inst in instances:
         lg = model.logits(inst.sentence)
@@ -431,60 +430,3 @@ def mcc(counts: ConfusionCounts) -> float:
     if den == 0:
         return 0.0
     return num / den
-
-
-# --- external logit tables --------------------------------------------------
-
-
-class LogitsAdapter:
-    """Serves logits for sentences from a precomputed table.
-
-    Lets externally scored sentences flow through the same scoring and
-    loss-weighting paths as a trained judge.
-    """
-
-    def __init__(self, table: Mapping[str, Logits], dev_accuracy: float | None = None):
-        self.table = dict(table)
-        self.dev_accuracy = dev_accuracy
-
-    @classmethod
-    def from_tsv(
-        cls, text: str, name: str = "<logits>", dev_accuracy: float | None = None
-    ) -> "LogitsAdapter":
-        table: dict[str, Logits] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line:
-                raise FormatError("blank line in logits table", name=name, line=lineno)
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise FormatError(
-                    f"expected sentence<TAB>logit0<TAB>logit1, got {len(fields)} fields",
-                    name=name,
-                    line=lineno,
-                )
-            key, raw0, raw1 = fields
-            if key in table:
-                raise FormatError(f"duplicate sentence {key!r}", name=name, line=lineno)
-            try:
-                table[key] = Logits(float(raw0), float(raw1))
-            except ValueError as exc:
-                raise FormatError(f"bad logit value: {exc}", name=name, line=lineno) from exc
-            except InvalidLogits as exc:
-                raise FormatError(str(exc), name=name, line=lineno) from exc
-        return cls(table, dev_accuracy)
-
-    def logits(self, sentence: Sentence) -> Logits:
-        try:
-            return self.table[sentence.text]
-        except KeyError:
-            raise MissingLogits(f"no logits recorded for {sentence.text!r}") from None
-
-    def score(self, sentence: Sentence) -> ColaScore:
-        return cola_score(self.logits(sentence))
-
-
-def emit_logits_tsv(entries: Iterable[tuple[Sentence, Logits]]) -> str:
-    lines = []
-    for sentence, lg in entries:
-        lines.append(f"{sentence.text}\t{lg.logit0!r}\t{lg.logit1!r}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -26,7 +26,7 @@ import pytest
 from test_align import brute_force_cost
 
 import geckit
-from geckit.align import CostConfig, ExtractConfig, align_tokens, extract_edits
+from geckit.align import align_tokens, extract_edits
 from geckit.evalmetrics import (
     AblationVariant,
     DROP_EDITS,
@@ -281,19 +281,17 @@ def test_criterion_4_alignment_round_trip_and_cost():
     """Edit extraction reconstructs targets; DP cost equals brute force."""
     start = time.perf_counter()
     rng = np.random.default_rng(4)
-    config = ExtractConfig()
     for _ in range(ROUND_TRIP_PAIRS):
         source = Sentence(tuple(rng.choice(ALIGN_ALPHABET) for _ in range(rng.integers(0, 10))))
         target = Sentence(tuple(rng.choice(ALIGN_ALPHABET) for _ in range(rng.integers(0, 10))))
-        edits = extract_edits(source, target, config)
+        edits = extract_edits(source, target)
         assert apply_edits(source, edits) == target
 
-    costs = CostConfig()
     for _ in range(BRUTE_FORCE_PAIRS):
         source = Sentence(tuple(rng.choice(ALIGN_ALPHABET) for _ in range(rng.integers(1, 9))))
         target = Sentence(tuple(rng.choice(ALIGN_ALPHABET) for _ in range(rng.integers(1, 9))))
         got = align_tokens(source, target).cost
-        want = brute_force_cost(source.tokens, target.tokens, costs)
+        want = brute_force_cost(source.tokens, target.tokens)
         assert abs(got - want) <= COST_TOL, (source.tokens, target.tokens)
     assert time.perf_counter() - start < 60.0
 
@@ -322,7 +320,7 @@ def test_criterion_5_injection_reversal_and_span_recovery(mix_a, acceptance_note
         count_weights={1: 1.0},
         seed=5,
     )
-    config = ExtractConfig(lexicons=grammar.lexicons())
+    lexicons = grammar.lexicons()
     recovered = 0
     punct_total = 0
     punct_hits = 0
@@ -332,7 +330,7 @@ def test_criterion_5_injection_reversal_and_span_recovery(mix_a, acceptance_note
             continue
         assert len(result.gold) == 1
         gold = result.gold[0]
-        edits = extract_edits(result.corrupted, sentence, config)
+        edits = extract_edits(result.corrupted, sentence, lexicons)
         assert len(edits) == 1, (result.corrupted.tokens, sentence.tokens)
         got = edits[0]
         assert (got.start, got.end, got.replacement) == (gold.start, gold.end, gold.replacement)
@@ -445,9 +443,9 @@ def test_criterion_8_out_of_distribution_punct_filtering(mix_a, acceptance_note)
     train_gec(model, [_gec_stage("baseline", bench_a.gec_train)], seed=0)
 
     hypotheses = greedy_decode_batch(model, [pair.source for pair in bench_b.gec_test])
-    config = ExtractConfig(lexicons=bench_b.lexicons())
+    lexicons = bench_b.lexicons()
     hyp_edits = [
-        extract_edits(pair.source, hyp, config)
+        extract_edits(pair.source, hyp, lexicons)
         for hyp, pair in zip(hypotheses, bench_b.gec_test)
     ]
     unfiltered = evaluate_corpus(hyp_edits, bench_b.gec_test)

@@ -5,16 +5,16 @@ import pytest
 
 import geckit.align
 from geckit.align import (
-    ALL_SPLIT,
     DELETE,
+    DELETE_COST,
     INSERT,
+    INSERT_COST,
     MATCH,
-    MERGE_ADJACENT,
+    MATCH_COST,
     SUBSTITUTE,
     TRANSPOSE,
+    TRANSPOSE_COST,
     Alignment,
-    CostConfig,
-    ExtractConfig,
     InflectionTable,
     LexiconSet,
     align_tokens,
@@ -26,12 +26,13 @@ from geckit.align import (
     load_token_set,
     merge_alignment,
     save_lexicons,
+    substitute_cost,
 )
-from geckit.errors import ConfigError, FormatError, InvalidEditSet
+from geckit.errors import FormatError, InvalidEditSet
 from geckit.textcore import DET, ORTH, OTHER, PREP, PUNCT, SPELL, Edit, Sentence, apply_edits
 
 
-def brute_force_cost(src, tgt, cfg):
+def brute_force_cost(src, tgt):
     """Exhaustive minimum alignment cost, memoized top-down recursion.
 
     Mirrors the cost model only; deliberately shares no code with the DP.
@@ -44,16 +45,16 @@ def brute_force_cost(src, tgt, cfg):
         options = []
         if i < len(src) and j < len(tgt):
             if src[i] == tgt[j]:
-                options.append(go(i + 1, j + 1) + cfg.match)
+                options.append(go(i + 1, j + 1) + MATCH_COST)
             else:
-                options.append(go(i + 1, j + 1) + cfg.substitute(src[i], tgt[j]))
+                options.append(go(i + 1, j + 1) + substitute_cost(src[i], tgt[j]))
             if (i + 1 < len(src) and j + 1 < len(tgt)
                     and src[i] == tgt[j + 1] and src[i + 1] == tgt[j]):
-                options.append(go(i + 2, j + 2) + cfg.transpose)
+                options.append(go(i + 2, j + 2) + TRANSPOSE_COST)
         if i < len(src):
-            options.append(go(i + 1, j) + cfg.delete)
+            options.append(go(i + 1, j) + DELETE_COST)
         if j < len(tgt):
-            options.append(go(i, j + 1) + cfg.insert)
+            options.append(go(i, j + 1) + INSERT_COST)
         return min(options)
 
     return go(0, 0)
@@ -74,21 +75,13 @@ class TestCharEditDistance:
         assert char_edit_distance(a, b) == expected
 
 
-class TestCostConfig:
+class TestSubstituteCost:
     def test_case_only_substitution(self):
-        assert CostConfig().substitute("The", "the") == 0.25
+        assert substitute_cost("The", "the") == 0.25
 
     def test_similarity_scaled_substitution(self):
         # d("walk","walks")=1, max len 5: 1 + (1/5)*0.5 = 1.1
-        assert CostConfig().substitute("walk", "walks") == pytest.approx(1.1)
-
-    def test_nonzero_match_cost_rejected(self):
-        with pytest.raises(ConfigError):
-            CostConfig(match=0.5)
-
-    def test_negative_cost_rejected(self):
-        with pytest.raises(ConfigError):
-            CostConfig(delete=-1.0)
+        assert substitute_cost("walk", "walks") == pytest.approx(1.1)
 
 
 class TestAlignTokens:
@@ -121,7 +114,7 @@ class TestAlignTokens:
             src = Sentence(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 8))))
             tgt = Sentence(tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 8))))
             got = align_tokens(src, tgt).cost
-            want = brute_force_cost(src.tokens, tgt.tokens, CostConfig())
+            want = brute_force_cost(src.tokens, tgt.tokens)
             assert got == pytest.approx(want, abs=1e-12), (src.tokens, tgt.tokens)
 
     def test_deterministic_ops(self):
@@ -144,21 +137,15 @@ class TestMergeAlignment:
     def _alignment(self, src, tgt):
         return align_tokens(Sentence(src), Sentence(tgt))
 
-    def test_all_split_one_edit_per_op(self):
-        alignment = self._alignment(("a", "x", "y", "d"), ("a", "p", "q", "d"))
-        edits = merge_alignment(alignment, ALL_SPLIT)
-        assert edits == [Edit(1, 2, ("p",), "UNK"), Edit(2, 3, ("q",), "UNK")]
-
     def test_merge_adjacent_coalesces_runs(self):
         alignment = self._alignment(("a", "x", "y", "d"), ("a", "p", "q", "d"))
-        edits = merge_alignment(alignment, MERGE_ADJACENT)
+        edits = merge_alignment(alignment)
         assert edits == [Edit(1, 3, ("p", "q"), "UNK")]
 
     def test_transpose_stays_single_edit(self):
         alignment = self._alignment(("a", "c", "b"), ("a", "b", "c"))
-        for policy in (ALL_SPLIT, MERGE_ADJACENT):
-            edits = merge_alignment(alignment, policy)
-            assert edits == [Edit(1, 3, ("b", "c"), "UNK")]
+        edits = merge_alignment(alignment)
+        assert edits == [Edit(1, 3, ("b", "c"), "UNK")]
 
     def test_transpose_does_not_merge_into_neighbor_run(self):
         # Swapped pair followed directly by a substitution: the transpose
@@ -167,14 +154,9 @@ class TestMergeAlignment:
         tgt = Sentence(("a", "b", "y"))
         alignment = align_tokens(src, tgt)
         assert [op.kind for op in alignment.ops] == [TRANSPOSE, SUBSTITUTE]
-        edits = merge_alignment(alignment, MERGE_ADJACENT)
+        edits = merge_alignment(alignment)
         assert edits == [Edit(0, 2, ("a", "b"), "UNK"), Edit(2, 3, ("y",), "UNK")]
         assert apply_edits(src, edits).tokens == tgt.tokens
-
-    def test_unknown_policy_rejected(self):
-        alignment = self._alignment(("a",), ("a",))
-        with pytest.raises(ConfigError):
-            merge_alignment(alignment, "merge_all")
 
 
 class TestClassifyEdit:
@@ -246,9 +228,8 @@ class TestExtractEdits:
         for _ in range(500):
             src = Sentence(tuple(rng.choice(vocab) for _ in range(rng.randint(1, 12))))
             tgt = Sentence(tuple(rng.choice(vocab) for _ in range(rng.randint(1, 12))))
-            for policy in (ALL_SPLIT, MERGE_ADJACENT):
-                edits = extract_edits(src, tgt, ExtractConfig(policy=policy))
-                assert apply_edits(src, edits).tokens == tgt.tokens
+            edits = extract_edits(src, tgt)
+            assert apply_edits(src, edits).tokens == tgt.tokens
 
     def test_edits_sorted_and_typed(self):
         src = Sentence(("she", "walk", "to", "park", "!"))
@@ -265,8 +246,8 @@ class TestExtractEdits:
         assert (edits[0].start, edits[0].end, edits[0].replacement) == (1, 2, ("walks",))
 
     def test_lost_edit_raises_invalid_edit_set(self, monkeypatch):
-        def drop_last(alignment, policy=MERGE_ADJACENT):
-            return merge_alignment(alignment, policy)[:-1]
+        def drop_last(alignment):
+            return merge_alignment(alignment)[:-1]
 
         monkeypatch.setattr(geckit.align, "merge_alignment", drop_last)
         with pytest.raises(InvalidEditSet):

@@ -217,28 +217,42 @@ class TestConfigResolution:
         assert "unknown config key 'threads'" in capsys.readouterr().err
         assert main(["synth-gen", "--threads", "2", "--out", str(tmp_path / "x")]) == 1
 
+    # Removed options: --mode everywhere, and build-cola's train and test
+    # fractions (train is what the dev fraction leaves; M2 input has no test).
     @pytest.mark.parametrize(
-        "command",
+        "command,flag,value",
         [
-            "extract-edits",
-            "build-cola",
-            "train-judge",
-            "judge-eval",
-            "train-gec",
-            "decode",
-            "evaluate",
-            "error-analysis",
-            "ablate",
+            pytest.param(command, "--mode", "character", id=command)
+            for command in (
+                "extract-edits",
+                "build-cola",
+                "train-judge",
+                "judge-eval",
+                "train-gec",
+                "decode",
+                "evaluate",
+                "error-analysis",
+                "ablate",
+            )
+        ]
+        + [
+            pytest.param("build-cola", flag, "0.1", id=f"build-cola{flag}")
+            for flag in ("--train-frac", "--test-frac")
         ],
     )
-    def test_mode_is_not_an_option(self, tmp_path, capsys, command):
+    def test_mode_is_not_an_option(self, tmp_path, capsys, command, flag, value):
+        key = flag[2:].replace("-", "_")
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"mode": "character"}), encoding="utf-8")
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
         assert main([command, "--config", str(config)]) == 1
-        assert "unknown config key 'mode'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"unknown config key {key!r}" in err
         # Not even as a prefix of --model (decode, judge-eval).
-        assert main([command, "--mode", "character", "--out", str(tmp_path / "x")]) == 1
-        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+        assert main([command, flag, value, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"unrecognized arguments: {flag}" in err
         assert not (tmp_path / "x").exists()
 
     # Required options point nowhere: the seed is rejected before any file is read.
@@ -366,6 +380,21 @@ class TestBuildCola:
         lines = (out / "cola_train.tsv").read_text(encoding="utf-8").splitlines()
         labels = {line.split("\t")[0] for line in lines}
         assert labels == {"0", "1"}
+        assert not (out / "cola_test.tsv").exists()
+
+    def test_dev_frac_alone_sets_the_dev_split(self, bench_dir, tmp_path):
+        out = tmp_path / "cola"
+        code = main(
+            ["build-cola", "--m2", str(bench_dir / "gec_train.m2"), "--out", str(out),
+             "--dev-frac", "0.2"]
+        )
+        assert code == 0
+        sizes = {
+            name: len((out / f"cola_{name}.tsv").read_text(encoding="utf-8").splitlines())
+            for name in ("train", "dev")
+        }
+        assert sizes["dev"] == round(0.2 * (sizes["train"] + sizes["dev"]))
+        assert sizes["train"] > sizes["dev"] > 0
 
 
 class TestJudgeCommands:

@@ -138,7 +138,7 @@ class TestMergeCorpora:
 
     def test_split_sizes_follow_fractions(self):
         instances = [inst(f"ling item {i}", i % 2) for i in range(200)]
-        corpus = merge_corpora({"l": instances}, SplitConfig(0.8, 0.1, 0.1), seed=3)
+        corpus = merge_corpora({"l": instances}, SplitConfig(dev=0.1, test=0.1), seed=3)
         assert len(corpus.train) == 160
         assert len(corpus.dev) == 20
         assert len(corpus.test) == 20
@@ -146,7 +146,7 @@ class TestMergeCorpora:
     def test_test_capped_by_eligible_pool(self):
         gec = [inst(f"gec item {i}", 0, ORIGIN_GEC_SOURCE) for i in range(90)]
         ling = [inst(f"ling item {i}", 1) for i in range(10)]
-        corpus = merge_corpora({"g": gec, "l": ling}, SplitConfig(0.5, 0.2, 0.3), seed=3)
+        corpus = merge_corpora({"g": gec, "l": ling}, SplitConfig(dev=0.2, test=0.3), seed=3)
         assert len(corpus.test) == 10
         assert len(corpus) == 100
 
@@ -167,9 +167,11 @@ class TestMergeCorpora:
 
     def test_rejects_bad_split(self):
         with pytest.raises(ConfigError):
-            SplitConfig(0.5, 0.5, 0.5)
+            SplitConfig(dev=0.6, test=0.5)
         with pytest.raises(ConfigError):
-            SplitConfig(-0.1, 0.6, 0.5)
+            SplitConfig(dev=-0.1, test=0.5)
+        with pytest.raises(ConfigError):
+            SplitConfig(dev=float("nan"))
 
 
 class TestCorpusStats:

@@ -12,7 +12,6 @@ from geckit.errors import (
     EmptyEvaluation,
     FormatError,
     InvalidLogits,
-    MissingLogits,
 )
 from geckit.judge import (
     ColaScore,
@@ -20,10 +19,8 @@ from geckit.judge import (
     JudgeConfig,
     JudgeModel,
     Logits,
-    LogitsAdapter,
     acc,
     cola_score,
-    emit_logits_tsv,
     evaluate_judge,
     featurize,
     logistic_grad,
@@ -265,49 +262,16 @@ class TestMetrics:
         assert mcc(ConfusionCounts(tp=10, fp=0, fn=0, tn=10)) == 1.0
         assert mcc(ConfusionCounts(tp=0, fp=10, fn=10, tn=0)) == -1.0
 
+    def test_evaluate_judge_accepts_a_duck_typed_judge(self):
+        table = {"she goes home": Logits(-1.0, 2.5), "she go home": Logits(1.5, -0.5)}
 
-class TestLogitsAdapter:
-    TSV = "she goes home\t-1.0\t2.5\nshe go home\t1.5\t-0.5\n"
+        class TableJudge:
+            def logits(self, sentence):
+                return table[sentence.text]
 
-    def test_lookup(self):
-        adapter = LogitsAdapter.from_tsv(self.TSV)
-        lg = adapter.logits(sent("she goes home"))
-        assert (lg.logit0, lg.logit1) == (-1.0, 2.5)
-        assert adapter.score(sent("she go home")).value > 0.5
-
-    def test_missing_sentence(self):
-        adapter = LogitsAdapter.from_tsv(self.TSV)
-        with pytest.raises(MissingLogits):
-            adapter.logits(sent("never seen this"))
-
-    def test_bad_field_count(self):
-        with pytest.raises(FormatError) as err:
-            LogitsAdapter.from_tsv("only one field\n", name="table.tsv")
-        assert err.value.line == 1
-        assert "table.tsv" in str(err.value)
-
-    def test_bad_float(self):
-        with pytest.raises(FormatError):
-            LogitsAdapter.from_tsv("a b\tx\t1.0\n")
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(FormatError):
-            LogitsAdapter.from_tsv("a b\t0\t1\na b\t1\t0\n")
-
-    def test_round_trip(self):
-        adapter = LogitsAdapter.from_tsv(self.TSV)
-        entries = [
-            (sent("she goes home"), adapter.logits(sent("she goes home"))),
-            (sent("she go home"), adapter.logits(sent("she go home"))),
-        ]
-        again = LogitsAdapter.from_tsv(emit_logits_tsv(entries))
-        assert again.table == adapter.table
-
-    def test_works_with_evaluate(self):
-        adapter = LogitsAdapter.from_tsv(self.TSV)
         data = [
             ColaInstance(sent("she goes home"), 1),
             ColaInstance(sent("she go home"), 0),
         ]
-        counts = evaluate_judge(adapter, data)
+        counts = evaluate_judge(TableJudge(), data)
         assert (counts.tp, counts.tn, counts.fp, counts.fn) == (1, 1, 0, 0)

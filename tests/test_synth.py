@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from geckit import synth
-from geckit.align import ExtractConfig, extract_edits, load_lexicons
+from geckit.align import extract_edits, load_lexicons
 from geckit.errors import ConfigError, InvalidEditSet
 from geckit.synth import (
     AGREEMENT_BREAK,
@@ -301,14 +301,14 @@ class TestOracleAgreement:
         single = ErrorInjectionSpec(
             grammar=grammar, kind_weights=spec.kind_weights, count_weights={1: 1.0}
         )
-        config = ExtractConfig(lexicons=grammar.lexicons())
+        lexicons = grammar.lexicons()
         checked = {PUNCT: [0, 0], DET: [0, 0], SPELL: [0, 0]}
         sentences = gen_corpus(grammar, 1500, seed=41)
         for i, sentence in enumerate(sentences):
             result = inject(sentence, single, seed=[17, i])
             if result.skipped:
                 continue
-            extracted = extract_edits(result.corrupted, sentence, config)
+            extracted = extract_edits(result.corrupted, sentence, lexicons)
             gold = result.gold[0]
             assert len(extracted) == 1
             found = extracted[0]
