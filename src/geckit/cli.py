@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -118,6 +119,8 @@ def _coerce(command: str, key: str, opt: _Opt, value):
             if isinstance(value, bool) or not isinstance(value, (int, float, str)):
                 raise ValueError("expected a number")
             result = float(value)
+            if not math.isfinite(result):
+                raise ValueError("expected a finite number")
         elif opt.kind == "str":
             if not isinstance(value, str):
                 raise ValueError("expected a string")
@@ -287,7 +290,7 @@ def _run_train_judge(opts: dict, out: Path) -> list[str]:
         epochs=opts["epochs"],
         lr=opts["lr"],
         l2=opts["l2"],
-        batch_size=None if opts["batch_size"] == 0 else opts["batch_size"],
+        batch_size=opts["batch_size"],
         seed=opts["seed"],
     )
     train = parse_cola_tsv(_read_text(opts["train"]), name=opts["train"])
@@ -320,7 +323,7 @@ def _run_train_gec(opts: dict, out: Path) -> list[str]:
     judge = _load_judge(opts)
     stage, config = _train_recipe(opts, "main", pairs)
     model = Seq2SeqModel(Vocab.from_pairs(pairs), config)
-    log = train_gec(model, [stage], judge=judge, dev_pairs=dev_pairs, seed=opts["seed"])
+    log = train_gec(model, stage, judge=judge, dev_pairs=dev_pairs, seed=opts["seed"])
     model.save(out / "gec_model")
     log.write(out / "train_log.jsonl")
     last = log.last()
@@ -467,7 +470,7 @@ _COMMANDS: dict[str, _Command] = {
             "epochs": _Opt("int", 80, "training epochs"),
             "lr": _Opt("float", 8.0, "learning rate"),
             "l2": _Opt("float", 1e-6, "L2 penalty"),
-            "batch_size": _Opt("int", 64, "minibatch size; 0 = full batch"),
+            "batch_size": _Opt("int", 64, "minibatch size"),
         },
         _run_train_judge,
     ),

@@ -273,7 +273,7 @@ class AblationVariant:
             raise ConfigError("variant name must be non-empty")
         if self.beam_size < 1:
             raise ConfigError(f"variant {self.name!r}: beam_size must be >= 1")
-        if self.rerank_lam < 0:
+        if not self.rerank_lam >= 0:
             raise ConfigError(f"variant {self.name!r}: rerank_lam must be >= 0")
 
 
@@ -383,7 +383,7 @@ def ablation_run(
     for seed in seeds:
         for loss in losses:
             model = Seq2SeqModel(vocab, replace(base_config, seed=seed))
-            train_gec(model, [replace(stage, name=loss, loss=loss)], judge=judge, seed=seed)
+            train_gec(model, replace(stage, name=loss, loss=loss), judge=judge, seed=seed)
             for variant in variants:
                 if variant.loss != loss:
                     continue

@@ -18,7 +18,7 @@ from .losses import (
 from .model import EncoderState, ModelConfig, Seq2SeqModel
 from .optim import Adam, Sgd, clip_gradients, make_optimizer
 from .training import (
-    DEFAULT_DYNAMIC_LR_MULTIPLIER,
+    DYNAMIC_LR_MULTIPLIER,
     TrainLog,
     TrainRecord,
     TrainStage,
@@ -41,8 +41,8 @@ __all__ = [
     "Adam",
     "BOS_ID",
     "BOS_TOKEN",
-    "DEFAULT_DYNAMIC_LR_MULTIPLIER",
     "DYNAMIC",
+    "DYNAMIC_LR_MULTIPLIER",
     "EOS_ID",
     "EOS_TOKEN",
     "EncoderState",

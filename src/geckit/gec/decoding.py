@@ -25,21 +25,13 @@ class Hypothesis:
         return Sentence(self.tokens)
 
 
-def _step_limit(sources: list[Sentence], max_len: int | None) -> int:
-    if max_len is not None:
-        if max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {max_len}")
-        return max_len
+def _step_limit(sources: list[Sentence]) -> int:
     longest = max((len(s) for s in sources), default=0)
     return 2 * longest + 8
 
 
 def greedy_decode_batch(
-    model: Seq2SeqModel,
-    sources: list[Sentence],
-    max_len: int | None = None,
-    *,
-    _enc: EncoderState | None = None,
+    model: Seq2SeqModel, sources: list[Sentence], *, _enc: EncoderState | None = None
 ) -> list[Sentence]:
     """Argmax decoding over a whole batch; ties take the lowest token id.
 
@@ -48,7 +40,7 @@ def greedy_decode_batch(
     """
     if not sources:
         return []
-    limit = _step_limit(sources, max_len)
+    limit = _step_limit(sources)
     enc = model.encode(sources) if _enc is None else _enc
     batch = len(sources)
     s = enc.s0
@@ -82,9 +74,7 @@ def _replicate(enc: EncoderState, count: int) -> EncoderState:
     )
 
 
-def beam_decode(
-    model: Seq2SeqModel, source: Sentence, beam_size: int = 4, max_len: int | None = None
-) -> list[Hypothesis]:
+def beam_decode(model: Seq2SeqModel, source: Sentence, beam_size: int = 4) -> list[Hypothesis]:
     """Beam search returning up to beam_size finished hypotheses.
 
     Candidates are pruned by cumulative log probability with ties broken
@@ -98,7 +88,7 @@ def beam_decode(
     """
     if beam_size < 1:
         raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
-    limit = _step_limit([source], max_len)
+    limit = _step_limit([source])
     enc = model.encode([source])
     alive_tokens: list[tuple[int, ...]] = [()]
     alive_logps = np.zeros(1)
@@ -162,7 +152,7 @@ def rerank_with_cola(
     """
     if not hypotheses:
         raise ConfigError("no hypotheses to rerank")
-    if lam < 0:
+    if not lam >= 0:
         raise ConfigError(f"lam must be >= 0, got {lam}")
     if lam == 0:
         return hypotheses[0].sentence()

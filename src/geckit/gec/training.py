@@ -1,11 +1,11 @@
-"""Staged training for the correction model.
+"""Training for the correction model.
 
-Stages run in order and share the model and optimizer family. A stage
-using the dynamic loss needs a judge: each batch is greedy-decoded with
-the current parameters, the decodes are scored for acceptability, and
-every sentence's cross-entropy is scaled by
-sqrt(judge_dev_accuracy * score) before averaging. Weights are
-constants in the gradient; only the cross-entropy part backpropagates.
+One stage sets the data and the optimization. With the dynamic loss it
+needs a judge: each batch is greedy-decoded with the current
+parameters, the decodes are scored for acceptability, and every
+sentence's cross-entropy is scaled by sqrt(judge_dev_accuracy * score)
+before averaging. Weights are constants in the gradient; only the
+cross-entropy part backpropagates.
 """
 
 from __future__ import annotations
@@ -24,14 +24,16 @@ from .losses import DYNAMIC, LOSS_KINDS, PLAIN_CE, loss_weight
 from .model import Seq2SeqModel
 from .optim import clip_gradients, make_optimizer
 
-# Dynamic-loss stages shrink effective step sizes by the weight factor;
-# the default multiplier compensates. Exposed per stage and logged.
-DEFAULT_DYNAMIC_LR_MULTIPLIER = 2.0
+# The dynamic loss shrinks effective step sizes by the weight factor;
+# this multiplier compensates. The logged lr includes it.
+DYNAMIC_LR_MULTIPLIER = 2.0
+# Largest global L2 norm of one batch's gradients.
+GRAD_CLIP = 5.0
 
 
 @dataclass(frozen=True, slots=True)
 class TrainStage:
-    """One curriculum stage: data plus optimization settings."""
+    """The training data plus optimization settings."""
 
     name: str
     pairs: tuple[AnnotatedPair, ...]
@@ -40,8 +42,6 @@ class TrainStage:
     loss: str = PLAIN_CE
     batch_size: int = 32
     optimizer: str = "adam"
-    dynamic_lr_multiplier: float = DEFAULT_DYNAMIC_LR_MULTIPLIER
-    grad_clip: float = 5.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.pairs, tuple):
@@ -54,16 +54,14 @@ class TrainStage:
             raise ConfigError(f"stage {self.name!r}: unknown loss {self.loss!r}")
         if self.epochs < 1:
             raise ConfigError(f"stage {self.name!r}: epochs must be >= 1")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ConfigError(f"stage {self.name!r}: lr must be positive")
         if self.batch_size < 1:
             raise ConfigError(f"stage {self.name!r}: batch_size must be >= 1")
-        if self.dynamic_lr_multiplier <= 0:
-            raise ConfigError(f"stage {self.name!r}: dynamic_lr_multiplier must be positive")
 
     @property
     def effective_lr(self) -> float:
-        return self.lr * (self.dynamic_lr_multiplier if self.loss == DYNAMIC else 1.0)
+        return self.lr * (DYNAMIC_LR_MULTIPLIER if self.loss == DYNAMIC else 1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,73 +113,68 @@ def _dev_f05(model: Seq2SeqModel, dev_pairs) -> float:
 
 def train_gec(
     model: Seq2SeqModel,
-    stages: list[TrainStage],
+    stage: TrainStage,
     judge=None,
     dev_pairs: list[AnnotatedPair] | None = None,
     seed: int = 0,
 ) -> TrainLog:
-    """Run the stage schedule on the model in place, returning the log.
+    """Train the model in place on one stage, returning the log.
 
-    Batches are shuffled by a generator derived from (seed, stage,
-    epoch), so runs are reproducible given the same model
-    initialization.
+    Batches are shuffled by a generator derived from (seed, 0, epoch),
+    so runs are reproducible given the same model initialization.
     """
-    for stage in stages:
-        if stage.loss == DYNAMIC:
-            if judge is None:
-                raise ConfigError(f"stage {stage.name!r} uses the dynamic loss but no judge was given")
-            accuracy = getattr(judge, "dev_accuracy", None)
-            if accuracy is None or not (0.0 < accuracy <= 1.0):
-                raise ConfigError(
-                    f"stage {stage.name!r}: judge dev accuracy {accuracy!r} is unusable"
-                )
+    if stage.loss == DYNAMIC:
+        if judge is None:
+            raise ConfigError(f"stage {stage.name!r} uses the dynamic loss but no judge was given")
+        accuracy = getattr(judge, "dev_accuracy", None)
+        if accuracy is None or not (0.0 < accuracy <= 1.0):
+            raise ConfigError(f"stage {stage.name!r}: judge dev accuracy {accuracy!r} is unusable")
+    optimizer = make_optimizer(stage.optimizer, stage.effective_lr)
+    sources = [pair.source for pair in stage.pairs]
+    targets = []
+    for pair in stage.pairs:
+        if pair.target is None:
+            raise ConfigError(f"stage {stage.name!r}: pair without a target sentence")
+        targets.append(pair.target)
+    n = len(stage.pairs)
     log = TrainLog()
-    for stage_idx, stage in enumerate(stages):
-        optimizer = make_optimizer(stage.optimizer, stage.effective_lr)
-        sources = [pair.source for pair in stage.pairs]
-        targets = []
-        for pair in stage.pairs:
-            if pair.target is None:
-                raise ConfigError(f"stage {stage.name!r}: pair without a target sentence")
-            targets.append(pair.target)
-        n = len(stage.pairs)
-        for epoch in range(1, stage.epochs + 1):
-            rng = np.random.default_rng([seed, stage_idx, epoch])
-            order = rng.permutation(n)
-            loss_sum = 0.0
-            weight_sum = 0.0
-            clamped_total = 0
-            for start in range(0, n, stage.batch_size):
-                batch_idx = order[start : start + stage.batch_size]
-                batch_src = [sources[i] for i in batch_idx]
-                batch_tgt = [targets[i] for i in batch_idx]
-                enc = None
-                if stage.loss == DYNAMIC:
-                    enc = model.encode(batch_src)  # shared by the decode and the loss
-                    decoded = greedy_decode_batch(model, batch_src, _enc=enc)
-                    weights = np.array(
-                        [loss_weight(judge.dev_accuracy, judge.score(hyp).value) for hyp in decoded]
-                    )
-                else:
-                    weights = np.ones(len(batch_idx))
-                nll, grads, clamped = model.loss_and_grads(
-                    batch_src, batch_tgt, sentence_scale=weights / len(batch_idx), _enc=enc
+    for epoch in range(1, stage.epochs + 1):
+        # The 0 keeps the stream of the former stage-list trainer's only stage.
+        order = np.random.default_rng([seed, 0, epoch]).permutation(n)
+        loss_sum = 0.0
+        weight_sum = 0.0
+        clamped_total = 0
+        for start in range(0, n, stage.batch_size):
+            batch_idx = order[start : start + stage.batch_size]
+            batch_src = [sources[i] for i in batch_idx]
+            batch_tgt = [targets[i] for i in batch_idx]
+            enc = None
+            if stage.loss == DYNAMIC:
+                enc = model.encode(batch_src)  # shared by the decode and the loss
+                decoded = greedy_decode_batch(model, batch_src, _enc=enc)
+                weights = np.array(
+                    [loss_weight(judge.dev_accuracy, judge.score(hyp).value) for hyp in decoded]
                 )
-                clip_gradients(grads, stage.grad_clip)
-                optimizer.step(model.params, grads)
-                loss_sum += float(weights @ nll)
-                weight_sum += float(weights.sum())
-                clamped_total += clamped
-            dev_f05 = _dev_f05(model, dev_pairs) if dev_pairs else None
-            log.records.append(
-                TrainRecord(
-                    stage=stage.name,
-                    epoch=epoch,
-                    mean_loss=loss_sum / n,
-                    mean_weight=weight_sum / n,
-                    dev_f05=dev_f05,
-                    lr=stage.effective_lr,
-                    clamped_steps=clamped_total,
-                )
+            else:
+                weights = np.ones(len(batch_idx))
+            nll, grads, clamped = model.loss_and_grads(
+                batch_src, batch_tgt, sentence_scale=weights / len(batch_idx), _enc=enc
             )
+            clip_gradients(grads, GRAD_CLIP)
+            optimizer.step(model.params, grads)
+            loss_sum += float(weights @ nll)
+            weight_sum += float(weights.sum())
+            clamped_total += clamped
+        dev_f05 = _dev_f05(model, dev_pairs) if dev_pairs else None
+        log.records.append(
+            TrainRecord(
+                stage=stage.name,
+                epoch=epoch,
+                mean_loss=loss_sum / n,
+                mean_weight=weight_sum / n,
+                dev_f05=dev_f05,
+                lr=stage.effective_lr,
+                clamped_steps=clamped_total,
+            )
+        )
     return log

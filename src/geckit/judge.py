@@ -38,6 +38,9 @@ _EOS_MARK = "\x03"
 
 MODEL_FORMAT = "acceptability-judge"
 MODEL_VERSION = 1
+# Character n-gram lengths hashed into features, inclusive.
+NGRAM_MIN = 1
+NGRAM_MAX = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,42 +99,36 @@ def cola_score(logits: Logits) -> ColaScore:
 @dataclass(frozen=True, slots=True)
 class JudgeConfig:
     dim: int = 2**18
-    ngram_min: int = 1
-    ngram_max: int = 4
     epochs: int = 80
     lr: float = 8.0
     l2: float = 1e-6
-    batch_size: int | None = 64
+    batch_size: int = 64
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.dim < 4:
             raise ConfigError(f"hash dimension too small: {self.dim}")
-        if not (1 <= self.ngram_min <= self.ngram_max):
-            raise ConfigError(f"bad n-gram range ({self.ngram_min}, {self.ngram_max})")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.l2 < 0:
+        if not self.l2 >= 0:
             raise ConfigError(f"l2 must be >= 0, got {self.l2}")
-        if self.batch_size is not None and self.batch_size < 1:
+        if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def _feature_counts(text: str, dim: int, ngram_min: int, ngram_max: int) -> dict[int, float]:
+def _feature_counts(text: str, dim: int) -> dict[int, float]:
     padded = _BOS_MARK + text + _EOS_MARK
     counts: dict[int, float] = {}
-    for n in range(ngram_min, ngram_max + 1):
+    for n in range(NGRAM_MIN, NGRAM_MAX + 1):
         for i in range(len(padded) - n + 1):
             idx = zlib.crc32(padded[i : i + n].encode("utf-8")) % dim
             counts[idx] = counts.get(idx, 0.0) + 1.0
     return counts
 
 
-def featurize(
-    sentences: Sequence[Sentence], dim: int, ngram_min: int = 1, ngram_max: int = 4
-) -> sparse.csr_matrix:
+def featurize(sentences: Sequence[Sentence], dim: int) -> sparse.csr_matrix:
     """Hashed n-gram count rows, each L2-normalized."""
     from scipy import sparse  # imported here so that only judge training loads scipy
 
@@ -139,7 +136,7 @@ def featurize(
     indices: list[int] = []
     data: list[float] = []
     for sentence in sentences:
-        counts = _feature_counts(sentence.text, dim, ngram_min, ngram_max)
+        counts = _feature_counts(sentence.text, dim)
         norm = math.sqrt(sum(v * v for v in counts.values())) or 1.0
         for idx in sorted(counts):
             indices.append(idx)
@@ -201,8 +198,6 @@ class JudgeModel:
     bias0: float
     bias1: float
     dim: int
-    ngram_min: int = 1
-    ngram_max: int = 4
     seed: int = 0
     epochs: int = 0
     dev_accuracy: float | None = None
@@ -224,7 +219,7 @@ class JudgeModel:
         cached = self._margins.get(text)
         if cached is not None:
             return cached
-        counts = _feature_counts(text, self.dim, self.ngram_min, self.ngram_max)
+        counts = _feature_counts(text, self.dim)
         norm = math.sqrt(sum(v * v for v in counts.values())) or 1.0
         value = sum(self.weights[i] * v for i, v in counts.items()) / norm
         self._margins[text] = value
@@ -242,8 +237,8 @@ class JudgeModel:
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "dim": self.dim,
-            "ngram_min": self.ngram_min,
-            "ngram_max": self.ngram_max,
+            "ngram_min": NGRAM_MIN,
+            "ngram_max": NGRAM_MAX,
             "bias0": self.bias0,
             "bias1": self.bias1,
             "seed": self.seed,
@@ -279,8 +274,11 @@ class JudgeModel:
         if bad:
             raise FormatError(f"bad values for {bad}", name=name)
         dim = payload["dim"]
-        if dim < 1 or not (1 <= payload["ngram_min"] <= payload["ngram_max"]):
-            raise FormatError(f"bad dim {dim} or n-gram range", name=name)
+        ngrams = (payload["ngram_min"], payload["ngram_max"])
+        if dim < 1 or ngrams != (NGRAM_MIN, NGRAM_MAX):
+            raise FormatError(
+                f"bad dim {dim} or n-gram range {ngrams}, not ({NGRAM_MIN}, {NGRAM_MAX})", name=name
+            )
         try:
             indices = np.asarray(payload["weight_indices"])
             values = np.asarray(payload["weight_values"])
@@ -304,8 +302,6 @@ class JudgeModel:
             bias0=payload["bias0"],
             bias1=payload["bias1"],
             dim=dim,
-            ngram_min=payload["ngram_min"],
-            ngram_max=payload["ngram_max"],
             seed=payload["seed"],
             epochs=payload["epochs"],
             dev_accuracy=payload["dev_accuracy"],
@@ -318,53 +314,34 @@ def train_judge(
     dev: Sequence[ColaInstance],
     config: JudgeConfig | None = None,
 ) -> JudgeModel:
-    """Fit the judge deterministically under config.seed.
+    """Fit the judge by minibatch SGD, deterministically under config.seed.
 
-    Full-batch mode (batch_size None) uses gradient descent with
-    backtracking halving, so the training loss never increases between
-    epochs. Minibatch mode shuffles with a per-epoch generator derived
-    from the seed.
+    Each epoch shuffles with a generator derived from (seed, epoch).
     """
     cfg = config or JudgeConfig()
     labels = {inst.label for inst in train}
     if len(labels) < 2:
         raise DegenerateCorpus(f"training labels {sorted(labels)} cover a single class")
-    x = featurize([inst.sentence for inst in train], cfg.dim, cfg.ngram_min, cfg.ngram_max)
+    x = featurize([inst.sentence for inst in train], cfg.dim)
     y = np.array([float(inst.label) for inst in train])
     w = np.zeros(cfg.dim)
     b0 = b1 = 0.0
-    if cfg.batch_size is None:
-        loss = logistic_loss(w, b0, b1, x, y, cfg.l2)
-        for _ in range(cfg.epochs):
-            gw, gb0, gb1 = logistic_grad(w, b0, b1, x, y, cfg.l2)
-            step = cfg.lr
-            while step > 1e-12:
-                cand = (w - step * gw, b0 - step * gb0, b1 - step * gb1)
-                cand_loss = logistic_loss(*cand, x, y, cfg.l2)
-                if cand_loss <= loss:
-                    w, b0, b1 = cand
-                    loss = cand_loss
-                    break
-                step /= 2.0
-    else:
-        n = len(train)
-        for epoch in range(cfg.epochs):
-            rng = np.random.default_rng([cfg.seed, epoch])
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                gw, gb0, gb1 = logistic_grad(w, b0, b1, x[batch], y[batch], cfg.l2)
-                w -= cfg.lr * gw
-                b0 -= cfg.lr * gb0
-                b1 -= cfg.lr * gb1
-        loss = logistic_loss(w, b0, b1, x, y, cfg.l2)
+    n = len(train)
+    for epoch in range(cfg.epochs):
+        rng = np.random.default_rng([cfg.seed, epoch])
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            gw, gb0, gb1 = logistic_grad(w, b0, b1, x[batch], y[batch], cfg.l2)
+            w -= cfg.lr * gw
+            b0 -= cfg.lr * gb0
+            b1 -= cfg.lr * gb1
+    loss = logistic_loss(w, b0, b1, x, y, cfg.l2)
     model = JudgeModel(
         weights=w,
         bias0=b0,
         bias1=b1,
         dim=cfg.dim,
-        ngram_min=cfg.ngram_min,
-        ngram_max=cfg.ngram_max,
         seed=cfg.seed,
         epochs=cfg.epochs,
         train_loss=loss,

@@ -440,7 +440,7 @@ def test_criterion_8_out_of_distribution_punct_filtering(mix_a, acceptance_note)
     sources = [pair.source for pair in bench_a.gec_train]
     targets = [pair.target for pair in bench_a.gec_train]
     model = Seq2SeqModel(Vocab.from_sentences(sources + targets), GEC_MODEL)
-    train_gec(model, [_gec_stage("baseline", bench_a.gec_train)], seed=0)
+    train_gec(model, _gec_stage("baseline", bench_a.gec_train), seed=0)
 
     hypotheses = greedy_decode_batch(model, [pair.source for pair in bench_b.gec_test])
     lexicons = bench_b.lexicons()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import geckit
-from geckit.cli import main
+from geckit.cli import _COMMANDS, main
 from geckit.textcore import apply_edits, parse_m2
 
 SMALL_BENCH = [
@@ -292,6 +292,30 @@ class TestConfigResolution:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: ablate: option 'seeds' must all be >= 0, got [-1, 2]\n"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            (command, key)
+            for command, spec in _COMMANDS.items()
+            for key, opt in spec.opts.items()
+            if opt.kind == "float"
+        ],
+    )
+    def test_non_finite_float_is_one_error_line(self, tmp_path, capsys, command, key, value, source):
+        argv = [command, "--out", str(tmp_path / "x")]
+        if source == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({key: float(value)}), encoding="utf-8")  # NaN, Infinity
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {command}: bad value for config key {key!r}: expected a finite number\n"
+        assert not (tmp_path / "x").exists()
+
 
 class TestSynthGen:
     def test_outputs_exist(self, bench_dir):
@@ -402,6 +426,15 @@ class TestJudgeCommands:
         metrics = json.loads((judge_dir / "judge_metrics.json").read_text(encoding="utf-8"))
         assert set(metrics) == {"accuracy", "mcc", "tp", "fp", "fn", "tn", "total"}
         assert (judge_dir / "judge.json").exists()
+
+    def test_train_judge_rejects_batch_size_zero(self, bench_dir, tmp_path, capsys):
+        code = main(
+            ["train-judge", "--train", str(bench_dir / "cola_train.tsv"),
+             "--dev", str(bench_dir / "cola_dev.tsv"), "--batch-size", "0",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "batch_size must be >= 1" in _single_error_line(capsys)
 
     def test_judge_eval(self, bench_dir, judge_dir, tmp_path):
         out = tmp_path / "eval"
@@ -540,6 +573,7 @@ JUDGE_CORRUPTIONS = {
     "unsorted indices": lambda d: d["weight_indices"].reverse(),
     "short values": lambda d: d["weight_values"].pop(),
     "text values": lambda d: d.update(weight_values=["x"] * len(d["weight_values"])),
+    "n-gram range": lambda d: d.update(ngram_max=3),
 }
 
 META_CORRUPTIONS = {

@@ -436,7 +436,7 @@ class TestAblation:
             expected = []
             for seed in seeds:
                 model = Seq2SeqModel(vocab, replace(config, seed=seed))
-                train_gec(model, [replace(stage, loss=variant.loss)], judge=judge, seed=seed)
+                train_gec(model, replace(stage, loss=variant.loss), judge=judge, seed=seed)
                 if variant.rerank:
                     decoded = [
                         rerank_with_cola(

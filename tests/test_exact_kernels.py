@@ -30,6 +30,7 @@ from geckit.gec import (
 )
 from geckit.gec import model as gec_model
 from geckit.gec.decoding import Hypothesis, _replicate, _step_limit
+from geckit.gec.training import GRAD_CLIP
 from geckit.gec.vocab import BOS_ID, EOS_ID, SPECIALS
 from geckit.judge import JudgeModel, _feature_counts, sigmoid
 from geckit.textcore import OTHER, AnnotatedPair, Edit, Sentence
@@ -127,7 +128,7 @@ class LengthJudge:
 
 
 def reference_train(model, stage, judge, seed):
-    """train_gec's single-stage loop with the decode and the loss each encoding the batch."""
+    """train_gec's loop with the decode and the loss each encoding the batch."""
     optimizer = make_optimizer(stage.optimizer, stage.effective_lr)
     sources = [pair.source for pair in stage.pairs]
     targets = [pair.target for pair in stage.pairs]
@@ -147,7 +148,7 @@ def reference_train(model, stage, judge, seed):
             _nll, grads, _clamped = model.loss_and_grads(
                 batch_src, batch_tgt, sentence_scale=weights / len(batch_idx)
             )
-            clip_gradients(grads, stage.grad_clip)
+            clip_gradients(grads, GRAD_CLIP)
             optimizer.step(model.params, grads)
 
 
@@ -159,7 +160,7 @@ class TestSharedEncoding:
         config = ModelConfig(embed_dim=6, hidden_dim=10, seed=5)
         stage = TrainStage(name="s", pairs=pairs, epochs=3, lr=0.05, loss=loss, batch_size=7)
         shared, unshared = Seq2SeqModel(vocab, config), Seq2SeqModel(vocab, config)
-        train_gec(shared, [stage], judge=LengthJudge(), seed=4)
+        train_gec(shared, stage, judge=LengthJudge(), seed=4)
         reference_train(unshared, stage, LengthJudge(), seed=4)
         assert sorted(shared.params) == sorted(unshared.params)
         for name in shared.params:
@@ -177,7 +178,7 @@ class TestSharedEncoding:
 
 
 def reference_margin(judge, sentence):
-    counts = _feature_counts(sentence.text, judge.dim, judge.ngram_min, judge.ngram_max)
+    counts = _feature_counts(sentence.text, judge.dim)
     norm = math.sqrt(sum(v * v for v in counts.values())) or 1.0
     return sum(judge.weights[i] * v for i, v in counts.items()) / norm
 
@@ -185,7 +186,7 @@ def reference_margin(judge, sentence):
 class TestMarginMemo:
     def test_memoized_margins_equal_fresh(self):
         weights = np.random.default_rng(6).normal(0.0, 3.0, 512)
-        judge = JudgeModel(weights=weights, bias0=0.1, bias1=-0.2, dim=512, ngram_max=3)
+        judge = JudgeModel(weights=weights, bias0=0.1, bias1=-0.2, dim=512)
         texts = random_sentences(random.Random(6), 60) * 3
         fresh = [reference_margin(judge, s) for s in texts]
         assert np.array_equal([judge.margin(s) for s in texts], fresh)
@@ -198,7 +199,7 @@ def reference_beam(model, source, beam_size):
     alive_tokens, alive_logps = [()], np.zeros(1)
     alive_states, alive_last = enc.s0, np.full(1, BOS_ID, dtype=np.int64)
     finished, steps = [], 0
-    for _ in range(_step_limit([source], None)):
+    for _ in range(_step_limit([source])):
         k = len(alive_tokens)
         logp, states = model.decode_step(_replicate(enc, k), alive_states, alive_last)
         steps += 1
