@@ -119,15 +119,24 @@ class TestGreedyAndBeam:
         b = beam_decode(model, sent("c d e f"), beam_size=4)
         assert a == b
 
-    def test_truncated_exactly_at_step_limit(self):
-        # An untrained model rarely emits EOS, so its searches hit the limit.
-        source = sent("a b c d e f")
+    @staticmethod
+    def untrained(source):
+        # An untrained model rarely emits EOS, so its searches hit the
+        # fixed step limit of 2 * |source| + 8 tokens.
         model = Seq2SeqModel(Vocab.from_sentences([source]), ModelConfig(embed_dim=4, hidden_dim=4))
-        limit = 2 * len(source) + 8
+        return model, 2 * len(source) + 8
+
+    def test_max_len_truncates_and_flags(self):
+        source = sent("a b c d e f")
+        model, limit = self.untrained(source)
         hyps = beam_decode(model, source, beam_size=2)
         assert any(h.truncated for h in hyps)
         for h in hyps:
             assert h.truncated == (len(h.tokens) == limit)
+
+    def test_greedy_respects_max_len(self):
+        source = sent("a b c d e f")
+        model, limit = self.untrained(source)
         assert len(greedy_decode_batch(model, [source])[0]) <= limit
 
     def test_empty_source_decodes(self, copy_model):
