@@ -5,7 +5,9 @@ Option resolution order, lowest to highest: built-in defaults, the
 variables, explicit command-line flags. Config keys use the flag names
 with underscores; unknown keys are rejected.
 
-Every run writes an effective-config snapshot
+Every option value, and the training pairs a training stage holds, is
+checked before the output directory is made, so a rejected value
+leaves nothing behind. Every run writes an effective-config snapshot
 (<subcommand>.config.json) beside its outputs. Reports are JSON plus an
 aligned plain-text table and are bytewise identical across reruns with
 the same configuration; wall-clock timestamps go only to the run.log
@@ -225,8 +227,13 @@ def _judge_report(counts) -> tuple[dict, str]:
 
 # --- subcommand runners -----------------------------------------------------
 
+# A runner checks its options and builds its config objects, then calls
+# start() once: it makes the output directory, writes the config snapshot
+# and returns the directory. So nothing is written for a rejected value.
+_Start = Callable[[], Path]
 
-def _run_synth_gen(opts: dict, out: Path) -> list[str]:
+
+def _run_synth_gen(opts: dict, start: _Start) -> list[str]:
     grammar, spec = make_preset(opts["preset"], seed=opts["seed"])
     sizes = SizeConfig(
         gec_train=opts["gec_train"],
@@ -234,12 +241,14 @@ def _run_synth_gen(opts: dict, out: Path) -> list[str]:
         gec_test=opts["gec_test"],
         cola_pairs=opts["cola_pairs"],
     )
+    out = start()
     benchmark = make_benchmark(grammar, spec, sizes, seed=opts["seed"])
     paths = write_benchmark(benchmark, out)
     return [f"wrote benchmark {opts['preset']!r} to {out} ({len(paths)} entries)"]
 
 
-def _run_extract_edits(opts: dict, out: Path) -> list[str]:
+def _run_extract_edits(opts: dict, start: _Start) -> list[str]:
+    out = start()
     sources = _read_sentences(opts["source"])
     targets = _read_sentences(opts["target"])
     if len(sources) != len(targets):
@@ -262,16 +271,18 @@ def _run_extract_edits(opts: dict, out: Path) -> list[str]:
     return [f"wrote {out / 'edits.m2'} ({len(pairs)} sentences, {n_edits} edits)"]
 
 
-def _run_build_cola(opts: dict, out: Path) -> list[str]:
+def _run_build_cola(opts: dict, start: _Start) -> list[str]:
     filters = FilterConfig(opts["min_len"], opts["max_len"], opts["max_edits"])
+    # M2 input yields only GEC-origin instances, which never enter test.
+    split = SplitConfig(dev=opts["dev_frac"], test=0.0)
+    out = start()
     parts = {}
     for path in opts["m2"]:
         pairs = parse_m2(_read_text(path), name=path)
         parts[path] = build_cola_from_gec(pairs, filters)
-    # M2 input yields only GEC-origin instances, which never enter test.
     corpus = merge_corpora(
         parts,
-        SplitConfig(dev=opts["dev_frac"], test=0.0),
+        split,
         seed=opts["seed"],
         dedupe=not opts["no_dedupe"],
         balance=bool(opts["balance"]),
@@ -284,7 +295,7 @@ def _run_build_cola(opts: dict, out: Path) -> list[str]:
     return [f"wrote cola splits to {out} ({len(corpus)} instances)"]
 
 
-def _run_train_judge(opts: dict, out: Path) -> list[str]:
+def _run_train_judge(opts: dict, start: _Start) -> list[str]:
     config = JudgeConfig(
         dim=opts["dim"],
         epochs=opts["epochs"],
@@ -293,6 +304,7 @@ def _run_train_judge(opts: dict, out: Path) -> list[str]:
         batch_size=opts["batch_size"],
         seed=opts["seed"],
     )
+    out = start()
     train = parse_cola_tsv(_read_text(opts["train"]), name=opts["train"])
     dev = parse_cola_tsv(_read_text(opts["dev"]), name=opts["dev"])
     model = train_judge(train, dev, config)
@@ -306,7 +318,8 @@ def _run_train_judge(opts: dict, out: Path) -> list[str]:
     ]
 
 
-def _run_judge_eval(opts: dict, out: Path) -> list[str]:
+def _run_judge_eval(opts: dict, start: _Start) -> list[str]:
+    out = start()
     model = JudgeModel.load(opts["model"])
     instances = parse_cola_tsv(_read_text(opts["data"]), name=opts["data"])
     data, text = _judge_report(evaluate_judge(model, instances))
@@ -315,13 +328,16 @@ def _run_judge_eval(opts: dict, out: Path) -> list[str]:
     return [f"accuracy {data['accuracy']:.4f}, mcc {data['mcc']:.4f} on {data['total']} instances"]
 
 
-def _run_train_gec(opts: dict, out: Path) -> list[str]:
+def _run_train_gec(opts: dict, start: _Start) -> list[str]:
+    if opts["loss"] == DYNAMIC and not opts["judge"]:
+        raise ConfigError("train-gec: the dynamic loss needs option 'judge'")
     pairs = parse_m2(_read_text(opts["train"]), name=opts["train"])
+    stage, config = _train_recipe(opts, "main", pairs)
+    out = start()
     dev_pairs = None
     if opts["dev"]:
         dev_pairs = parse_m2(_read_text(opts["dev"]), name=opts["dev"])
     judge = _load_judge(opts)
-    stage, config = _train_recipe(opts, "main", pairs)
     model = Seq2SeqModel(Vocab.from_pairs(pairs), config)
     log = train_gec(model, stage, judge=judge, dev_pairs=dev_pairs, seed=opts["seed"])
     model.save(out / "gec_model")
@@ -335,7 +351,12 @@ def _run_train_gec(opts: dict, out: Path) -> list[str]:
     return lines
 
 
-def _run_decode(opts: dict, out: Path) -> list[str]:
+def _run_decode(opts: dict, start: _Start) -> list[str]:
+    if opts["beam"] < 1:
+        raise ConfigError(f"decode: beam_size must be >= 1, got {opts['beam']}")
+    if opts["judge"] and opts["rerank_lam"] < 0:
+        raise ConfigError(f"decode: rerank_lam must be >= 0, got {opts['rerank_lam']}")
+    out = start()
     model = Seq2SeqModel.load(opts["model"])
     sources = _read_sentences(opts["input"])
     decoded = decode(model, sources, opts["beam"], _load_judge(opts), opts["rerank_lam"])
@@ -343,7 +364,8 @@ def _run_decode(opts: dict, out: Path) -> list[str]:
     return [f"wrote {out / 'corrected.txt'} ({len(decoded)} sentences)"]
 
 
-def _run_evaluate(opts: dict, out: Path) -> list[str]:
+def _run_evaluate(opts: dict, start: _Start) -> list[str]:
+    out = start()
     hyps, pairs = _read_hypotheses(opts)
     report = evaluate_hypotheses(hyps, pairs, _load_lexicons(opts))
     _write_json(out / "evaluate.json", report.to_json_dict())
@@ -352,13 +374,14 @@ def _run_evaluate(opts: dict, out: Path) -> list[str]:
     return [f"P {d['precision']:.2f}  R {d['recall']:.2f}  F0.5 {d['f0.5']:.2f}"]
 
 
-def _run_error_analysis(opts: dict, out: Path) -> list[str]:
+def _run_error_analysis(opts: dict, start: _Start) -> list[str]:
     for etype in opts["types"]:
         if etype not in CORE_ERROR_TYPES:
             raise ConfigError(
                 f"error-analysis: unknown error type {etype!r} in 'types'"
                 f" (known: {', '.join(CORE_ERROR_TYPES)})"
             )
+    out = start()
     hyps, pairs = _read_hypotheses(opts)
     lexicons = _load_lexicons(opts)
     hyp_edits = [extract_edits(pair.source, hyp, lexicons) for hyp, pair in zip(hyps, pairs)]
@@ -379,16 +402,12 @@ def _run_error_analysis(opts: dict, out: Path) -> list[str]:
     return table.splitlines()
 
 
-def _run_ablate(opts: dict, out: Path) -> list[str]:
+def _run_ablate(opts: dict, start: _Start) -> list[str]:
     if not opts.get("judge"):
         raise ConfigError(
             "ablate: missing required option 'judge'"
             " (the variant grid includes dynamic-loss and reranking rows)"
         )
-    train_pairs = parse_m2(_read_text(opts["train"]), name=opts["train"])
-    test_pairs = parse_m2(_read_text(opts["test"]), name=opts["test"])
-    judge = _load_judge(opts)
-    stage, config = _train_recipe(opts, "ablate", train_pairs)
     rerank = {"rerank": True, "beam_size": opts["beam"], "rerank_lam": opts["rerank_lam"]}
     variants = (
         AblationVariant("plain_ce", loss=PLAIN_CE),
@@ -396,6 +415,11 @@ def _run_ablate(opts: dict, out: Path) -> list[str]:
         AblationVariant("plain_ce+rerank", loss=PLAIN_CE, **rerank),
         AblationVariant("dynamic+rerank", loss=DYNAMIC, **rerank),
     )
+    train_pairs = parse_m2(_read_text(opts["train"]), name=opts["train"])
+    stage, config = _train_recipe(opts, "ablate", train_pairs)
+    out = start()
+    test_pairs = parse_m2(_read_text(opts["test"]), name=opts["test"])
+    judge = _load_judge(opts)
     report = ablation_run(variants, stage, test_pairs, config, judge=judge, seeds=opts["seeds"])
     _write_json(out / "ablation.json", report.to_json_dict())
     (out / "ablation.txt").write_text(report.render_table(), encoding="utf-8")
@@ -409,7 +433,7 @@ def _run_ablate(opts: dict, out: Path) -> list[str]:
 class _Command:
     help: str
     opts: dict
-    run: Callable[[dict, Path], list[str]]
+    run: Callable[[dict, _Start], list[str]]
 
 
 _LEXICONS_OPT = _Opt("str", None, "lexicon directory for edit classification")
@@ -620,8 +644,11 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     # numpy's seed sequences take only non-negative integers.
     if resolved["seed"] < 0:
         raise ConfigError(f"{command}: option 'seed' must be >= 0, got {resolved['seed']}")
-    if any(seed < 0 for seed in resolved.get("seeds", ())):
-        raise ConfigError(f"{command}: option 'seeds' must all be >= 0, got {list(resolved['seeds'])}")
+    seeds = list(resolved.get("seeds", ()))
+    if any(seed < 0 for seed in seeds):
+        raise ConfigError(f"{command}: option 'seeds' must all be >= 0, got {seeds}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{command}: option 'seeds' must be unique, got {seeds}")
     return resolved
 
 
@@ -632,32 +659,34 @@ def _log_line(out: Path, command: str, status: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    command = None
+    out = None  # set once the run has started, so that a failure is logged
+
+    def start() -> Path:
+        nonlocal out
+        path = Path(opts["out"])
+        path.mkdir(parents=True, exist_ok=True)
+        _write_json(path / f"{command}.config.json", {"subcommand": command, **opts})
+        _log_line(path, command, "started")
+        out = path
+        return path
+
     try:
         args = build_parser().parse_args(argv)
-        if args.command is None:
+        command = args.command
+        if command is None:
             raise ConfigError("no subcommand given (see geckit --help)")
-        opts = resolve_options(args.command, args)
-        out = Path(opts["out"])
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / f"{args.command}.config.json", {"subcommand": args.command, **opts})
-        _log_line(out, args.command, "started")
-    except GeckitError as exc:
+        opts = resolve_options(command, args)
+        summary = _COMMANDS[command].run(opts, start)
+    except (GeckitError, OSError) as exc:
+        if out is not None:
+            _log_line(out, command, f"failed: {exc}")
+        if isinstance(exc, OSError):
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        summary = _COMMANDS[args.command].run(opts, out)
-    except GeckitError as exc:
-        _log_line(out, args.command, f"failed: {exc}")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        _log_line(out, args.command, f"failed: {exc}")
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    _log_line(out, args.command, "finished")
+    _log_line(out, command, "finished")
     for line in summary:
         print(line)
     return 0

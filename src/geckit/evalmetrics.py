@@ -9,6 +9,7 @@ legitimate alternative reference.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -332,6 +333,22 @@ class AblationReport:
         return prf_table("variant", [(name, self.means[name]) for name in self.variants])
 
 
+# The grid's group function inside a pool worker; set only there, by the
+# pool's initializer. Under fork the function and all it closes over
+# (vocab, stage, judge with its memo, test pairs) reach each worker by
+# inheritance: only (seed, loss) keys and Prf rows are pickled.
+_group = None
+
+
+def _set_group(group) -> None:
+    global _group
+    _group = group
+
+
+def _run_group(key: tuple[int, str]) -> list[Prf]:
+    return _group(key)
+
+
 def ablation_run(
     variants: Sequence[AblationVariant],
     stage,
@@ -351,6 +368,11 @@ def ablation_run(
     model unchanged, so this equals a fresh model per (variant, seed)
     cell. Reported cells are means over seeds; the per-seed values are
     kept so the means can be recomputed.
+
+    The (seed, loss) groups are independent and fully seeded, so they
+    run in a fork pool, one worker per usable CPU up to the number of
+    groups, and their scores are put back in seed-major order. With one
+    worker they run in this process. Either way the report is the same.
     """
     # Imported here because the trainer itself imports this module.
     from .gec import (
@@ -378,23 +400,39 @@ def ablation_run(
     base_config = model_config or ModelConfig()
     vocab = Vocab.from_pairs(stage.pairs)
     sources = [pair.source for pair in test_pairs]
-    losses = list(dict.fromkeys(v.loss for v in variants))
+    # The variants of each loss, in the order the variants are given.
+    losses = dict.fromkeys(v.loss for v in variants)
+    by_loss = {loss: [v for v in variants if v.loss == loss] for loss in losses}
+
+    def group(key: tuple[int, str]) -> list[Prf]:
+        """Train one model for (seed, loss) and score each variant with that loss."""
+        seed, loss = key
+        model = Seq2SeqModel(vocab, replace(base_config, seed=seed))
+        train_gec(model, replace(stage, name=loss, loss=loss), judge=judge, seed=seed)
+        rows = []
+        for variant in by_loss[loss]:
+            if variant.rerank:
+                decoded = decode(model, sources, variant.beam_size, judge, variant.rerank_lam)
+            else:
+                decoded = decode(model, sources)
+            report = evaluate_hypotheses(decoded, list(test_pairs))
+            rows.append(Prf(report.precision, report.recall, report.f05))
+        return rows
+
+    keys = [(seed, loss) for seed in seeds for loss in by_loss]
+    workers = min(len(keys), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        results = list(map(group, keys))
+    else:
+        import multiprocessing
+
+        # Leaving the block terminates the workers, also when a group raises.
+        with multiprocessing.get_context("fork").Pool(workers, _set_group, (group,)) as pool:
+            results = list(pool.imap(_run_group, keys))
     scores: dict[str, list[Prf]] = {name: [] for name in names}
-    for seed in seeds:
-        for loss in losses:
-            model = Seq2SeqModel(vocab, replace(base_config, seed=seed))
-            train_gec(model, replace(stage, name=loss, loss=loss), judge=judge, seed=seed)
-            for variant in variants:
-                if variant.loss != loss:
-                    continue
-                if variant.rerank:
-                    decoded = decode(model, sources, variant.beam_size, judge, variant.rerank_lam)
-                else:
-                    decoded = decode(model, sources)
-                report = evaluate_hypotheses(decoded, list(test_pairs))
-                scores[variant.name].append(Prf(report.precision, report.recall, report.f05))
-            # Free this model before the next one is built, so one is alive at a time.
-            del model
+    for (_seed, loss), rows in zip(keys, results):
+        for variant, row in zip(by_loss[loss], rows):
+            scores[variant.name].append(row)
     per_seed = {name: tuple(values) for name, values in scores.items()}
     means = {name: mean_prf(per_seed[name]) for name in names}
     return AblationReport(tuple(names), tuple(seeds), per_seed, means)

@@ -127,15 +127,28 @@ class TestParsing:
         assert "gold" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_unloaded():
-    """Only judge training needs scipy, so no other command pays for importing it."""
-    code = "import sys, geckit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+def _loaded_by_cli_import(*prefixes: str) -> str:
+    """The modules under the prefixes that a fresh `import geckit.cli` loads."""
+    code = (
+        "import sys, geckit.cli;"
+        f" print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(geckit.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    """Only judge training needs scipy, so no other command pays for importing it."""
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_import_leaves_process_pools_unloaded():
+    """Only ablate runs a process pool, so no other command pays for importing one."""
+    assert _loaded_by_cli_import("multiprocessing.pool", "concurrent.futures.process") == "[]"
 
 
 class TestConfigResolution:
@@ -291,6 +304,13 @@ class TestConfigResolution:
             argv += ["--config", str(config)]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: ablate: option 'seeds' must all be >= 0, got [-1, 2]\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_repeated_ablate_seed_is_one_error_line(self, tmp_path, capsys):
+        argv = ["ablate", *self.NEGATIVE_SEED_ARGS["ablate"], "--seeds", "7,7"]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: ablate: option 'seeds' must be unique, got [7, 7]\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -314,6 +334,21 @@ class TestConfigResolution:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: {command}: bad value for config key {key!r}: expected a finite number\n"
+        assert not (tmp_path / "x").exists()
+
+    # The input paths point nowhere: each value is rejected before any file is read.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["synth-gen", "--gec-train", "0"], "gec_train must be >= 1"),
+            (["build-cola", "--m2", "t.m2", "--dev-frac", "1.5"], "sum to 1.5 > 1"),
+            (["build-cola", "--m2", "t.m2", "--min-len", "0"], "need 1 <= min_len <= max_len"),
+            (["train-judge", "--train", "t.tsv", "--dev", "d.tsv", "--dim", "2"], "too small"),
+        ],
+    )
+    def test_rejected_value_writes_nothing(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+        assert message in _single_error_line(capsys)
         assert not (tmp_path / "x").exists()
 
 
@@ -435,6 +470,7 @@ class TestJudgeCommands:
         )
         assert code == 1
         assert "batch_size must be >= 1" in _single_error_line(capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_judge_eval(self, bench_dir, judge_dir, tmp_path):
         out = tmp_path / "eval"
@@ -457,12 +493,23 @@ class TestGecCommands:
         record = json.loads(log_lines[0])
         assert record["stage"] == "main"
 
-    def test_dynamic_loss_requires_judge(self, bench_dir, tmp_path):
+    def test_dynamic_loss_requires_judge(self, bench_dir, tmp_path, capsys):
         code = main(
             ["train-gec", "--train", str(bench_dir / "gec_train.m2"), "--loss", "dynamic",
              "--epochs", "1", "--out", str(tmp_path / "o")]
         )
         assert code == 1
+        assert "judge" in _single_error_line(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_train_gec_rejects_batch_size_zero(self, bench_dir, tmp_path, capsys):
+        code = main(
+            ["train-gec", "--train", str(bench_dir / "gec_train.m2"), "--batch-size", "0",
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "batch_size must be >= 1" in _single_error_line(capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_decode_output_counts(self, decoded_dir):
         lines = (decoded_dir / "corrected.txt").read_text(encoding="utf-8").splitlines()
@@ -486,6 +533,19 @@ class TestGecCommands:
         )
         assert code == 1
         assert "beam_size must be >= 1" in _single_error_line(capsys)
+        assert not (tmp_path / "b0").exists()
+
+    def test_decode_rejects_negative_rerank_lam(
+        self, gec_dir, judge_dir, decoded_dir, tmp_path, capsys
+    ):
+        code = main(
+            ["decode", "--model", str(gec_dir / "gec_model"),
+             "--input", str(decoded_dir / "sources.txt"), "--judge", str(judge_dir / "judge.json"),
+             "--rerank-lam", "-0.5", "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert "rerank_lam must be >= 0" in _single_error_line(capsys)
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvaluateCommands:
@@ -533,6 +593,7 @@ class TestEvaluateCommands:
              "--types", "PUNCT,BOGUS", "--out", str(tmp_path / "o")]
         )
         assert code == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestAblate:
@@ -561,6 +622,28 @@ class TestAblate:
         )
         assert code == 1
         assert "judge" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--beam", "0", "beam_size must be >= 1"),
+            ("--rerank-lam", "-1", "rerank_lam must be >= 0"),
+            ("--epochs", "0", "epochs must be >= 1"),
+            ("--hidden-dim", "0", "hidden_dim must be positive"),
+        ],
+    )
+    def test_bad_option_writes_nothing(
+        self, bench_dir, judge_dir, tmp_path, capsys, flag, value, message
+    ):
+        code = main(
+            ["ablate", "--train", str(bench_dir / "gec_train.m2"),
+             "--test", str(bench_dir / "gec_test.m2"), "--judge", str(judge_dir / "judge.json"),
+             flag, value, "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+        assert message in _single_error_line(capsys)
+        assert not (tmp_path / "o").exists()
 
 
 JUDGE_CORRUPTIONS = {

@@ -1,13 +1,15 @@
 """Tests for edit-level scoring, filtering, reports, and the ablation grid."""
 
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import geckit.gec
-from geckit.errors import ConfigError, EmptyEvaluation
+from geckit.errors import ConfigError, EmptyEvaluation, InvalidLogits
 from geckit.evalmetrics import (
     DROP_EDITS,
     DROP_SENTENCES,
@@ -25,11 +27,13 @@ from geckit.evalmetrics import (
 )
 from geckit.gec import (
     DYNAMIC,
+    PLAIN_CE,
     ModelConfig,
     Seq2SeqModel,
     TrainStage,
     Vocab,
     beam_decode,
+    decode,
     greedy_decode_batch,
     rerank_with_cola,
     train_gec,
@@ -408,7 +412,7 @@ class TestAblation:
         ]
         assert runs[0].per_seed == runs[1].per_seed
 
-    def test_variants_sharing_a_loss_share_one_model(self, toy_task, monkeypatch):
+    def test_variants_sharing_a_loss_share_one_model(self, toy_task, monkeypatch, tmp_path):
         stage, test, config = toy_task
         judge = FlatJudge()
         variants = (
@@ -418,15 +422,21 @@ class TestAblation:
             AblationVariant("dyn+rerank", loss=DYNAMIC, rerank=True, beam_size=2),
         )
         seeds = (0, 1)
-        calls = []
+        # The groups may train in worker processes: each call appends one line.
+        calls_file = tmp_path / "train_gec_calls"
 
         def counting_train_gec(*args, **kwargs):
-            calls.append(kwargs["seed"])
+            fd = os.open(calls_file, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{kwargs['seed']}\n".encode())
+            finally:
+                os.close(fd)
             return train_gec(*args, **kwargs)
 
         monkeypatch.setattr(geckit.gec, "train_gec", counting_train_gec)
         report = ablation_run(variants, stage, test, config, judge=judge, seeds=seeds)
-        assert calls == [0, 0, 1, 1]
+        calls = [int(line) for line in calls_file.read_text(encoding="utf-8").split()]
+        assert sorted(calls) == [0, 0, 1, 1]
 
         # Reference: a fresh model for every (variant, seed) cell.
         sentences = [p.source for p in stage.pairs] + [p.target for p in stage.pairs]
@@ -449,3 +459,49 @@ class TestAblation:
                 r = evaluate_hypotheses(decoded, test)
                 expected.append(Prf(r.precision, r.recall, r.f05))
             assert report.per_seed[variant.name] == tuple(expected)
+
+    def test_per_seed_follows_the_seed_order(self, toy_task):
+        stage, test, config = toy_task
+        judge = FlatJudge()
+        variants = (
+            AblationVariant("plain"),
+            AblationVariant("dyn", loss=DYNAMIC),
+            AblationVariant("plain+rerank", rerank=True, beam_size=2),
+        )
+        seeds = (3, 1, 2)
+        report = ablation_run(variants, stage, test, config, judge=judge, seeds=seeds)
+        assert report.seeds == seeds
+
+        # Reference: the same (seed, loss) groups, one after another in this process.
+        vocab = Vocab.from_pairs(stage.pairs)
+        sources = [pair.source for pair in test]
+        expected = {variant.name: [] for variant in variants}
+        for seed in seeds:
+            for loss in (PLAIN_CE, DYNAMIC):
+                model = Seq2SeqModel(vocab, replace(config, seed=seed))
+                train_gec(model, replace(stage, name=loss, loss=loss), judge=judge, seed=seed)
+                for variant in variants:
+                    if variant.loss != loss:
+                        continue
+                    if variant.rerank:
+                        decoded = decode(
+                            model, sources, variant.beam_size, judge, variant.rerank_lam
+                        )
+                    else:
+                        decoded = decode(model, sources)
+                    r = evaluate_hypotheses(decoded, test)
+                    expected[variant.name].append(Prf(r.precision, r.recall, r.f05))
+        assert report.per_seed == {name: tuple(rows) for name, rows in expected.items()}
+
+    def test_error_in_a_group_reaches_the_caller(self, toy_task):
+        class RaisingJudge(FlatJudge):
+            def logits(self, sentence):
+                raise InvalidLogits("non-finite logits (nan, 0.0)")
+
+        stage, test, config = toy_task
+        variants = (AblationVariant("plain"), AblationVariant("dyn", loss=DYNAMIC))
+        with pytest.raises(InvalidLogits) as excinfo:
+            ablation_run(variants, stage, test, config, judge=RaisingJudge(), seeds=(0, 1))
+        assert type(excinfo.value) is InvalidLogits
+        assert str(excinfo.value) == "non-finite logits (nan, 0.0)"
+        assert multiprocessing.active_children() == []
