@@ -3,8 +3,9 @@
 Subpackages cover the full loop: core text types and interchange formats
 (textcore), alignment and error typing (align), building acceptability
 corpora from correction data (colacorpus), the acceptability judge (judge),
-the trainable corrector (gec), scoring and ablations (evalmetrics), a
-synthetic benchmark factory (synth), and the command-line front end (cli).
+the trainable corrector (gec), edit-level scoring (evalmetrics), the
+ablation grid that trains, decodes and scores (experiment), a synthetic
+benchmark factory (synth), and the command-line front end (cli).
 """
 
 __version__ = "0.1.0"

@@ -13,7 +13,8 @@ aligned plain-text table and are bytewise identical across reruns with
 the same configuration; wall-clock timestamps go only to the run.log
 sidecar.
 
-Exit codes: 0 success, 1 invalid configuration or data, 2 I/O failure.
+Exit codes: 0 success, 1 invalid configuration or data (or a size too
+large to allocate), 2 I/O failure.
 """
 
 from __future__ import annotations
@@ -40,14 +41,13 @@ from .errors import ConfigError, FormatError, GeckitError
 from .evalmetrics import (
     DROP_EDITS,
     FILTER_MODES,
-    AblationVariant,
     MetricsReport,
-    ablation_run,
     evaluate_corpus,
     evaluate_hypotheses,
     filter_eval,
     prf_table,
 )
+from .experiment import AblationVariant, ablation_run
 from .gec import (
     DYNAMIC,
     LOSS_KINDS,
@@ -647,8 +647,11 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     seeds = list(resolved.get("seeds", ()))
     if any(seed < 0 for seed in seeds):
         raise ConfigError(f"{command}: option 'seeds' must all be >= 0, got {seeds}")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"{command}: option 'seeds' must be unique, got {seeds}")
+    for key, opt in schema.items():
+        if opt.kind in ("seeds", "names"):
+            values = list(resolved[key])
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{command}: option {key!r} must be unique, got {values}")
     return resolved
 
 
@@ -678,13 +681,15 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("no subcommand given (see geckit --help)")
         opts = resolve_options(command, args)
         summary = _COMMANDS[command].run(opts, start)
-    except (GeckitError, OSError) as exc:
+    except (GeckitError, MemoryError, OSError) as exc:
+        # numpy's MemoryError names the size it could not allocate.
+        message = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
         if out is not None:
-            _log_line(out, command, f"failed: {exc}")
+            _log_line(out, command, f"failed: {message}")
         if isinstance(exc, OSError):
-            print(f"i/o error: {exc}", file=sys.stderr)
+            print(f"i/o error: {message}", file=sys.stderr)
             return 2
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         return 1
     _log_line(out, command, "finished")
     for line in summary:

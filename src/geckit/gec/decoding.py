@@ -123,6 +123,7 @@ def beam_decode(model: Seq2SeqModel, source: Sentence, beam_size: int = 4) -> li
                 next_states.append(states[b])
                 next_last.append(tok)
         if not next_tokens:
+            alive_tokens = []
             break
         alive_tokens = next_tokens
         alive_logps = np.array(next_logps)

@@ -122,32 +122,37 @@ class EncoderState:
     cache: dict
 
 
+def _param_shapes(v: int, config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape for a vocabulary of v tokens."""
+    e, h, a = config.embed_dim, config.hidden_dim, config.attention_dim
+    shapes: dict[str, tuple[int, ...]] = {"emb": (v, e)}
+    for side in ("enc", "dec"):
+        for gate in ("z", "r", "n"):
+            shapes[f"{side}_Wx{gate}"] = (e, h)
+            shapes[f"{side}_Wh{gate}"] = (h, h)
+            shapes[f"{side}_b{gate}"] = (h,)
+    shapes.update(
+        init_W=(h, h),
+        init_b=(h,),
+        attn_Wq=(h, a),
+        attn_Wk=(h, a),
+        attn_v=(a,),
+        comb_W=(2 * h, h),
+        comb_b=(h,),
+        out_W=(h, v),
+        out_b=(v,),
+    )
+    return shapes
+
+
 class Seq2SeqModel:
     """Sentence corrector mapping a source sentence to a corrected one."""
 
     def __init__(self, vocab: Vocab, config: ModelConfig | None = None):
         self.vocab = vocab
         self.config = config or ModelConfig()
-        v, e, h = len(vocab), self.config.embed_dim, self.config.hidden_dim
-        a = self.config.attention_dim
         rng = np.random.default_rng(self.config.seed)
-        shapes: dict[str, tuple[int, ...]] = {"emb": (v, e)}
-        for side in ("enc", "dec"):
-            for gate in ("z", "r", "n"):
-                shapes[f"{side}_Wx{gate}"] = (e, h)
-                shapes[f"{side}_Wh{gate}"] = (h, h)
-                shapes[f"{side}_b{gate}"] = (h,)
-        shapes.update(
-            init_W=(h, h),
-            init_b=(h,),
-            attn_Wq=(h, a),
-            attn_Wk=(h, a),
-            attn_v=(a,),
-            comb_W=(2 * h, h),
-            comb_b=(h,),
-            out_W=(h, v),
-            out_b=(v,),
-        )
+        shapes = _param_shapes(len(vocab), self.config)
         self.params: dict[str, np.ndarray] = {}
         for name in sorted(shapes):
             shape = shapes[name]
@@ -422,19 +427,22 @@ class Seq2SeqModel:
             raise FormatError(
                 f"config values for {sorted(bad)} must be non-negative integers", name=name
             )
-        vocab = meta.get("vocab")
-        if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
+        tokens = meta.get("vocab")
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise FormatError("vocab must be a list of strings", name=name)
-        model = cls(Vocab(vocab), ModelConfig(**config))
+        vocab, model_config = Vocab(tokens), ModelConfig(**config)
+        # Checked before the model is built, so a corrupt size allocates nothing.
+        expected = sum(math.prod(s) for s in _param_shapes(len(vocab), model_config).values())
         params = directory / "params.npy"
         try:
             flat = np.load(params)
         except (ValueError, EOFError) as exc:
             raise FormatError(f"not a parameter array: {exc}", name=str(params)) from exc
-        if flat.shape != (model.num_params(),) or flat.dtype.kind != "f":
+        if flat.shape != (expected,) or flat.dtype.kind != "f":
             raise FormatError(
-                f"expected {model.num_params()} float parameters, got shape {flat.shape}",
+                f"meta.json implies {expected} float parameters, got shape {flat.shape}",
                 name=str(params),
             )
+        model = cls(vocab, model_config)
         model.set_flat_params(flat)
         return model

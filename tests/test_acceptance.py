@@ -27,14 +27,8 @@ from test_align import brute_force_cost
 
 import geckit
 from geckit.align import align_tokens, extract_edits
-from geckit.evalmetrics import (
-    AblationVariant,
-    DROP_EDITS,
-    ablation_run,
-    evaluate_corpus,
-    fbeta,
-    filter_eval,
-)
+from geckit.evalmetrics import DROP_EDITS, evaluate_corpus, fbeta, filter_eval
+from geckit.experiment import AblationVariant, ablation_run
 from geckit.gec import (
     DYNAMIC,
     ModelConfig,

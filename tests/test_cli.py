@@ -312,6 +312,13 @@ class TestConfigResolution:
         assert capsys.readouterr().err == "error: ablate: option 'seeds' must be unique, got [7, 7]\n"
         assert not (tmp_path / "x").exists()
 
+    def test_repeated_error_type_is_one_error_line(self, tmp_path, capsys):
+        argv = ["error-analysis", "--hyp", "h.txt", "--gold", "g.m2", "--types", "PUNCT,PUNCT"]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: error-analysis: option 'types' must be unique, got ['PUNCT', 'PUNCT']\n"
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -666,6 +673,8 @@ META_CORRUPTIONS = {
     "negative seed": lambda m: m["config"].update(seed=-1),
     "missing vocab": lambda m: m.pop("vocab"),
     "config not an object": lambda m: m.update(config=[8, 12]),
+    # 10^14 weights per hidden matrix: checked against params.npy before any allocation.
+    "huge hidden_dim": lambda m: m["config"].update(hidden_dim=10**7),
 }
 
 
@@ -726,6 +735,48 @@ class TestCorruptModelFiles:
             params.write_bytes(raw[: len(raw) // 2] if damage == "truncated" else b"")
         assert self._decode(model_dir, decoded_dir / "sources.txt", tmp_path / "o") == 1
         assert "params.npy" in _single_error_line(capsys)
+
+
+class TestOutOfMemory:
+    """Sizes no machine can allocate (petabytes) fail with exit 1 and one line.
+
+    Each allocation is far beyond any address space, so it is refused at once.
+    """
+
+    def test_judge_too_large_to_load(self, bench_dir, judge_dir, gec_dir, decoded_dir, tmp_path, capsys):
+        payload = json.loads((judge_dir / "judge.json").read_text(encoding="utf-8"))
+        payload["dim"] = 10**15
+        huge = tmp_path / "judge.json"
+        huge.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(
+            ["judge-eval", "--model", str(huge), "--data", str(bench_dir / "cola_dev.tsv"),
+             "--out", str(tmp_path / "a")]
+        )  # fmt: skip
+        assert code == 1
+        assert _single_error_line(capsys).startswith("error: out of memory: ")
+        code = main(
+            ["decode", "--model", str(gec_dir / "gec_model"), "--input", str(decoded_dir / "sources.txt"),
+             "--judge", str(huge), "--out", str(tmp_path / "b")]
+        )  # fmt: skip
+        assert code == 1
+        assert _single_error_line(capsys).startswith("error: out of memory: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train-gec", "--train", "{bench}/gec_dev.m2", "--hidden-dim", "10000000"],
+            ["train-judge", "--train", "{bench}/cola_dev.tsv", "--dev", "{bench}/cola_dev.tsv",
+             "--dim", "1000000000000000"],
+        ],
+        ids=["train-gec", "train-judge"],
+    )  # fmt: skip
+    def test_training_too_large_is_logged(self, argv, bench_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([arg.format(bench=bench_dir) for arg in argv] + ["--out", str(out)]) == 1
+        error = _single_error_line(capsys)
+        assert error.startswith("error: out of memory: ")
+        log = (out / "run.log").read_text(encoding="utf-8").splitlines()
+        assert log[-1].endswith(f" failed: {error[len('error: '):].rstrip()}")
 
 
 class TestRunLog:

@@ -216,6 +216,7 @@ def reference_beam(model, source, beam_size):
             else:
                 nxt.append((alive_tokens[b] + (tok,), score, states[b], tok))
         if not nxt:
+            alive_tokens = []
             break
         alive_tokens = [t for t, _, _, _ in nxt]
         alive_logps = np.array([s for _, s, _, _ in nxt])

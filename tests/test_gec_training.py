@@ -104,14 +104,21 @@ class TestGreedyAndBeam:
             beam = beam_decode(model, pair.source, beam_size=1)
             assert len(beam) == 1
             assert beam[0].tokens == greedy.tokens
+            assert not beam[0].truncated
 
     def test_beam_sorted_and_unique_scores_descending(self, copy_model):
         model, _ = copy_model
-        hyps = beam_decode(model, sent("a b c d"), beam_size=4)
-        assert 1 <= len(hyps) <= 4
-        keys = [(-h.log_prob, h.tokens) for h in hyps]
-        assert keys == sorted(keys)
-        assert all(h.log_prob <= 0.0 for h in hyps)
+        for source in (sent("a b c d"), *(p.source for p in copy_pairs(10, 4))):
+            limit = 2 * len(source) + 8
+            for beam_size in (1, 2, 4):
+                hyps = beam_decode(model, source, beam_size=beam_size)
+                assert 1 <= len(hyps) <= beam_size
+                keys = [(-h.log_prob, h.tokens) for h in hyps]
+                assert keys == sorted(keys)
+                assert all(h.log_prob <= 0.0 for h in hyps)
+                assert len({h.tokens for h in hyps}) == len(hyps)
+                for h in hyps:
+                    assert h.truncated == (len(h.tokens) == limit)
 
     def test_beam_deterministic(self, copy_model):
         model, _ = copy_model
