@@ -625,6 +625,14 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
                 raise ConfigError(
                     f"{args.config}: unknown config key {key!r} for subcommand {command!r}"
                 )
+            if data[key] is None:
+                # null means "not set", which only an option without a default can be.
+                if schema[key].default is not None:
+                    raise ConfigError(
+                        f"{command}: bad value for config key {key!r}: null"
+                        f" (omit the key for the default {schema[key].default!r})"
+                    )
+                continue
             effective[key] = data[key]
     for key, var in _ENV_VARS:
         raw = os.environ.get(var)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -118,12 +119,21 @@ class JudgeConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
+# crc32 of each n-gram string seen so far. It holds the hash before
+# ``% dim``, so that judges of every size share it.
+_GRAM_HASHES: dict[str, int] = {}
+
+
 def _feature_counts(text: str, dim: int) -> dict[int, float]:
     padded = _BOS_MARK + text + _EOS_MARK
     counts: dict[int, float] = {}
     for n in range(NGRAM_MIN, NGRAM_MAX + 1):
         for i in range(len(padded) - n + 1):
-            idx = zlib.crc32(padded[i : i + n].encode("utf-8")) % dim
+            gram = padded[i : i + n]
+            h = _GRAM_HASHES.get(gram)
+            if h is None:
+                h = _GRAM_HASHES[gram] = zlib.crc32(gram.encode("utf-8"))
+            idx = h % dim
             counts[idx] = counts.get(idx, 0.0) + 1.0
     return counts
 
@@ -132,18 +142,23 @@ def featurize(sentences: Sequence[Sentence], dim: int) -> sparse.csr_matrix:
     """Hashed n-gram count rows, each L2-normalized."""
     from scipy import sparse  # imported here so that only judge training loads scipy
 
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
+    # Typed buffers, not lists of Python numbers, keep the peak memory low.
+    indptr = array("q", [0])
+    indices = array("q")
+    data = array("d")
     for sentence in sentences:
         counts = _feature_counts(sentence.text, dim)
         norm = math.sqrt(sum(v * v for v in counts.values())) or 1.0
-        for idx in sorted(counts):
-            indices.append(idx)
-            data.append(counts[idx] / norm)
+        keys = sorted(counts)
+        indices.extend(keys)
+        data.extend([counts[idx] / norm for idx in keys])
         indptr.append(len(indices))
     return sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        (
+            np.frombuffer(data, dtype=np.float64),
+            np.frombuffer(indices, dtype=np.int64),
+            np.frombuffer(indptr, dtype=np.int64),
+        ),
         shape=(len(sentences), dim),
     )
 
@@ -309,6 +324,22 @@ class JudgeModel:
         )
 
 
+def _touched_columns(x: sparse.csr_matrix) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The sorted columns that x touches, and x restricted to them.
+
+    Training on these alone gives the full-width result bit for bit: a
+    column that no row touches has zero gradient and stays at w = 0, and
+    the monotone remap keeps every row's terms in their order.
+    """
+    from scipy import sparse
+
+    cols = np.flatnonzero(np.bincount(x.indices, minlength=x.shape[1]))
+    remap = np.zeros(x.shape[1], dtype=x.indices.dtype)
+    remap[cols] = np.arange(len(cols))
+    xc = sparse.csr_matrix((x.data, remap[x.indices], x.indptr), shape=(x.shape[0], len(cols)))
+    return cols, xc
+
+
 def train_judge(
     train: Sequence[ColaInstance],
     dev: Sequence[ColaInstance],
@@ -324,7 +355,8 @@ def train_judge(
         raise DegenerateCorpus(f"training labels {sorted(labels)} cover a single class")
     x = featurize([inst.sentence for inst in train], cfg.dim)
     y = np.array([float(inst.label) for inst in train])
-    w = np.zeros(cfg.dim)
+    cols, xc = _touched_columns(x)
+    w = np.zeros(len(cols))
     b0 = b1 = 0.0
     n = len(train)
     for epoch in range(cfg.epochs):
@@ -332,13 +364,16 @@ def train_judge(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            gw, gb0, gb1 = logistic_grad(w, b0, b1, x[batch], y[batch], cfg.l2)
+            gw, gb0, gb1 = logistic_grad(w, b0, b1, xc[batch], y[batch], cfg.l2)
             w -= cfg.lr * gw
             b0 -= cfg.lr * gb0
             b1 -= cfg.lr * gb1
-    loss = logistic_loss(w, b0, b1, x, y, cfg.l2)
+    weights = np.zeros(cfg.dim)
+    weights[cols] = w
+    # On the full vector: w @ w may group its sums differently on a shorter one.
+    loss = logistic_loss(weights, b0, b1, x, y, cfg.l2)
     model = JudgeModel(
-        weights=w,
+        weights=weights,
         bias0=b0,
         bias1=b1,
         dim=cfg.dim,

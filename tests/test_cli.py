@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import geckit
-from geckit.cli import _COMMANDS, main
+from geckit.cli import _COMMANDS, _GLOBAL_OPTS, build_parser, main, resolve_options
+from geckit.errors import ConfigError
 from geckit.textcore import apply_edits, parse_m2
 
 SMALL_BENCH = [
@@ -342,6 +343,64 @@ class TestConfigResolution:
         err = capsys.readouterr().err
         assert err == f"error: {command}: bad value for config key {key!r}: expected a finite number\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            (command, key)
+            for command, spec in _COMMANDS.items()
+            for key, opt in {**_GLOBAL_OPTS, **spec.opts}.items()
+            if opt.default is not None
+        ],
+    )
+    def test_null_for_a_defaulted_key_is_one_error_line(self, tmp_path, capsys, monkeypatch, command, key):
+        monkeypatch.chdir(tmp_path)  # where a null "out" would fall back to the default directory
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: None}), encoding="utf-8")
+        argv = [command, "--config", str(config)]
+        if key != "out":  # a flag overrides the config file
+            argv += ["--out", str(tmp_path / "x")]
+        assert main(argv) == 1
+        default = {**_GLOBAL_OPTS, **_COMMANDS[command].opts}[key].default
+        assert _single_error_line(capsys) == (
+            f"error: {command}: bad value for config key {key!r}: null"
+            f" (omit the key for the default {default!r})\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            (command, key)
+            for command, spec in _COMMANDS.items()
+            for key, opt in spec.opts.items()
+            if opt.default is None
+        ],
+    )
+    def test_null_for_a_key_without_default_is_absent(self, tmp_path, command, key):
+        """Every other required option is given as a flag, so only this key can be missing."""
+        spec = _COMMANDS[command]
+        flags = [
+            f"--{other.replace('_', '-')}=v"
+            for other, opt in spec.opts.items()
+            if opt.required and other != key
+        ]
+
+        def outcome(data):
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(data), encoding="utf-8")
+            args = build_parser().parse_args([command, *flags, "--config", str(config)])
+            try:
+                return resolve_options(command, args)
+            except ConfigError as exc:
+                return str(exc)
+
+        absent = outcome({})
+        assert outcome({key: None}) == absent
+        if spec.opts[key].required:
+            assert f"missing required option {key!r}" in absent
+        else:
+            assert absent[key] is None
 
     # The input paths point nowhere: each value is rejected before any file is read.
     @pytest.mark.parametrize(

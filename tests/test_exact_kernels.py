@@ -10,6 +10,7 @@ replaced code, spelled out.
 
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -32,8 +33,19 @@ from geckit.gec import model as gec_model
 from geckit.gec.decoding import Hypothesis, _replicate, _step_limit
 from geckit.gec.training import GRAD_CLIP
 from geckit.gec.vocab import BOS_ID, EOS_ID, SPECIALS
-from geckit.judge import JudgeModel, _feature_counts, sigmoid
-from geckit.textcore import OTHER, AnnotatedPair, Edit, Sentence
+from geckit import judge as judge_mod
+from geckit.judge import (
+    JudgeConfig,
+    JudgeModel,
+    _feature_counts,
+    _touched_columns,
+    featurize,
+    logistic_grad,
+    logistic_loss,
+    sigmoid,
+    train_judge,
+)
+from geckit.textcore import OTHER, AnnotatedPair, ColaInstance, Edit, Sentence
 
 WORDS = ("a", "b", "c", "d", "e", "f")
 
@@ -191,6 +203,163 @@ class TestMarginMemo:
         fresh = [reference_margin(judge, s) for s in texts]
         assert np.array_equal([judge.margin(s) for s in texts], fresh)
         assert np.array_equal([judge.margin(s) for s in texts], fresh)
+
+
+def reference_feature_counts(text, dim):
+    """_feature_counts before the n-gram hash memo."""
+    padded = "\x02" + text + "\x03"
+    counts = {}
+    for n in range(1, 5):
+        for i in range(len(padded) - n + 1):
+            idx = zlib.crc32(padded[i : i + n].encode("utf-8")) % dim
+            counts[idx] = counts.get(idx, 0.0) + 1.0
+    return counts
+
+
+def reference_featurize(sentences, dim):
+    """featurize with lists of Python numbers."""
+    from scipy import sparse
+
+    indptr = [0]
+    indices = []
+    data = []
+    for sentence in sentences:
+        counts = reference_feature_counts(sentence.text, dim)
+        norm = math.sqrt(sum(v * v for v in counts.values())) or 1.0
+        for idx in sorted(counts):
+            indices.append(idx)
+            data.append(counts[idx] / norm)
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(sentences), dim),
+    )
+
+
+def reference_train_judge(train, dev, cfg):
+    """train_judge on all dim columns, with its dev accuracy spelled out."""
+    x = reference_featurize([inst.sentence for inst in train], cfg.dim)
+    y = np.array([float(inst.label) for inst in train])
+    w = np.zeros(cfg.dim)
+    b0 = b1 = 0.0
+    n = len(train)
+    for epoch in range(cfg.epochs):
+        rng = np.random.default_rng([cfg.seed, epoch])
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            gw, gb0, gb1 = logistic_grad(w, b0, b1, x[batch], y[batch], cfg.l2)
+            w -= cfg.lr * gw
+            b0 -= cfg.lr * gb0
+            b1 -= cfg.lr * gb1
+    loss = logistic_loss(w, b0, b1, x, y, cfg.l2)
+    correct = 0
+    for inst in dev:
+        counts = reference_feature_counts(inst.sentence.text, cfg.dim)
+        norm = math.sqrt(sum(v * v for v in counts.values())) or 1.0
+        margin = sum(w[i] * v for i, v in counts.items()) / norm
+        correct += (1 if margin + b1 > b0 else 0) == inst.label
+    return w, b0, b1, loss, correct / len(dev)
+
+
+JUDGE_WORDS = ("the", "cat", "sat", "mat", "naïve", "café", "straße", "日本語", "ёж", "😀", ",", ".")
+
+
+def judge_corpus(seed, count):
+    """Labelled sentences with an empty one first and non-ASCII words throughout."""
+    rng = random.Random(seed)
+    instances = [ColaInstance(Sentence(()), 1)]
+    for _ in range(count - 1):
+        tokens = tuple(rng.choice(JUDGE_WORDS) for _ in range(rng.randint(1, 8)))
+        instances.append(ColaInstance(Sentence(tokens), int("😀" not in tokens and len(tokens) % 3 != 0)))
+    return instances
+
+
+class TestCompactJudgeTraining:
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    @pytest.mark.parametrize("dim", [16, 4096, 2**16])
+    def test_equals_full_width_training(self, dim, batch_size):
+        train, dev = judge_corpus(dim + batch_size, 90), judge_corpus(-dim - batch_size, 30)
+        cfg = JudgeConfig(dim=dim, epochs=3, lr=8.0, l2=0.2, batch_size=batch_size, seed=batch_size)
+        w, b0, b1, loss, dev_acc = reference_train_judge(train, dev, cfg)
+        model = train_judge(train, dev, cfg)
+        assert np.array_equal(model.weights, w)
+        assert model.bias0 == b0 and model.bias1 == b1
+        assert model.train_loss == loss and model.dev_accuracy == dev_acc
+        if dim == 16:  # every column touched, with hash collisions
+            cols, _ = _touched_columns(featurize([inst.sentence for inst in train], dim))
+            assert np.array_equal(cols, np.arange(dim))
+
+    @pytest.mark.parametrize("dim", [16, 4096, 2**16])
+    def test_compact_matrix_is_the_touched_columns_in_order(self, dim):
+        x = featurize([inst.sentence for inst in judge_corpus(3, 50)], dim)
+        cols, xc = _touched_columns(x)
+        assert np.all(np.diff(cols) > 0)
+        assert xc.shape == (x.shape[0], len(cols)) and xc.has_sorted_indices
+        assert np.array_equal(xc.indptr, x.indptr) and np.array_equal(xc.data, x.data)
+        assert np.array_equal(cols[xc.indices], x.indices)
+        dense = x.toarray()
+        assert np.array_equal(xc.toarray(), dense[:, cols])
+        assert not np.delete(dense, cols, axis=1).any()
+
+    @pytest.mark.parametrize("dim", [16, 4096, 2**18])
+    def test_featurize_equals_list_based(self, dim):
+        sentences = [inst.sentence for inst in judge_corpus(5, 40)]
+        got, ref = featurize(sentences, dim), reference_featurize(sentences, dim)
+        assert got.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert featurize([], dim).shape == (0, dim)
+
+    def test_memoized_counts_equal_plain_crc32_at_two_dims(self):
+        texts = [inst.sentence.text for inst in judge_corpus(9, 40)]
+        for dim in (4096, 97, 4096, 2**18):
+            assert [_feature_counts(t, dim) for t in texts] == [
+                reference_feature_counts(t, dim) for t in texts
+            ]
+
+    def test_memo_holds_one_hash_per_gram_for_every_dim(self):
+        texts = [inst.sentence.text for inst in judge_corpus(10, 40)]
+        for text in texts:
+            _feature_counts(text, 4096)
+        size = len(judge_mod._GRAM_HASHES)
+        for text in texts:
+            _feature_counts(text, 97)
+        assert len(judge_mod._GRAM_HASHES) == size
+
+    def test_loss_sees_the_full_width_weights(self, monkeypatch):
+        """w @ w can group its sums differently on the compact vector."""
+        shapes = []
+
+        def recording_loss(w, b0, b1, x, y, l2):
+            shapes.append((w.shape, x.shape))
+            return logistic_loss(w, b0, b1, x, y, l2)
+
+        monkeypatch.setattr(judge_mod, "logistic_loss", recording_loss)
+        train = judge_corpus(14, 40)
+        train_judge(train, judge_corpus(15, 10), JudgeConfig(dim=4096, epochs=1))
+        assert shapes == [((4096,), (len(train), 4096))]
+
+    def test_tracer_counts_keep_their_meaning(self, monkeypatch):
+        """One logistic_grad call per minibatch and one featurize call over the training rows."""
+        grads, rows = [], []
+
+        def counting_grad(*args, **kwargs):
+            grads.append(1)
+            return logistic_grad(*args, **kwargs)
+
+        def counting_featurize(sentences, dim):
+            rows.append(len(sentences))
+            return featurize(sentences, dim)
+
+        monkeypatch.setattr(judge_mod, "logistic_grad", counting_grad)
+        monkeypatch.setattr(judge_mod, "featurize", counting_featurize)
+        train, dev = judge_corpus(12, 75), judge_corpus(13, 20)
+        cfg = JudgeConfig(dim=512, epochs=3, batch_size=7)
+        train_judge(train, dev, cfg)
+        assert len(grads) == cfg.epochs * math.ceil(len(train) / cfg.batch_size)
+        assert rows == [len(train)]
 
 
 def reference_beam(model, source, beam_size):
