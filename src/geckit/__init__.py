@@ -14,13 +14,12 @@ from .errors import (
     ConfigError,
     DegenerateCorpus,
     EmptyEvaluation,
-    EmptySentence,
     FormatError,
     GeckitError,
     InvalidEditSet,
     InvalidLogits,
 )
-from .textcore import AnnotatedPair, ColaInstance, Edit, Sentence, apply_edits, tokenize
+from .textcore import AnnotatedPair, ColaInstance, Edit, Sentence, apply_edits
 
 __all__ = [
     "AnnotatedPair",
@@ -29,13 +28,11 @@ __all__ = [
     "DegenerateCorpus",
     "Edit",
     "EmptyEvaluation",
-    "EmptySentence",
     "FormatError",
     "GeckitError",
     "InvalidEditSet",
     "InvalidLogits",
     "Sentence",
     "apply_edits",
-    "tokenize",
     "__version__",
 ]

@@ -185,10 +185,9 @@ def _read_hypotheses(opts: dict) -> tuple[list[Sentence], list[AnnotatedPair]]:
     return hyps, pairs
 
 
-def _train_recipe(opts: dict, name: str, pairs) -> tuple[TrainStage, ModelConfig]:
+def _train_recipe(opts: dict, pairs) -> tuple[TrainStage, ModelConfig]:
     """The training stage and model shape that the shared training options set."""
     stage = TrainStage(
-        name=name,
         pairs=tuple(pairs),
         epochs=opts["epochs"],
         lr=opts["lr"],
@@ -234,7 +233,7 @@ _Start = Callable[[], Path]
 
 
 def _run_synth_gen(opts: dict, start: _Start) -> list[str]:
-    grammar, spec = make_preset(opts["preset"], seed=opts["seed"])
+    grammar, spec = make_preset(opts["preset"])
     sizes = SizeConfig(
         gec_train=opts["gec_train"],
         gec_dev=opts["gec_dev"],
@@ -332,7 +331,7 @@ def _run_train_gec(opts: dict, start: _Start) -> list[str]:
     if opts["loss"] == DYNAMIC and not opts["judge"]:
         raise ConfigError("train-gec: the dynamic loss needs option 'judge'")
     pairs = parse_m2(_read_text(opts["train"]), name=opts["train"])
-    stage, config = _train_recipe(opts, "main", pairs)
+    stage, config = _train_recipe(opts, pairs)
     out = start()
     dev_pairs = None
     if opts["dev"]:
@@ -416,7 +415,7 @@ def _run_ablate(opts: dict, start: _Start) -> list[str]:
         AblationVariant("dynamic+rerank", loss=DYNAMIC, **rerank),
     )
     train_pairs = parse_m2(_read_text(opts["train"]), name=opts["train"])
-    stage, config = _train_recipe(opts, "ablate", train_pairs)
+    stage, config = _train_recipe(opts, train_pairs)
     out = start()
     test_pairs = parse_m2(_read_text(opts["test"]), name=opts["test"])
     judge = _load_judge(opts)

@@ -8,7 +8,6 @@ Instances mined from correction data never enter the test split.
 
 from __future__ import annotations
 
-import logging
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -22,8 +21,6 @@ from .textcore import (
     AnnotatedPair,
     ColaInstance,
 )
-
-logger = logging.getLogger(__name__)
 
 # Origins that may appear in the test split.
 _TEST_SAFE_ORIGINS = frozenset({ORIGIN_LINGUISTICS, ORIGIN_SYNTHETIC})
@@ -160,8 +157,6 @@ def merge_corpora(
     removed = conflicts = 0
     if dedupe:
         merged, removed, conflicts = _dedupe(merged)
-        if conflicts:
-            logger.info("merge_corpora resolved %d label conflicts", conflicts)
     rng = random.Random(seed)
     if balance:
         merged = _balance(merged, rng)

@@ -12,10 +12,6 @@ class GeckitError(Exception):
     """Base class for all toolkit errors."""
 
 
-class EmptySentence(GeckitError):
-    """Tokenizing input that contains no tokens."""
-
-
 class InvalidEditSet(GeckitError):
     """Edits that overlap, fall outside the sentence, or change nothing."""
 

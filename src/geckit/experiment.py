@@ -112,7 +112,7 @@ def ablation_run(
     """Train and score every variant over the seed list.
 
     stage carries the shared training pairs and optimization settings;
-    its name and loss are replaced per loss. Variants differ in training
+    each variant's loss replaces the stage's. Variants differ in training
     only by their loss, so for each seed one model is trained per
     distinct loss, and every variant with that loss decodes the test
     sources from it (greedy, or beam search reranked by the judge) and
@@ -150,7 +150,7 @@ def ablation_run(
         """Train one model for (seed, loss) and score each variant with that loss."""
         seed, loss = key
         model = Seq2SeqModel(vocab, replace(base_config, seed=seed))
-        train_gec(model, replace(stage, name=loss, loss=loss), judge=judge, seed=seed)
+        train_gec(model, replace(stage, loss=loss), judge=judge, seed=seed)
         rows = []
         for variant in by_loss[loss]:
             if variant.rerank:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ConfigError, FormatError
-from ..judge import sigmoid
+from ..judge import MAX_ARRAY_SIZE, sigmoid
 from ..textcore import Sentence
 from .losses import _MAX_NLL
 from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocab
@@ -123,7 +123,7 @@ class EncoderState:
 
 
 def _param_shapes(v: int, config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Every parameter's shape for a vocabulary of v tokens."""
+    """Every parameter's shape for a vocabulary of v tokens; each must fit numpy."""
     e, h, a = config.embed_dim, config.hidden_dim, config.attention_dim
     shapes: dict[str, tuple[int, ...]] = {"emb": (v, e)}
     for side in ("enc", "dec"):
@@ -142,6 +142,9 @@ def _param_shapes(v: int, config: ModelConfig) -> dict[str, tuple[int, ...]]:
         out_W=(h, v),
         out_b=(v,),
     )
+    for name, shape in shapes.items():
+        if math.prod(shape) > MAX_ARRAY_SIZE:
+            raise ConfigError(f"parameter {name} of shape {shape} is too large to allocate")
     return shapes
 
 
@@ -430,19 +433,26 @@ class Seq2SeqModel:
         tokens = meta.get("vocab")
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise FormatError("vocab must be a list of strings", name=name)
-        vocab, model_config = Vocab(tokens), ModelConfig(**config)
-        # Checked before the model is built, so a corrupt size allocates nothing.
-        expected = sum(math.prod(s) for s in _param_shapes(len(vocab), model_config).values())
+        try:
+            vocab, model_config = Vocab(tokens), ModelConfig(**config)
+            # Checked before the model is built, so a corrupt size allocates nothing.
+            shapes = _param_shapes(len(vocab), model_config)
+        except ConfigError as exc:
+            raise FormatError(str(exc), name=name) from exc
+        expected = sum(math.prod(s) for s in shapes.values())
         params = directory / "params.npy"
         try:
             flat = np.load(params)
         except (ValueError, EOFError) as exc:
             raise FormatError(f"not a parameter array: {exc}", name=str(params)) from exc
-        if flat.shape != (expected,) or flat.dtype.kind != "f":
+        if flat.shape != (expected,) or flat.dtype != np.float64:
             raise FormatError(
-                f"meta.json implies {expected} float parameters, got shape {flat.shape}",
+                f"meta.json implies {expected} float64 parameters,"
+                f" got shape {flat.shape} and dtype {flat.dtype}",
                 name=str(params),
             )
+        if not np.all(np.isfinite(flat)):
+            raise FormatError("non-finite parameter values", name=str(params))
         model = cls(vocab, model_config)
         model.set_flat_params(flat)
         return model

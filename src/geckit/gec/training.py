@@ -35,7 +35,6 @@ GRAD_CLIP = 5.0
 class TrainStage:
     """The training data plus optimization settings."""
 
-    name: str
     pairs: tuple[AnnotatedPair, ...]
     epochs: int
     lr: float
@@ -46,18 +45,16 @@ class TrainStage:
     def __post_init__(self) -> None:
         if not isinstance(self.pairs, tuple):
             object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not self.name:
-            raise ConfigError("stage name must be non-empty")
         if not self.pairs:
-            raise ConfigError(f"stage {self.name!r} has no training pairs")
+            raise ConfigError("no training pairs")
         if self.loss not in LOSS_KINDS:
-            raise ConfigError(f"stage {self.name!r}: unknown loss {self.loss!r}")
+            raise ConfigError(f"unknown loss {self.loss!r}")
         if self.epochs < 1:
-            raise ConfigError(f"stage {self.name!r}: epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if not self.lr > 0:
-            raise ConfigError(f"stage {self.name!r}: lr must be positive")
+            raise ConfigError("lr must be positive")
         if self.batch_size < 1:
-            raise ConfigError(f"stage {self.name!r}: batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
 
     @property
     def effective_lr(self) -> float:
@@ -66,7 +63,6 @@ class TrainStage:
 
 @dataclass(frozen=True, slots=True)
 class TrainRecord:
-    stage: str
     epoch: int
     mean_loss: float
     mean_weight: float
@@ -77,7 +73,6 @@ class TrainRecord:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "stage": self.stage,
                 "epoch": self.epoch,
                 "mean_loss": self.mean_loss,
                 "mean_weight": self.mean_weight,
@@ -125,21 +120,22 @@ def train_gec(
     """
     if stage.loss == DYNAMIC:
         if judge is None:
-            raise ConfigError(f"stage {stage.name!r} uses the dynamic loss but no judge was given")
+            raise ConfigError("the dynamic loss needs a judge")
         accuracy = getattr(judge, "dev_accuracy", None)
         if accuracy is None or not (0.0 < accuracy <= 1.0):
-            raise ConfigError(f"stage {stage.name!r}: judge dev accuracy {accuracy!r} is unusable")
+            raise ConfigError(f"judge dev accuracy {accuracy!r} is unusable")
     optimizer = make_optimizer(stage.optimizer, stage.effective_lr)
     sources = [pair.source for pair in stage.pairs]
     targets = []
     for pair in stage.pairs:
         if pair.target is None:
-            raise ConfigError(f"stage {stage.name!r}: pair without a target sentence")
+            raise ConfigError("training pair without a target sentence")
         targets.append(pair.target)
     n = len(stage.pairs)
     log = TrainLog()
     for epoch in range(1, stage.epochs + 1):
-        # The 0 keeps the stream of the former stage-list trainer's only stage.
+        # The 0 is part of the stream: dropping it would reorder every batch
+        # and so change every trained model.
         order = np.random.default_rng([seed, 0, epoch]).permutation(n)
         loss_sum = 0.0
         weight_sum = 0.0
@@ -168,7 +164,6 @@ def train_gec(
         dev_f05 = _dev_f05(model, dev_pairs) if dev_pairs else None
         log.records.append(
             TrainRecord(
-                stage=stage.name,
                 epoch=epoch,
                 mean_loss=loss_sum / n,
                 mean_weight=weight_sum / n,

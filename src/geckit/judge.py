@@ -42,6 +42,9 @@ MODEL_VERSION = 1
 # Character n-gram lengths hashed into features, inclusive.
 NGRAM_MIN = 1
 NGRAM_MAX = 4
+# The most 8-byte elements an array can hold: numpy raises ValueError or
+# OverflowError, not MemoryError, when an array's bytes exceed intp.
+MAX_ARRAY_SIZE = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +112,8 @@ class JudgeConfig:
     def __post_init__(self) -> None:
         if self.dim < 4:
             raise ConfigError(f"hash dimension too small: {self.dim}")
+        if self.dim > MAX_ARRAY_SIZE:
+            raise ConfigError(f"hash dimension too large to allocate: {self.dim}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not self.lr > 0:
@@ -290,10 +295,10 @@ class JudgeModel:
             raise FormatError(f"bad values for {bad}", name=name)
         dim = payload["dim"]
         ngrams = (payload["ngram_min"], payload["ngram_max"])
-        if dim < 1 or ngrams != (NGRAM_MIN, NGRAM_MAX):
-            raise FormatError(
-                f"bad dim {dim} or n-gram range {ngrams}, not ({NGRAM_MIN}, {NGRAM_MAX})", name=name
-            )
+        if not 1 <= dim <= MAX_ARRAY_SIZE:
+            raise FormatError(f"dim {dim} is outside [1, {MAX_ARRAY_SIZE}]", name=name)
+        if ngrams != (NGRAM_MIN, NGRAM_MAX):
+            raise FormatError(f"n-gram range {ngrams}, not ({NGRAM_MIN}, {NGRAM_MAX})", name=name)
         try:
             indices = np.asarray(payload["weight_indices"])
             values = np.asarray(payload["weight_values"])

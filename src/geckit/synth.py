@@ -24,16 +24,13 @@ from .align import InflectionTable, LexiconSet, save_lexicons
 from .colacorpus import Corpus, SplitConfig, corpus_stats, merge_corpora
 from .errors import ConfigError, InvalidEditSet
 from .textcore import (
-    CHARACTER,
     DET,
-    MODES,
     ORIGIN_SYNTHETIC,
     OTHER,
     PREP,
     PUNCT,
     SPELL,
     SVA,
-    WORD,
     AnnotatedPair,
     ColaInstance,
     Edit,
@@ -98,8 +95,7 @@ class SynthGrammar:
     drawn independently. ``confusion_prepositions`` and ``typo_forms``
     are corruption inventories: they never appear in generated output
     but belong to the grammar's lexicon so edit classification can see
-    them. Templates are sequences of slot names. ``mode`` labels the
-    preset's tokenization in grammar.json and the manifest.
+    them. Templates are sequences of slot names.
     """
 
     nouns: tuple[tuple[str, str], ...]
@@ -112,12 +108,8 @@ class SynthGrammar:
     punctuation: tuple[str, ...]
     templates: tuple[tuple[str, ...], ...]
     typo_forms: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    mode: str = WORD
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
         _validate_form_pairs("noun", self.nouns)
         _validate_form_pairs("verb", self.verbs)
         if not self.templates:
@@ -262,29 +254,7 @@ class SynthGrammar:
             "punctuation": list(self.punctuation),
             "templates": [list(t) for t in self.templates],
             "typo_forms": {k: list(v) for k, v in self.typo_forms.items()},
-            "mode": self.mode,
-            "seed": self.seed,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SynthGrammar":
-        try:
-            return cls(
-                nouns=tuple((p[0], p[1]) for p in data["nouns"]),
-                verbs=tuple((p[0], p[1]) for p in data["verbs"]),
-                determiners_sg=tuple(data["determiners_sg"]),
-                determiners_pl=tuple(data["determiners_pl"]),
-                modifiers=tuple(data["modifiers"]),
-                prepositions=tuple(data["prepositions"]),
-                confusion_prepositions=tuple(data["confusion_prepositions"]),
-                punctuation=tuple(data["punctuation"]),
-                templates=tuple(tuple(t) for t in data["templates"]),
-                typo_forms={k: tuple(v) for k, v in data.get("typo_forms", {}).items()},
-                mode=data.get("mode", WORD),
-                seed=int(data.get("seed", 0)),
-            )
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ConfigError(f"bad grammar JSON: {exc}") from exc
 
 
 def save_grammar(grammar: SynthGrammar, path: str | Path) -> None:
@@ -292,10 +262,6 @@ def save_grammar(grammar: SynthGrammar, path: str | Path) -> None:
         json.dumps(grammar.to_json_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-
-
-def load_grammar(path: str | Path) -> SynthGrammar:
-    return SynthGrammar.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def default_typo_forms(words: Sequence[str], vocabulary: frozenset[str]) -> dict[str, tuple[str, ...]]:
@@ -333,7 +299,6 @@ class ErrorInjectionSpec:
     grammar: SynthGrammar
     kind_weights: Mapping[str, float]
     count_weights: Mapping[int, float]
-    seed: int = 0
 
     def __post_init__(self) -> None:
         _validate_distribution("kind_weights", self.kind_weights, ERROR_KINDS)
@@ -346,31 +311,12 @@ class ErrorInjectionSpec:
         return {
             "kind_weights": dict(self.kind_weights),
             "count_weights": {str(k): v for k, v in self.count_weights.items()},
-            "seed": self.seed,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping, grammar: SynthGrammar) -> "ErrorInjectionSpec":
-        try:
-            return cls(
-                grammar=grammar,
-                kind_weights=dict(data["kind_weights"]),
-                count_weights={int(k): v for k, v in data["count_weights"].items()},
-                seed=int(data.get("seed", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad injection spec JSON: {exc}") from exc
 
 
 def save_injection_spec(spec: ErrorInjectionSpec, path: str | Path) -> None:
     Path(path).write_text(
         json.dumps(spec.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def load_injection_spec(path: str | Path, grammar: SynthGrammar) -> ErrorInjectionSpec:
-    return ErrorInjectionSpec.from_json_dict(
-        json.loads(Path(path).read_text(encoding="utf-8")), grammar
     )
 
 
@@ -412,12 +358,11 @@ def _sample_sentence(grammar: SynthGrammar, rng) -> Sentence:
     return Sentence(tuple(tokens))
 
 
-def gen_corpus(grammar: SynthGrammar, n: int, seed: int | None = None) -> list[Sentence]:
+def gen_corpus(grammar: SynthGrammar, n: int, seed: int) -> list[Sentence]:
     """Generate n sentences; item i depends only on (seed, i)."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    base = grammar.seed if seed is None else seed
-    return [_sample_sentence(grammar, default_rng([base, i])) for i in range(n)]
+    return [_sample_sentence(grammar, default_rng([seed, i])) for i in range(n)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -466,16 +411,17 @@ def _applicable_positions(
     return [i for i in candidates if not _blocked(i, claimed)]
 
 
-def inject(sentence: Sentence, spec: ErrorInjectionSpec, seed=None) -> InjectionResult:
+def inject(
+    sentence: Sentence, spec: ErrorInjectionSpec, seed: int | Sequence[int]
+) -> InjectionResult:
     """Corrupt a sentence; the returned gold edits reconstruct it exactly.
 
     Injections never overlap. A sentence offering no applicable position
     for any sampled kind comes back unmodified with ``skipped`` set.
-    ``seed`` may be an int or a sequence of ints; when omitted the
-    spec's own seed is used.
+    ``seed`` may be an int or a sequence of ints.
     """
     grammar = spec.grammar
-    rng = default_rng([spec.seed] if seed is None else seed)
+    rng = default_rng(seed)
     kinds = tuple(spec.kind_weights)
     kind_p = [spec.kind_weights[k] for k in kinds]
     counts = tuple(spec.count_weights)
@@ -664,7 +610,6 @@ def make_benchmark(
     total_errors = sum(error_counts.values())
     manifest = {
         "seed": seed,
-        "mode": grammar.mode,
         "sizes": {
             "gec_train": sizes.gec_train,
             "gec_dev": sizes.gec_dev,
@@ -793,7 +738,7 @@ _MIX_B_WEIGHTS = {
 _COUNT_WEIGHTS = {1: 0.8, 2: 0.2}
 
 
-def _word_grammar(punctuation: tuple[str, ...], seed: int) -> SynthGrammar:
+def _word_grammar(punctuation: tuple[str, ...]) -> SynthGrammar:
     base = SynthGrammar(
         nouns=_WORD_NOUNS,
         verbs=_WORD_VERBS,
@@ -804,14 +749,12 @@ def _word_grammar(punctuation: tuple[str, ...], seed: int) -> SynthGrammar:
         confusion_prepositions=("about", "under", "between"),
         punctuation=punctuation,
         templates=_WORD_TEMPLATES,
-        mode=WORD,
-        seed=seed,
     )
     surfaces = [form for pair in _WORD_NOUNS for form in pair]
     return replace(base, typo_forms=default_typo_forms(surfaces, base.vocabulary))
 
 
-def _char_grammar(seed: int) -> SynthGrammar:
+def _char_grammar() -> SynthGrammar:
     return SynthGrammar(
         nouns=(("a", "A"), ("b", "B"), ("c", "C"), ("d", "D"), ("e", "E")),
         verbs=(("h", "H"), ("i", "I")),
@@ -834,12 +777,10 @@ def _char_grammar(seed: int) -> SynthGrammar:
             "e": ("y",),
             "E": ("Y",),
         },
-        mode=CHARACTER,
-        seed=seed,
     )
 
 
-def make_preset(name: str, seed: int = 0) -> tuple[SynthGrammar, ErrorInjectionSpec]:
+def make_preset(name: str) -> tuple[SynthGrammar, ErrorInjectionSpec]:
     """Build one of the shipped benchmark presets.
 
     mix_a is punctuation-light, mix_b punctuation-heavy with a wider
@@ -848,16 +789,16 @@ def make_preset(name: str, seed: int = 0) -> tuple[SynthGrammar, ErrorInjectionS
     tokens with the mix_a error profile.
     """
     if name == MIX_A:
-        grammar = _word_grammar((".",), seed)
+        grammar = _word_grammar((".",))
         weights = _MIX_A_WEIGHTS
     elif name == MIX_B:
-        grammar = _word_grammar((".", "!", "?"), seed)
+        grammar = _word_grammar((".", "!", "?"))
         weights = _MIX_B_WEIGHTS
     elif name == CHAR_MIX:
-        grammar = _char_grammar(seed)
+        grammar = _char_grammar()
         weights = _MIX_A_WEIGHTS
     else:
         raise ConfigError(f"unknown preset {name!r}, expected one of {', '.join(PRESETS)}")
     return grammar, ErrorInjectionSpec(
-        grammar=grammar, kind_weights=weights, count_weights=dict(_COUNT_WEIGHTS), seed=seed
+        grammar=grammar, kind_weights=weights, count_weights=dict(_COUNT_WEIGHTS)
     )

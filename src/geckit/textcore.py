@@ -14,11 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from .errors import EmptySentence, FormatError, InvalidEditSet
-
-WORD = "word"
-CHARACTER = "character"
-MODES = (WORD, CHARACTER)
+from .errors import FormatError, InvalidEditSet
 
 # Closed per run; lexicon-backed morphology tables may extend it (see align).
 PUNCT = "PUNCT"
@@ -45,12 +41,25 @@ _NONE_FIELD = "-NONE-"
 _NOOP_TYPE = "noop"
 
 
-def _check_token(token: str) -> None:
-    if not isinstance(token, str) or not token:
-        raise InvalidEditSet(f"empty token in {token!r}")
-    if " " in token:
-        # The single-space separator is load-bearing for M2 and TSV output.
-        raise InvalidEditSet(f"token contains the separator space: {token!r}")
+def _check_tokens(tokens: tuple) -> None:
+    """Raise InvalidEditSet unless every token is a non-empty string without whitespace.
+
+    Tokens are space-separated, TSV fields tab-separated and plain text
+    split on any whitespace run, so a token holding whitespace would not
+    read back as one token.
+    """
+    # Splitting the joined tokens gives them back exactly when all are valid:
+    # one pass in C for the common case, the loop only to name the bad token.
+    try:
+        if " ".join(tokens).split() == list(tokens):
+            return
+    except TypeError:
+        pass
+    for token in tokens:
+        if not isinstance(token, str) or not token:
+            raise InvalidEditSet(f"empty token in {token!r}")
+        if token.split() != [token]:
+            raise InvalidEditSet(f"token contains whitespace: {token!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,8 +71,7 @@ class Sentence:
     def __post_init__(self) -> None:
         if not isinstance(self.tokens, tuple):
             object.__setattr__(self, "tokens", tuple(self.tokens))
-        for token in self.tokens:
-            _check_token(token)
+        _check_tokens(self.tokens)
 
     @property
     def text(self) -> str:
@@ -74,23 +82,6 @@ class Sentence:
 
     def __iter__(self):
         return iter(self.tokens)
-
-
-def tokenize(raw: str, mode: str = WORD) -> Sentence:
-    """Split raw text into a Sentence.
-
-    Word mode splits on whitespace runs; character mode yields one token per
-    non-whitespace character. Raises EmptySentence when nothing remains.
-    """
-    if mode not in MODES:
-        raise InvalidEditSet(f"unknown mode {mode!r}")
-    if mode == WORD:
-        tokens = tuple(raw.split())
-    else:
-        tokens = tuple(ch for ch in raw if not ch.isspace())
-    if not tokens:
-        raise EmptySentence(f"no tokens in {raw!r}")
-    return Sentence(tokens)
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,8 +107,7 @@ class Edit:
             raise InvalidEditSet(f"bad span ({self.start}, {self.end})")
         if self.start == self.end and not self.replacement:
             raise InvalidEditSet(f"null edit at position {self.start}")
-        for token in self.replacement:
-            _check_token(token)
+        _check_tokens(self.replacement)
         if not self.etype:
             raise InvalidEditSet("empty edit type")
 
@@ -188,10 +178,6 @@ class AnnotatedPair:
                 raise InvalidEditSet(
                     f"canonical edits produce {derived.text!r}, not target {self.target.text!r}"
                 )
-
-    @property
-    def canonical_annotator(self) -> int | None:
-        return min(self.annotator_ids) if self.annotator_ids else None
 
     @property
     def canonical_edits(self) -> tuple[Edit, ...]:

@@ -57,7 +57,7 @@ GEC_MODEL = ModelConfig(embed_dim=24, hidden_dim=48)
 @pytest.fixture(scope="session")
 def mix_a():
     start = time.perf_counter()
-    grammar, spec = make_preset("mix_a", seed=MIX_A_SEED)
+    grammar, spec = make_preset("mix_a")
     bench = make_benchmark(grammar, spec, MIX_A_SIZES, seed=MIX_A_SEED)
     return bench, time.perf_counter() - start
 
@@ -70,8 +70,8 @@ def mix_a_judge(mix_a):
     return judge, time.perf_counter() - start
 
 
-def _gec_stage(name, pairs):
-    return TrainStage(name=name, pairs=tuple(pairs), epochs=GEC_EPOCHS, lr=GEC_LR, batch_size=GEC_BATCH)
+def _gec_stage(pairs):
+    return TrainStage(pairs=tuple(pairs), epochs=GEC_EPOCHS, lr=GEC_LR, batch_size=GEC_BATCH)
 
 
 # --- criterion 1 ----------------------------------------------------------
@@ -312,7 +312,6 @@ def test_criterion_5_injection_reversal_and_span_recovery(mix_a, acceptance_note
         grammar=grammar,
         kind_weights=dict(spec.kind_weights),
         count_weights={1: 1.0},
-        seed=5,
     )
     lexicons = grammar.lexicons()
     recovered = 0
@@ -387,7 +386,7 @@ def test_criterion_7_guided_training_non_inferiority(mix_a, mix_a_judge, accepta
     )
     report = ablation_run(
         variants,
-        _gec_stage("ablate", bench.gec_train),
+        _gec_stage(bench.gec_train),
         bench.gec_test,
         model_config=GEC_MODEL,
         judge=judge,
@@ -425,7 +424,7 @@ def test_criterion_8_out_of_distribution_punct_filtering(mix_a, acceptance_note)
     """Excluding PUNCT edits cannot hurt a model that never saw them."""
     bench_a, _ = mix_a
     start = time.perf_counter()
-    grammar_b, spec_b = make_preset("mix_b", seed=MIX_B_SEED)
+    grammar_b, spec_b = make_preset("mix_b")
     bench_b = make_benchmark(grammar_b, spec_b, MIX_B_SIZES, seed=MIX_B_SEED)
     # The punctuation-heavy preset carries marks the training preset
     # lacks, so punctuation errors are out of distribution.
@@ -434,7 +433,7 @@ def test_criterion_8_out_of_distribution_punct_filtering(mix_a, acceptance_note)
     sources = [pair.source for pair in bench_a.gec_train]
     targets = [pair.target for pair in bench_a.gec_train]
     model = Seq2SeqModel(Vocab.from_sentences(sources + targets), GEC_MODEL)
-    train_gec(model, _gec_stage("baseline", bench_a.gec_train), seed=0)
+    train_gec(model, _gec_stage(bench_a.gec_train), seed=0)
 
     hypotheses = greedy_decode_batch(model, [pair.source for pair in bench_b.gec_test])
     lexicons = bench_b.lexicons()

@@ -1,18 +1,24 @@
 """End-to-end tests for the command-line front end."""
 
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geckit
 from geckit.cli import _COMMANDS, _GLOBAL_OPTS, build_parser, main, resolve_options
 from geckit.errors import ConfigError
+from geckit.judge import MAX_ARRAY_SIZE
 from geckit.textcore import apply_edits, parse_m2
 
 SMALL_BENCH = [
@@ -410,6 +416,9 @@ class TestConfigResolution:
             (["build-cola", "--m2", "t.m2", "--dev-frac", "1.5"], "sum to 1.5 > 1"),
             (["build-cola", "--m2", "t.m2", "--min-len", "0"], "need 1 <= min_len <= max_len"),
             (["train-judge", "--train", "t.tsv", "--dev", "d.tsv", "--dim", "2"], "too small"),
+            # Bytes beyond numpy's index type, where numpy raises ValueError or OverflowError.
+            (["train-judge", "--train", "t.tsv", "--dev", "d.tsv", "--dim", str(2**62)], "too large"),
+            (["train-judge", "--train", "t.tsv", "--dev", "d.tsv", "--dim", str(10**20)], "too large"),
         ],
     )
     def test_rejected_value_writes_nothing(self, tmp_path, capsys, argv, message):
@@ -557,7 +566,7 @@ class TestGecCommands:
         log_lines = (gec_dir / "train_log.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(log_lines) == 2
         record = json.loads(log_lines[0])
-        assert record["stage"] == "main"
+        assert record["epoch"] == 1
 
     def test_dynamic_loss_requires_judge(self, bench_dir, tmp_path, capsys):
         code = main(
@@ -723,6 +732,8 @@ JUDGE_CORRUPTIONS = {
     "short values": lambda d: d["weight_values"].pop(),
     "text values": lambda d: d.update(weight_values=["x"] * len(d["weight_values"])),
     "n-gram range": lambda d: d.update(ngram_max=3),
+    # Its bytes exceed numpy's index type: numpy itself would raise ValueError.
+    "dim beyond numpy": lambda d: d.update(dim=2**62),
 }
 
 META_CORRUPTIONS = {
@@ -734,6 +745,20 @@ META_CORRUPTIONS = {
     "config not an object": lambda m: m.update(config=[8, 12]),
     # 10^14 weights per hidden matrix: checked against params.npy before any allocation.
     "huge hidden_dim": lambda m: m["config"].update(hidden_dim=10**7),
+    "hidden_dim beyond numpy": lambda m: m["config"].update(hidden_dim=10**20),
+}
+
+PARAMS_DAMAGE = {
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "empty": lambda raw: b"",
+}
+
+PARAMS_CORRUPTIONS = {
+    "too few values": lambda flat: flat[:-1],
+    "nan value": lambda flat: np.where(np.arange(flat.size) == 3, np.nan, flat),
+    "inf value": lambda flat: np.where(np.arange(flat.size) == 3, -np.inf, flat),
+    "float32": lambda flat: flat.astype(np.float32),
+    "big-endian float64": lambda flat: flat.astype(">f8"),
 }
 
 
@@ -782,16 +807,15 @@ class TestCorruptModelFiles:
         assert self._decode(model_dir, decoded_dir / "sources.txt", tmp_path / "o") == 1
         assert "meta.json" in _single_error_line(capsys)
 
-    @pytest.mark.parametrize("damage", ["truncated", "empty", "too few values"])
+    @pytest.mark.parametrize("damage", [*PARAMS_DAMAGE, *PARAMS_CORRUPTIONS])
     def test_bad_params(self, damage, gec_dir, decoded_dir, tmp_path, capsys):
         model_dir = tmp_path / "model"
         shutil.copytree(gec_dir / "gec_model", model_dir)
         params = model_dir / "params.npy"
-        if damage == "too few values":
-            np.save(params, np.load(params)[:-1])
+        if damage in PARAMS_CORRUPTIONS:
+            np.save(params, PARAMS_CORRUPTIONS[damage](np.load(params)))
         else:
-            raw = params.read_bytes()
-            params.write_bytes(raw[: len(raw) // 2] if damage == "truncated" else b"")
+            params.write_bytes(PARAMS_DAMAGE[damage](params.read_bytes()))
         assert self._decode(model_dir, decoded_dir / "sources.txt", tmp_path / "o") == 1
         assert "params.npy" in _single_error_line(capsys)
 
@@ -836,6 +860,128 @@ class TestOutOfMemory:
         assert error.startswith("error: out of memory: ")
         log = (out / "run.log").read_text(encoding="utf-8").splitlines()
         assert log[-1].endswith(f" failed: {error[len('error: '):].rstrip()}")
+
+    def test_gec_size_beyond_numpy(self, bench_dir, tmp_path, capsys):
+        # numpy raises ValueError, not MemoryError, for an array this large.
+        code = main(
+            ["train-gec", "--train", str(bench_dir / "gec_dev.m2"), "--hidden-dim", str(10**20),
+             "--out", str(tmp_path / "o")]
+        )  # fmt: skip
+        assert code == 1
+        assert "too large to allocate" in _single_error_line(capsys)
+
+
+class TestWhitespaceInTokens:
+    """A token holding whitespace is refused with its line number."""
+
+    @pytest.mark.parametrize("char", ["\t", "\xa0", "\u3000"])
+    def test_m2_token(self, char, bench_dir, tmp_path, capsys):
+        lines = (bench_dir / "gec_dev.m2").read_text(encoding="utf-8").split("\n")
+        lines[0] = lines[0] + char + "x"
+        bad = tmp_path / "bad.m2"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        for argv in (["build-cola", "--m2", str(bad)], ["train-gec", "--train", str(bad)]):
+            assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+            error = _single_error_line(capsys)
+            assert f"{bad}: line 1: token contains whitespace" in error
+
+    def test_tsv_token(self, bench_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("1\ta b\n0\tg\xa0h\n", encoding="utf-8")
+        code = main(
+            ["train-judge", "--train", str(bad), "--dev", str(bench_dir / "cola_dev.tsv"),
+             "--out", str(tmp_path / "o")]
+        )  # fmt: skip
+        assert code == 1
+        assert f"{bad}: line 2: token contains whitespace" in _single_error_line(capsys)
+
+
+# --- property test: corrupt inputs never escape as a traceback ------------------
+
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+# Values that no integer field and no float field of the model files accepts.
+_NOT_A_NUMBER = st.one_of(
+    st.text(max_size=4),
+    st.booleans(),
+    st.lists(st.integers(), max_size=2),
+    _NON_FINITE,
+)
+_NOT_AN_INT = st.one_of(_NOT_A_NUMBER, st.floats(allow_nan=False, allow_infinity=False))
+_HUGE = st.integers(min_value=MAX_ARRAY_SIZE + 1)
+_SPACES = "\t\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u2028\u3000"
+
+
+@st.composite
+def _judge_corruption(draw):
+    key = draw(st.sampled_from(["dim", "ngram_min", "ngram_max", "seed", "epochs", "bias0"]))
+    values = {
+        "dim": st.one_of(_NOT_AN_INT, st.integers(max_value=0), _HUGE),
+        "bias0": _NOT_A_NUMBER,
+    }
+    return ("judge", key, draw(st.one_of(st.none(), values.get(key, _NOT_AN_INT))))
+
+
+@st.composite
+def _meta_corruption(draw):
+    key = draw(st.sampled_from(["embed_dim", "hidden_dim", "attn_dim", "seed"]))
+    huge = st.nothing() if key == "seed" else _HUGE  # any seed >= 0 is valid
+    return ("meta", key, draw(st.one_of(_NOT_AN_INT, st.integers(max_value=-1), huge)))
+
+
+_OTHER_DTYPE = st.sampled_from(["float16", "float32", "longdouble", "int64", "complex128", ">f8"])
+_PARAMS_CORRUPTION = st.one_of(
+    st.tuples(st.just("params"), st.integers(0, 100), _NON_FINITE),
+    st.tuples(st.just("dtype"), _OTHER_DTYPE, st.none()),
+)
+_M2_CORRUPTION = st.tuples(st.just("m2"), st.integers(0, 10**6), st.sampled_from(_SPACES))
+
+
+class TestCorruptInputsProperty:
+    """Any of these corruptions exits 1 or 2 with exactly one error line."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(_judge_corruption(), _meta_corruption(), _PARAMS_CORRUPTION, _M2_CORRUPTION))
+    def test_corruption_gives_one_error_line(
+        self, bench_dir, judge_dir, gec_dir, decoded_dir, corruption
+    ):
+        kind, where, value = corruption
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            if kind == "judge":
+                payload = json.loads((judge_dir / "judge.json").read_text(encoding="utf-8"))
+                payload[where] = value
+                (tmp / "judge.json").write_text(json.dumps(payload), encoding="utf-8")
+                argv = ["judge-eval", "--model", str(tmp / "judge.json"),
+                        "--data", str(bench_dir / "cola_dev.tsv")]  # fmt: skip
+            elif kind == "m2":
+                lines = (bench_dir / "gec_dev.m2").read_text(encoding="utf-8").split("\n")
+                s_lines = [i for i, line in enumerate(lines) if line.startswith("S ")]
+                i = s_lines[where % len(s_lines)]
+                at = 2 + where % (len(lines[i]) - 1)
+                lines[i] = lines[i][:at] + value + lines[i][at:]
+                (tmp / "bad.m2").write_text("\n".join(lines), encoding="utf-8")
+                argv = ["build-cola", "--m2", str(tmp / "bad.m2")]
+            else:
+                model = tmp / "model"
+                shutil.copytree(gec_dir / "gec_model", model)
+                if kind == "meta":
+                    meta = json.loads((model / "meta.json").read_text(encoding="utf-8"))
+                    meta["config"][where] = value
+                    (model / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+                else:
+                    flat = np.load(model / "params.npy")
+                    if kind == "params":
+                        flat[where % flat.size] = value
+                    else:
+                        flat = flat.astype(where)
+                    np.save(model / "params.npy", flat)
+                argv = ["decode", "--model", str(model), "--input", str(decoded_dir / "sources.txt")]
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = main([*argv, "--out", str(tmp / "o")])
+        lines = err.getvalue().splitlines()
+        assert code in (1, 2)
+        assert len(lines) == 1 and lines[0].startswith(("error: ", "i/o error: ")), lines
 
 
 class TestRunLog:

@@ -170,7 +170,7 @@ class TestSharedEncoding:
         pairs = tuple(toy_pairs(30, 3))
         vocab = Vocab.from_sentences([p.source for p in pairs])
         config = ModelConfig(embed_dim=6, hidden_dim=10, seed=5)
-        stage = TrainStage(name="s", pairs=pairs, epochs=3, lr=0.05, loss=loss, batch_size=7)
+        stage = TrainStage(pairs=pairs, epochs=3, lr=0.05, loss=loss, batch_size=7)
         shared, unshared = Seq2SeqModel(vocab, config), Seq2SeqModel(vocab, config)
         train_gec(shared, stage, judge=LengthJudge(), seed=4)
         reference_train(unshared, stage, LengthJudge(), seed=4)

@@ -61,9 +61,7 @@ class FlatJudge:
 
 @pytest.fixture(scope="module")
 def toy_task():
-    stage = TrainStage(
-        name="toy", pairs=tuple(toy_pairs(48, seed=11)), epochs=5, lr=0.05, batch_size=16
-    )
+    stage = TrainStage(pairs=tuple(toy_pairs(48, seed=11)), epochs=5, lr=0.05, batch_size=16)
     return stage, toy_pairs(16, seed=12), ModelConfig(embed_dim=8, hidden_dim=12)
 
 
@@ -229,7 +227,7 @@ class TestAblation:
         for seed in seeds:
             for loss in (PLAIN_CE, DYNAMIC):
                 model = Seq2SeqModel(vocab, replace(config, seed=seed))
-                train_gec(model, replace(stage, name=loss, loss=loss), judge=judge, seed=seed)
+                train_gec(model, replace(stage, loss=loss), judge=judge, seed=seed)
                 for variant in variants:
                     if variant.loss != loss:
                         continue

@@ -84,7 +84,7 @@ def copy_model():
     train = copy_pairs(300, 1)
     vocab = Vocab.from_sentences([p.source for p in train])
     model = Seq2SeqModel(vocab, ModelConfig(embed_dim=16, hidden_dim=32, seed=0))
-    stage = TrainStage(name="copy", pairs=tuple(train), epochs=50, lr=0.02)
+    stage = TrainStage(pairs=tuple(train), epochs=50, lr=0.02)
     log = train_gec(model, stage, seed=0)
     return model, log
 
@@ -240,7 +240,7 @@ class TestTrainValidation:
         pairs = tuple(copy_pairs(4, 0))
         vocab = Vocab.from_sentences([p.source for p in pairs])
         model = Seq2SeqModel(vocab, ModelConfig(embed_dim=4, hidden_dim=4))
-        stage = TrainStage(name="d", pairs=pairs, epochs=1, lr=0.01, loss=DYNAMIC)
+        stage = TrainStage(pairs=pairs, epochs=1, lr=0.01, loss=DYNAMIC)
         with pytest.raises(ConfigError):
             train_gec(model, stage)
 
@@ -248,20 +248,18 @@ class TestTrainValidation:
         pairs = tuple(copy_pairs(4, 0))
         vocab = Vocab.from_sentences([p.source for p in pairs])
         model = Seq2SeqModel(vocab, ModelConfig(embed_dim=4, hidden_dim=4))
-        stage = TrainStage(name="d", pairs=pairs, epochs=1, lr=0.01, loss=DYNAMIC)
+        stage = TrainStage(pairs=pairs, epochs=1, lr=0.01, loss=DYNAMIC)
         with pytest.raises(ConfigError):
             train_gec(model, stage, judge=ConstantJudge(0.5, dev_accuracy=None))
 
     def test_bad_stage_configs(self):
         pairs = tuple(copy_pairs(2, 0))
         with pytest.raises(ConfigError):
-            TrainStage(name="", pairs=pairs, epochs=1, lr=0.1)
+            TrainStage(pairs=(), epochs=1, lr=0.1)
         with pytest.raises(ConfigError):
-            TrainStage(name="s", pairs=(), epochs=1, lr=0.1)
+            TrainStage(pairs=pairs, epochs=0, lr=0.1)
         with pytest.raises(ConfigError):
-            TrainStage(name="s", pairs=pairs, epochs=0, lr=0.1)
-        with pytest.raises(ConfigError):
-            TrainStage(name="s", pairs=pairs, epochs=1, lr=0.1, loss="focal")
+            TrainStage(pairs=pairs, epochs=1, lr=0.1, loss="focal")
 
 
 class TestTrainingRuns:
@@ -271,7 +269,7 @@ class TestTrainingRuns:
         logs = []
         for _ in range(2):
             model = Seq2SeqModel(vocab, ModelConfig(embed_dim=8, hidden_dim=12, seed=2))
-            stage = TrainStage(name="copy", pairs=pairs, epochs=3, lr=0.02)
+            stage = TrainStage(pairs=pairs, epochs=3, lr=0.02)
             logs.append(train_gec(model, stage, seed=7).to_jsonl())
         assert logs[0] == logs[1]
 
@@ -280,13 +278,12 @@ class TestTrainingRuns:
         dev = swap_pairs(10, 2)
         vocab = Vocab.from_sentences([p.source for p in pairs] + [p.target for p in pairs])
         model = Seq2SeqModel(vocab, ModelConfig(embed_dim=8, hidden_dim=12, seed=0))
-        stage = TrainStage(name="fix", pairs=pairs, epochs=2, lr=0.02)
+        stage = TrainStage(pairs=pairs, epochs=2, lr=0.02)
         log = train_gec(model, stage, dev_pairs=dev, seed=0)
         assert len(log.records) == 2
         for line in log.to_jsonl().splitlines():
             record = json.loads(line)
             assert set(record) == {
-                "stage",
                 "epoch",
                 "mean_loss",
                 "mean_weight",
@@ -294,7 +291,6 @@ class TestTrainingRuns:
                 "lr",
                 "clamped_steps",
             }
-            assert record["stage"] == "fix"
             assert record["lr"] == 0.02
             assert record["mean_weight"] == 1.0
             assert record["dev_f05"] is not None
@@ -304,7 +300,7 @@ class TestTrainingRuns:
         vocab = Vocab.from_sentences([p.source for p in pairs])
         model = Seq2SeqModel(vocab, ModelConfig(embed_dim=8, hidden_dim=12, seed=4))
         judge = ConstantJudge(value=0.5, dev_accuracy=0.85)
-        stage = TrainStage(name="dyn", pairs=pairs, epochs=2, lr=0.01, loss=DYNAMIC)
+        stage = TrainStage(pairs=pairs, epochs=2, lr=0.01, loss=DYNAMIC)
         log = train_gec(model, stage, judge=judge, seed=1)
         expected = math.sqrt(0.85 * 0.5)
         for record in log.records:
@@ -319,10 +315,10 @@ class TestTrainingRuns:
         common = dict(pairs=pairs, epochs=3, optimizer="sgd", batch_size=8)
         # The dynamic loss multiplies its lr; 0.05 * 2.0 == 0.1 exactly.
         assert 0.05 * DYNAMIC_LR_MULTIPLIER == 0.1
-        train_gec(plain, TrainStage(name="s", lr=0.1, loss="plain_ce", **common), seed=11)
+        train_gec(plain, TrainStage(lr=0.1, loss="plain_ce", **common), seed=11)
         judge = ConstantJudge(value=1.0, dev_accuracy=1.0)
         train_gec(
-            dynamic, TrainStage(name="s", lr=0.05, loss=DYNAMIC, **common), judge=judge, seed=11
+            dynamic, TrainStage(lr=0.05, loss=DYNAMIC, **common), judge=judge, seed=11
         )
         assert np.array_equal(plain.flat_params(), dynamic.flat_params())
 
@@ -336,13 +332,13 @@ class TestTrainingRuns:
         # the lr/weight equivalence; these gradients stay below GRAD_CLIP.
         train_gec(
             plain,
-            TrainStage(name="s", pairs=pairs, epochs=2, lr=0.1 * weight, optimizer="sgd"),
+            TrainStage(pairs=pairs, epochs=2, lr=0.1 * weight, optimizer="sgd"),
             seed=13,
         )
         judge = ConstantJudge(value=0.5, dev_accuracy=0.85)
         train_gec(
             dynamic,
-            TrainStage(name="s", pairs=pairs, epochs=2, lr=0.05, optimizer="sgd", loss=DYNAMIC),
+            TrainStage(pairs=pairs, epochs=2, lr=0.05, optimizer="sgd", loss=DYNAMIC),
             judge=judge,
             seed=13,
         )
@@ -355,6 +351,6 @@ class TestTrainingRuns:
             [p.source for p in train] + [p.target for p in train]
         )
         model = Seq2SeqModel(vocab, ModelConfig(embed_dim=16, hidden_dim=32, seed=0))
-        stage = TrainStage(name="fix", pairs=train, epochs=40, lr=0.02)
+        stage = TrainStage(pairs=train, epochs=40, lr=0.02)
         log = train_gec(model, stage, dev_pairs=dev, seed=0)
         assert log.last().dev_f05 >= 0.8

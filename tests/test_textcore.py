@@ -1,8 +1,7 @@
 import pytest
 
-from geckit.errors import EmptySentence, FormatError, InvalidEditSet
+from geckit.errors import FormatError, InvalidEditSet
 from geckit.textcore import (
-    CHARACTER,
     AnnotatedPair,
     ColaInstance,
     Edit,
@@ -12,28 +11,7 @@ from geckit.textcore import (
     emit_m2,
     parse_cola_tsv,
     parse_m2,
-    tokenize,
 )
-
-
-class TestTokenize:
-    def test_word_mode_splits_on_whitespace_runs(self):
-        s = tokenize("The  cat\tsat ")
-        assert s.tokens == ("The", "cat", "sat")
-
-    def test_character_mode_one_token_per_nonspace_char(self):
-        s = tokenize("ab  c\tde", CHARACTER)
-        assert s.tokens == ("a", "b", "c", "d", "e")
-        assert all(len(token) == 1 for token in s.tokens)
-
-    @pytest.mark.parametrize("raw", ["", "   ", "\t\n"])
-    def test_empty_input_raises(self, raw):
-        with pytest.raises(EmptySentence):
-            tokenize(raw)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(InvalidEditSet):
-            tokenize("a b", "subword")
 
 
 class TestSentence:
@@ -48,8 +26,15 @@ class TestSentence:
         with pytest.raises(InvalidEditSet):
             Sentence(("a b",))
 
+    @pytest.mark.parametrize("token", ["a\tb", "g\xa0h", "b\r", "\u2028", "x\x1fy"])
+    def test_rejects_any_whitespace_inside_token(self, token):
+        with pytest.raises(InvalidEditSet, match="whitespace"):
+            Sentence(("a", token))
+        with pytest.raises(InvalidEditSet, match="whitespace"):
+            Edit(0, 1, (token,))
+
     def test_zero_token_sentence_is_allowed(self):
-        # Deleting every token is legal, only tokenize refuses emptiness.
+        # Deleting every token is legal.
         assert len(Sentence(())) == 0
 
 
@@ -138,7 +123,6 @@ class TestAnnotatedPair:
             gold=((Edit(0, 1, ("x",)),), (Edit(1, 2, ("y",)),)),
             annotator_ids=(2, 1),
         )
-        assert pair.canonical_annotator == 1
         assert pair.canonical_edits == (Edit(1, 2, ("y",)),)
 
 
@@ -245,6 +229,16 @@ class TestM2:
         with pytest.raises(FormatError):
             parse_m2("S a b\nA 1 1|||X|||-NONE-|||REQUIRED|||-NONE-|||0\n")
 
+    @pytest.mark.parametrize("token", ["a\tb", "g\xa0h", "h\r"])
+    def test_whitespace_inside_a_token_reports_line(self, token):
+        for text, line in (
+            (f"S ok .\n\nS x {token}\n", 3),
+            (f"S a b\nA 0 1|||X|||{token}|||REQUIRED|||-NONE-|||0\n", 2),
+        ):
+            with pytest.raises(FormatError, match="whitespace") as err:
+                parse_m2(text)
+            assert err.value.line == line
+
     def test_character_mode_round_trip(self):
         text = "S 我 吃 饭\nA 1 2|||VERB|||喝|||REQUIRED|||-NONE-|||0\n"
         pairs = parse_m2(text)
@@ -271,6 +265,11 @@ class TestColaTsv:
     def test_missing_tab_rejected(self):
         with pytest.raises(FormatError):
             parse_cola_tsv("1 a b\n")
+
+    def test_whitespace_inside_a_token_reports_line(self):
+        with pytest.raises(FormatError, match="whitespace") as err:
+            parse_cola_tsv("1\ta b\n0\tg\xa0h\n")
+        assert err.value.line == 2
 
     def test_origin_is_attached(self):
         instances = parse_cola_tsv("1\ta\n", origin="synthetic")
