@@ -56,9 +56,11 @@ from .gec import (
     Seq2SeqModel,
     TrainStage,
     Vocab,
+    check_beam_size,
     decode,
     train_gec,
 )
+from .gec.model import _param_shapes
 from .judge import JudgeConfig, JudgeModel, acc, evaluate_judge, mcc, train_judge
 from .synth import PRESETS, SizeConfig, make_benchmark, make_preset, write_benchmark
 from .textcore import (
@@ -332,12 +334,14 @@ def _run_train_gec(opts: dict, start: _Start) -> list[str]:
         raise ConfigError("train-gec: the dynamic loss needs option 'judge'")
     pairs = parse_m2(_read_text(opts["train"]), name=opts["train"])
     stage, config = _train_recipe(opts, pairs)
+    vocab = Vocab.from_pairs(pairs)
+    _param_shapes(len(vocab), config)
     out = start()
     dev_pairs = None
     if opts["dev"]:
         dev_pairs = parse_m2(_read_text(opts["dev"]), name=opts["dev"])
     judge = _load_judge(opts)
-    model = Seq2SeqModel(Vocab.from_pairs(pairs), config)
+    model = Seq2SeqModel(vocab, config)
     log = train_gec(model, stage, judge=judge, dev_pairs=dev_pairs, seed=opts["seed"])
     model.save(out / "gec_model")
     log.write(out / "train_log.jsonl")
@@ -416,6 +420,9 @@ def _run_ablate(opts: dict, start: _Start) -> list[str]:
     )
     train_pairs = parse_m2(_read_text(opts["train"]), name=opts["train"])
     stage, config = _train_recipe(opts, train_pairs)
+    vocab_size = len(Vocab.from_pairs(train_pairs))
+    _param_shapes(vocab_size, config)
+    check_beam_size(opts["beam"], vocab_size)
     out = start()
     test_pairs = parse_m2(_read_text(opts["test"]), name=opts["test"])
     judge = _load_judge(opts)

@@ -3,6 +3,7 @@
 from .decoding import (
     Hypothesis,
     beam_decode,
+    check_beam_size,
     decode,
     greedy_decode_batch,
     rerank_score,
@@ -63,6 +64,7 @@ __all__ = [
     "UNK_TOKEN",
     "Vocab",
     "beam_decode",
+    "check_beam_size",
     "clip_gradients",
     "decode",
     "greedy_decode_batch",

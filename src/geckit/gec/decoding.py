@@ -74,6 +74,18 @@ def _replicate(enc: EncoderState, count: int) -> EncoderState:
     )
 
 
+def check_beam_size(beam_size: int, vocab_size: int) -> None:
+    """Refuse a beam narrower than one or wider than the vocabulary.
+
+    A wider beam keeps every candidate of a step, so the search would grow
+    by a factor of the vocabulary size each step.
+    """
+    if beam_size < 1:
+        raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
+    if beam_size > vocab_size:
+        raise ConfigError(f"beam_size {beam_size} exceeds the vocabulary of {vocab_size} tokens")
+
+
 def beam_decode(model: Seq2SeqModel, source: Sentence, beam_size: int = 4) -> list[Hypothesis]:
     """Beam search returning up to beam_size finished hypotheses.
 
@@ -86,8 +98,7 @@ def beam_decode(model: Seq2SeqModel, source: Sentence, beam_size: int = 4) -> li
     alive score is below the beam_size-th finished one: log-probabilities
     are <= 0, so no extension could enter the returned list.
     """
-    if beam_size < 1:
-        raise ConfigError(f"beam_size must be >= 1, got {beam_size}")
+    check_beam_size(beam_size, len(model.vocab))
     limit = _step_limit([source])
     enc = model.encode([source])
     alive_tokens: list[tuple[int, ...]] = [()]

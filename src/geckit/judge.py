@@ -15,7 +15,6 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,9 +26,6 @@ from .errors import (
     InvalidLogits,
 )
 from .textcore import ColaInstance, Sentence
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 _SCORE_FLOOR = 1e-300
 _SCORE_CEIL = math.nextafter(1.0, 0.0)
@@ -143,50 +139,121 @@ def _feature_counts(text: str, dim: int) -> dict[int, float]:
     return counts
 
 
-def featurize(sentences: Sequence[Sentence], dim: int) -> sparse.csr_matrix:
-    """Hashed n-gram count rows, each L2-normalized."""
-    from scipy import sparse  # imported here so that only judge training loads scipy
+@dataclass(frozen=True, slots=True, eq=False)
+class HashedRows:
+    """Rows of hashed features in compressed sparse row form.
 
-    # Typed buffers, not lists of Python numbers, keep the peak memory low.
+    Row i holds ``data[indptr[i]:indptr[i + 1]]`` at the ascending columns
+    ``indices[indptr[i]:indptr[i + 1]]``; every other entry is 0. The
+    kernels below add their terms in the order scipy's CSR and CSC
+    matrix-vector products do, so that they give the same bits.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    dim: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.indptr) - 1, self.dim
+
+    def take(self, rows: np.ndarray) -> "HashedRows":
+        """The given rows, in the given order, gathered straight from the arrays."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        # Each row's run of entries, the runs laid end to end.
+        pos = np.repeat(starts - indptr[:-1], lengths)
+        pos += np.arange(len(pos))
+        return HashedRows(indptr, self.indices[pos], self.data[pos], self.dim)
+
+
+# Rows per pass of _row_sums, so that its temporaries stay small on a whole corpus.
+_ROW_BLOCK = 256
+
+
+def _row_sums(x: HashedRows, w: np.ndarray) -> np.ndarray:
+    """x @ w: each row's terms added left to right, starting from 0.
+
+    That is scipy's csr_matvec order. bincount adds its weights in array
+    order, so each row's run is summed in order.
+    """
+    n = x.shape[0]
+    if n > _ROW_BLOCK:
+        blocks = [np.arange(s, min(s + _ROW_BLOCK, n)) for s in range(0, n, _ROW_BLOCK)]
+        return np.concatenate([_row_sums(x.take(rows), w) for rows in blocks])
+    rows = np.repeat(np.arange(n), x.indptr[1:] - x.indptr[:-1])
+    return np.bincount(rows, x.data * w[x.indices], minlength=n)
+
+
+def _scatter(x: HashedRows, g: np.ndarray) -> np.ndarray:
+    """x.T @ g: each column's terms added in row order, starting from 0.
+
+    That is scipy's csc_matvec order on the transpose.
+    """
+    terms = x.data * np.repeat(g, x.indptr[1:] - x.indptr[:-1])
+    return np.bincount(x.indices, terms, minlength=x.dim)
+
+
+# One entry of featurize's rows: a column and its value side by side, so that
+# gathering a row's entries reads one run of memory. Its indices and data are
+# views of these records.
+_ENTRY = np.dtype([("indices", np.int64), ("data", np.float64)])
+# Entries featurize collects in typed buffers before interleaving them, and
+# entries _map_columns rewrites at a time.
+_ENTRY_BLOCK = 1 << 15
+
+
+def featurize(sentences: Sequence[Sentence], dim: int) -> HashedRows:
+    """Hashed n-gram count rows, each L2-normalized."""
     indptr = array("q", [0])
+    entries = bytearray()
+    # Typed buffers, not lists of Python numbers, keep the peak memory low.
     indices = array("q")
     data = array("d")
+
+    def flush() -> None:
+        block = np.empty(len(indices), dtype=_ENTRY)
+        block["indices"] = indices
+        block["data"] = data
+        entries.extend(memoryview(block))
+        del indices[:], data[:]
+
     for sentence in sentences:
         counts = _feature_counts(sentence.text, dim)
         norm = math.sqrt(sum(v * v for v in counts.values())) or 1.0
         keys = sorted(counts)
         indices.extend(keys)
         data.extend([counts[idx] / norm for idx in keys])
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (
-            np.frombuffer(data, dtype=np.float64),
-            np.frombuffer(indices, dtype=np.int64),
-            np.frombuffer(indptr, dtype=np.int64),
-        ),
-        shape=(len(sentences), dim),
-    )
+        indptr.append(indptr[-1] + len(keys))
+        if len(indices) >= _ENTRY_BLOCK:
+            flush()
+    flush()
+    rows = np.frombuffer(entries, dtype=_ENTRY)
+    return HashedRows(np.frombuffer(indptr, dtype=np.int64), rows["indices"], rows["data"], dim)
 
 
 # --- training -------------------------------------------------------------
 
 
 def logistic_loss(
-    w: np.ndarray, b0: float, b1: float, x: sparse.csr_matrix, y: np.ndarray, l2: float
+    w: np.ndarray, b0: float, b1: float, x: HashedRows, y: np.ndarray, l2: float
 ) -> float:
     """Mean logistic cross-entropy plus (l2 / 2) * ||w||^2, biases unpenalized."""
-    d = x @ w + (b1 - b0)
+    d = _row_sums(x, w) + (b1 - b0)
     # log(1 + exp(-d)) + (1 - y) * d, computed stably.
     per = np.logaddexp(0.0, -d) + (1.0 - y) * d
     return float(per.mean() + 0.5 * l2 * float(w @ w))
 
 
 def logistic_grad(
-    w: np.ndarray, b0: float, b1: float, x: sparse.csr_matrix, y: np.ndarray, l2: float
+    w: np.ndarray, b0: float, b1: float, x: HashedRows, y: np.ndarray, l2: float
 ) -> tuple[np.ndarray, float, float]:
-    d = x @ w + (b1 - b0)
+    d = _row_sums(x, w) + (b1 - b0)
     g = sigmoid(d) - y
-    gw = (x.T @ g) / len(y) + l2 * w
+    gw = _scatter(x, g) / len(y) + l2 * w
     gb = float(g.mean())
     return gw, -gb, gb
 
@@ -329,20 +396,29 @@ class JudgeModel:
         )
 
 
-def _touched_columns(x: sparse.csr_matrix) -> tuple[np.ndarray, sparse.csr_matrix]:
+def _map_columns(x: HashedRows, table: np.ndarray) -> None:
+    """Replace every column index c in x by table[c], in place."""
+    for start in range(0, len(x.indices), _ENTRY_BLOCK):
+        block = x.indices[start : start + _ENTRY_BLOCK]
+        block[...] = table[block]
+
+
+def _touched_columns(x: HashedRows) -> tuple[np.ndarray, HashedRows]:
     """The sorted columns that x touches, and x restricted to them.
 
-    Training on these alone gives the full-width result bit for bit: a
-    column that no row touches has zero gradient and stays at w = 0, and
-    the monotone remap keeps every row's terms in their order.
+    The restriction shares x's storage: x.indices is remapped in place, and
+    _map_columns(x, cols) maps it back. Training on these columns alone
+    gives the full-width result bit for bit: a column that no row touches
+    has zero gradient and stays at w = 0, and the monotone remap keeps
+    every row's terms in their order.
     """
-    from scipy import sparse
-
-    cols = np.flatnonzero(np.bincount(x.indices, minlength=x.shape[1]))
-    remap = np.zeros(x.shape[1], dtype=x.indices.dtype)
-    remap[cols] = np.arange(len(cols))
-    xc = sparse.csr_matrix((x.data, remap[x.indices], x.indptr), shape=(x.shape[0], len(cols)))
-    return cols, xc
+    touched = np.zeros(x.dim, dtype=bool)
+    touched[x.indices] = True
+    cols = np.flatnonzero(touched)
+    rank = np.cumsum(touched)
+    rank -= 1
+    _map_columns(x, rank)
+    return cols, HashedRows(x.indptr, x.indices, x.data, len(cols))
 
 
 def train_judge(
@@ -369,10 +445,11 @@ def train_judge(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            gw, gb0, gb1 = logistic_grad(w, b0, b1, xc[batch], y[batch], cfg.l2)
+            gw, gb0, gb1 = logistic_grad(w, b0, b1, xc.take(batch), y[batch], cfg.l2)
             w -= cfg.lr * gw
             b0 -= cfg.lr * gb0
             b1 -= cfg.lr * gb1
+    _map_columns(x, cols)  # x, which xc shares, holds the hash columns again
     weights = np.zeros(cfg.dim)
     weights[cols] = w
     # On the full vector: w @ w may group its sums differently on a shorter one.

@@ -148,9 +148,25 @@ def _loaded_by_cli_import(*prefixes: str) -> str:
     return proc.stdout.strip()
 
 
-def test_import_leaves_scipy_unloaded():
-    """Only judge training needs scipy, so no other command pays for importing it."""
+def test_import_leaves_scipy_unloaded(bench_dir, tmp_path):
+    """No command needs scipy: neither importing the CLI nor training a judge loads it."""
     assert _loaded_by_cli_import("scipy") == "[]"
+    argv = [
+        "train-judge", "--train", str(bench_dir / "cola_train.tsv"),
+        "--dev", str(bench_dir / "cola_dev.tsv"), "--dim", "4096", "--epochs", "2",
+        "--out", str(tmp_path / "judge"),
+    ]  # fmt: skip
+    code = (
+        "import sys, geckit.cli;"
+        f" code = geckit.cli.main({argv!r});"
+        " print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(geckit.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_import_leaves_process_pools_unloaded():
@@ -610,6 +626,28 @@ class TestGecCommands:
         assert "beam_size must be >= 1" in _single_error_line(capsys)
         assert not (tmp_path / "b0").exists()
 
+    def test_decode_rejects_beam_wider_than_vocabulary_at_once(
+        self, gec_dir, decoded_dir, tmp_path
+    ):
+        """The beam is checked against the model's vocabulary, which is read after --out exists."""
+        out = tmp_path / "wide"
+        argv = [
+            "decode", "--model", str(gec_dir / "gec_model"),
+            "--input", str(decoded_dir / "sources.txt"), "--beam", str(10**20), "--out", str(out),
+        ]  # fmt: skip
+        env = {**os.environ, "PYTHONPATH": str(Path(geckit.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "geckit", *argv],
+            env=env, capture_output=True, text=True, timeout=30,
+        )  # fmt: skip
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "exceeds the vocabulary" in lines[0]
+        log = (out / "run.log").read_text(encoding="utf-8").splitlines()
+        assert log[-1].endswith(f" failed: {lines[0][len('error: '):]}")
+        assert not (out / "corrected.txt").exists()
+
     def test_decode_rejects_negative_rerank_lam(
         self, gec_dir, judge_dir, decoded_dir, tmp_path, capsys
     ):
@@ -706,6 +744,8 @@ class TestAblate:
             ("--rerank-lam", "-1", "rerank_lam must be >= 0"),
             ("--epochs", "0", "epochs must be >= 1"),
             ("--hidden-dim", "0", "hidden_dim must be positive"),
+            ("--hidden-dim", str(10**20), "too large to allocate"),
+            ("--beam", str(10**20), "exceeds the vocabulary"),
         ],
     )
     def test_bad_option_writes_nothing(
@@ -869,6 +909,7 @@ class TestOutOfMemory:
         )  # fmt: skip
         assert code == 1
         assert "too large to allocate" in _single_error_line(capsys)
+        assert not (tmp_path / "o").exists()
 
 
 class TestWhitespaceInTokens:

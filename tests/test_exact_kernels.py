@@ -14,6 +14,7 @@ import zlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from geckit.gec import (
     DYNAMIC,
@@ -38,6 +39,9 @@ from geckit.judge import (
     JudgeConfig,
     JudgeModel,
     _feature_counts,
+    _map_columns,
+    _row_sums,
+    _scatter,
     _touched_columns,
     featurize,
     logistic_grad,
@@ -217,9 +221,7 @@ def reference_feature_counts(text, dim):
 
 
 def reference_featurize(sentences, dim):
-    """featurize with lists of Python numbers."""
-    from scipy import sparse
-
+    """featurize with lists of Python numbers: its indptr, indices and data."""
     indptr = [0]
     indices = []
     data = []
@@ -230,15 +232,33 @@ def reference_featurize(sentences, dim):
             indices.append(idx)
             data.append(counts[idx] / norm)
         indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(sentences), dim),
-    )
+    return np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64), np.array(data)
+
+
+def csr(indptr, indices, data, dim):
+    """The rows as a scipy matrix, whose products are the oracle for the kernels."""
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, dim))
+
+
+def reference_grad(w, b0, b1, x, y, l2):
+    """logistic_grad on a scipy matrix, with scipy's products x @ w and x.T @ g."""
+    d = x @ w + (b1 - b0)
+    g = reference_sigmoid(d) - y
+    gw = (x.T @ g) / len(y) + l2 * w
+    gb = float(g.mean())
+    return gw, -gb, gb
+
+
+def reference_loss(w, b0, b1, x, y, l2):
+    """logistic_loss on a scipy matrix."""
+    d = x @ w + (b1 - b0)
+    per = np.logaddexp(0.0, -d) + (1.0 - y) * d
+    return float(per.mean() + 0.5 * l2 * float(w @ w))
 
 
 def reference_train_judge(train, dev, cfg):
-    """train_judge on all dim columns, with its dev accuracy spelled out."""
-    x = reference_featurize([inst.sentence for inst in train], cfg.dim)
+    """train_judge on all dim columns of a scipy matrix, with its dev accuracy spelled out."""
+    x = csr(*reference_featurize([inst.sentence for inst in train], cfg.dim), cfg.dim)
     y = np.array([float(inst.label) for inst in train])
     w = np.zeros(cfg.dim)
     b0 = b1 = 0.0
@@ -248,11 +268,11 @@ def reference_train_judge(train, dev, cfg):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            gw, gb0, gb1 = logistic_grad(w, b0, b1, x[batch], y[batch], cfg.l2)
+            gw, gb0, gb1 = reference_grad(w, b0, b1, x[batch], y[batch], cfg.l2)
             w -= cfg.lr * gw
             b0 -= cfg.lr * gb0
             b1 -= cfg.lr * gb1
-    loss = logistic_loss(w, b0, b1, x, y, cfg.l2)
+    loss = reference_loss(w, b0, b1, x, y, cfg.l2)
     correct = 0
     for inst in dev:
         counts = reference_feature_counts(inst.sentence.text, cfg.dim)
@@ -292,23 +312,31 @@ class TestCompactJudgeTraining:
 
     @pytest.mark.parametrize("dim", [16, 4096, 2**16])
     def test_compact_matrix_is_the_touched_columns_in_order(self, dim):
-        x = featurize([inst.sentence for inst in judge_corpus(3, 50)], dim)
+        sentences = [inst.sentence for inst in judge_corpus(3, 50)]
+        x, ref = featurize(sentences, dim), featurize(sentences, dim)
         cols, xc = _touched_columns(x)
         assert np.all(np.diff(cols) > 0)
-        assert xc.shape == (x.shape[0], len(cols)) and xc.has_sorted_indices
-        assert np.array_equal(xc.indptr, x.indptr) and np.array_equal(xc.data, x.data)
-        assert np.array_equal(cols[xc.indices], x.indices)
-        dense = x.toarray()
-        assert np.array_equal(xc.toarray(), dense[:, cols])
+        assert xc.shape == (ref.shape[0], len(cols))
+        within_row = np.ones(len(xc.indices) - 1, dtype=bool)
+        within_row[xc.indptr[1:-1] - 1] = False
+        assert np.all(np.diff(xc.indices)[within_row] > 0)
+        assert np.array_equal(xc.indptr, ref.indptr) and np.array_equal(xc.data, ref.data)
+        assert np.array_equal(cols[xc.indices], ref.indices)
+        dense = csr(ref.indptr, ref.indices, ref.data, dim).toarray()
+        assert np.array_equal(csr(xc.indptr, xc.indices, xc.data, len(cols)).toarray(), dense[:, cols])
         assert not np.delete(dense, cols, axis=1).any()
+        # The compact rows share x's storage; mapping back restores x.
+        _map_columns(x, cols)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(x, name), getattr(ref, name)), name
 
     @pytest.mark.parametrize("dim", [16, 4096, 2**18])
     def test_featurize_equals_list_based(self, dim):
         sentences = [inst.sentence for inst in judge_corpus(5, 40)]
         got, ref = featurize(sentences, dim), reference_featurize(sentences, dim)
-        assert got.shape == ref.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(ref, name)
+        assert got.shape == (len(sentences), dim) and got.dim == dim
+        for name, b in zip(("indptr", "indices", "data"), ref):
+            a = getattr(got, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert featurize([], dim).shape == (0, dim)
 
@@ -360,6 +388,74 @@ class TestCompactJudgeTraining:
         train_judge(train, dev, cfg)
         assert len(grads) == cfg.epochs * math.ceil(len(train) / cfg.batch_size)
         assert rows == [len(train)]
+
+
+def wide_values(rng, size):
+    """Signed values over twelve orders of magnitude, so that any change of summation order shows."""
+    return rng.normal(0.0, 1.0, size) * 10.0 ** rng.integers(-6, 6, size)
+
+
+def minibatches(n, size, rng):
+    order = rng.permutation(n)
+    return [order[start : start + size] for start in range(0, n, size)]
+
+
+class TestRowKernels:
+    """The gather, row-sum and scatter kernels against scipy's products, bit for bit.
+
+    The corpus has 300 rows, so _row_sums runs in more than one block on it,
+    and its first row is the empty sentence.
+    """
+
+    @pytest.fixture(params=[16, 4096, 2**16], ids=lambda dim: f"dim{dim}")
+    def rows(self, request):
+        dim = request.param
+        x = featurize([inst.sentence for inst in judge_corpus(dim, 300)], dim)
+        return x, csr(x.indptr, x.indices, x.data, dim)
+
+    @staticmethod
+    def batches(n, size, seed):
+        """Shuffled minibatches with a short last one, the empty row alone, and a repeated row."""
+        return minibatches(n, size, np.random.default_rng(seed)) + [np.array([0]), np.array([5, 0, 5])]
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_take_equals_row_selection(self, rows, size):
+        x, sx = rows
+        for batch in self.batches(x.shape[0], size, size):
+            got, ref = x.take(batch), sx[batch]
+            assert got.shape == ref.shape and got.dim == x.dim
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices) and np.array_equal(got.data, ref.data)
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_row_sums_equal_csr_matvec(self, rows, size):
+        x, sx = rows
+        rng = np.random.default_rng(size)
+        w = wide_values(rng, x.dim)
+        for batch in self.batches(x.shape[0], size, size + 1):
+            assert np.array_equal(_row_sums(x.take(batch), w), sx[batch] @ w)
+        assert np.array_equal(_row_sums(x, w), sx @ w)
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_scatter_equals_csc_matvec(self, rows, size):
+        x, sx = rows
+        rng = np.random.default_rng(size + 2)
+        for batch in self.batches(x.shape[0], size, size + 3):
+            g = wide_values(rng, len(batch))
+            assert np.array_equal(_scatter(x.take(batch), g), sx[batch].T @ g)
+        g = wide_values(rng, x.shape[0])
+        assert np.array_equal(_scatter(x, g), sx.T @ g)
+
+    def test_grad_and_loss_equal_scipy_kernels(self, rows):
+        x, sx = rows
+        rng = np.random.default_rng(4)
+        w = wide_values(rng, x.dim)
+        y = rng.integers(0, 2, x.shape[0]).astype(float)
+        for batch in self.batches(x.shape[0], 64, 5):
+            got = logistic_grad(w, 0.3, -0.2, x.take(batch), y[batch], 1e-3)
+            ref = reference_grad(w, 0.3, -0.2, sx[batch], y[batch], 1e-3)
+            assert np.array_equal(got[0], ref[0]) and got[1:] == ref[1:]
+        assert logistic_loss(w, 0.3, -0.2, x, y, 1e-3) == reference_loss(w, 0.3, -0.2, sx, y, 1e-3)
 
 
 def reference_beam(model, source, beam_size):

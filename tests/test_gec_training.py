@@ -156,6 +156,16 @@ class TestGreedyAndBeam:
         with pytest.raises(ConfigError):
             beam_decode(model, sent("a b"), beam_size=0)
 
+    def test_beam_at_most_the_vocabulary(self):
+        source = sent("a b")
+        model, _ = self.untrained(source)
+        assert len(beam_decode(model, source, beam_size=len(model.vocab))) == len(model.vocab)
+        for wide in (len(model.vocab) + 1, 10**20):
+            with pytest.raises(ConfigError, match="exceeds the vocabulary"):
+                beam_decode(model, source, beam_size=wide)
+            with pytest.raises(ConfigError, match="exceeds the vocabulary"):
+                decode(model, [source], beam_size=wide)
+
 
 class TestRerank:
     def hyps(self, copy_model):

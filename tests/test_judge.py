@@ -91,23 +91,34 @@ class TestColaScore:
             ColaScore(0.0)
 
 
+def dense(x):
+    """The rows as a dense array, each entry written once."""
+    out = np.zeros(x.shape)
+    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    assert len(set(zip(rows.tolist(), x.indices.tolist()))) == len(rows)
+    out[rows, x.indices] = x.data
+    return out
+
+
 class TestFeaturize:
     def test_deterministic_and_normalized(self):
         sentences = [sent("the cat sat"), sent("dogs bark loudly")]
         a = featurize(sentences, dim=2**10)
         b = featurize(sentences, dim=2**10)
-        assert (a != b).nnz == 0
-        norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel())
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(dense(a), dense(b))
+        norms = np.sqrt((dense(a) ** 2).sum(axis=1))
         assert np.allclose(norms, 1.0)
 
     def test_empty_sentence_has_features(self):
         x = featurize([Sentence(())], dim=2**10)
-        assert x.nnz > 0
+        assert np.count_nonzero(dense(x)) > 0
 
     def test_distinct_texts_differ(self):
         a = featurize([sent("she goes home")], dim=2**18)
         b = featurize([sent("she go home")], dim=2**18)
-        assert (a != b).nnz > 0
+        assert np.count_nonzero(dense(a) != dense(b)) > 0
 
 
 class TestLogisticGradient:
