@@ -14,7 +14,7 @@ the same configuration; wall-clock timestamps go only to the run.log
 sidecar.
 
 Exit codes: 0 success, 1 invalid configuration or data (or a size too
-large to allocate), 2 I/O failure.
+large to allocate), 2 I/O failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from .textcore import (
     emit_m2,
     parse_cola_tsv,
     parse_m2,
+    write_json,
 )
 
 _ENV_VARS = (("seed", "GECKIT_SEED"), ("out", "GECKIT_OUT"))
@@ -153,10 +154,6 @@ def _coerce(command: str, key: str, opt: _Opt, value):
             f"{command}: config key {key!r} must be one of {list(opt.choices)}, got {result!r}"
         )
     return result
-
-
-def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _read_text(path: str) -> str:
@@ -292,7 +289,7 @@ def _run_build_cola(opts: dict, start: _Start) -> list[str]:
         (out / f"cola_{name}.tsv").write_text(
             emit_cola_tsv(corpus.split(name)), encoding="utf-8"
         )
-    _write_json(out / "cola_stats.json", {"meta": corpus.meta, "stats": corpus_stats(corpus)})
+    write_json(out / "cola_stats.json", {"meta": corpus.meta, "stats": corpus_stats(corpus)})
     return [f"wrote cola splits to {out} ({len(corpus)} instances)"]
 
 
@@ -311,7 +308,7 @@ def _run_train_judge(opts: dict, start: _Start) -> list[str]:
     model = train_judge(train, dev, config)
     model.save(out / "judge.json")
     data, text = _judge_report(evaluate_judge(model, dev))
-    _write_json(out / "judge_metrics.json", data)
+    write_json(out / "judge_metrics.json", data)
     (out / "judge_metrics.txt").write_text(text, encoding="utf-8")
     return [
         f"wrote {out / 'judge.json'}",
@@ -324,7 +321,7 @@ def _run_judge_eval(opts: dict, start: _Start) -> list[str]:
     model = JudgeModel.load(opts["model"])
     instances = parse_cola_tsv(_read_text(opts["data"]), name=opts["data"])
     data, text = _judge_report(evaluate_judge(model, instances))
-    _write_json(out / "judge_eval.json", data)
+    write_json(out / "judge_eval.json", data)
     (out / "judge_eval.txt").write_text(text, encoding="utf-8")
     return [f"accuracy {data['accuracy']:.4f}, mcc {data['mcc']:.4f} on {data['total']} instances"]
 
@@ -371,7 +368,7 @@ def _run_evaluate(opts: dict, start: _Start) -> list[str]:
     out = start()
     hyps, pairs = _read_hypotheses(opts)
     report = evaluate_hypotheses(hyps, pairs, _load_lexicons(opts))
-    _write_json(out / "evaluate.json", report.to_json_dict())
+    write_json(out / "evaluate.json", report.to_json_dict())
     (out / "evaluate.txt").write_text(report.render_table(), encoding="utf-8")
     d = report.to_json_dict()
     return [f"P {d['precision']:.2f}  R {d['recall']:.2f}  F0.5 {d['f0.5']:.2f}"]
@@ -399,7 +396,7 @@ def _run_error_analysis(opts: dict, start: _Start) -> list[str]:
             hyp_edits, pairs, set(opts["types"]), mode=opts["filter_mode"]
         )
     data = {name: report.to_json_dict() for name, report in sections.items()}
-    _write_json(out / "error_analysis.json", data)
+    write_json(out / "error_analysis.json", data)
     table = prf_table("analysis", list(sections.items()))
     (out / "error_analysis.txt").write_text(table, encoding="utf-8")
     return table.splitlines()
@@ -427,7 +424,7 @@ def _run_ablate(opts: dict, start: _Start) -> list[str]:
     test_pairs = parse_m2(_read_text(opts["test"]), name=opts["test"])
     judge = _load_judge(opts)
     report = ablation_run(variants, stage, test_pairs, config, judge=judge, seeds=opts["seeds"])
-    _write_json(out / "ablation.json", report.to_json_dict())
+    write_json(out / "ablation.json", report.to_json_dict())
     (out / "ablation.txt").write_text(report.render_table(), encoding="utf-8")
     return report.render_table().splitlines()
 
@@ -683,7 +680,7 @@ def main(argv: list[str] | None = None) -> int:
         nonlocal out
         path = Path(opts["out"])
         path.mkdir(parents=True, exist_ok=True)
-        _write_json(path / f"{command}.config.json", {"subcommand": command, **opts})
+        write_json(path / f"{command}.config.json", {"subcommand": command, **opts})
         _log_line(path, command, "started")
         out = path
         return path
@@ -705,6 +702,11 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print(f"error: {message}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        if out is not None:
+            _log_line(out, command, "failed: interrupted")
+        print("interrupted", file=sys.stderr)
+        return 130
     _log_line(out, command, "finished")
     for line in summary:
         print(line)

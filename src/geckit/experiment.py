@@ -3,12 +3,14 @@
 Each variant names a training loss and a decode-time choice (greedy, or
 beam search reranked by the judge). The grid trains and scores every
 variant over a seed list and reports mean P/R/F0.5 with the per-seed
-values behind them.
+values behind them. Every grid runs its (seed, loss) groups in a fork
+pool, whose workers leave Ctrl-C to the parent.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
@@ -95,6 +97,8 @@ _group = None
 def _set_group(group) -> None:
     global _group
     _group = group
+    # Ctrl-C reaches the whole process group; only the parent reports it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _run_group(key: tuple[int, str]) -> list[Prf]:
@@ -123,8 +127,7 @@ def ablation_run(
 
     The (seed, loss) groups are independent and fully seeded, so they
     run in a fork pool, one worker per usable CPU up to the number of
-    groups, and their scores are put back in seed-major order. With one
-    worker they run in this process. Either way the report is the same.
+    groups, and their scores are put back in seed-major order.
     """
     if len(variants) < 2:
         raise ConfigError("ablation needs at least 2 variants")
@@ -163,14 +166,11 @@ def ablation_run(
 
     keys = [(seed, loss) for seed in seeds for loss in by_loss]
     workers = min(len(keys), len(os.sched_getaffinity(0)))
-    if workers == 1:
-        results = list(map(group, keys))
-    else:
-        import multiprocessing
+    import multiprocessing  # only here: every other subcommand runs in one process
 
-        # Leaving the block terminates the workers, also when a group raises.
-        with multiprocessing.get_context("fork").Pool(workers, _set_group, (group,)) as pool:
-            results = list(pool.imap(_run_group, keys))
+    # Leaving the block terminates the workers, also when a group raises.
+    with multiprocessing.get_context("fork").Pool(workers, _set_group, (group,)) as pool:
+        results = list(pool.imap(_run_group, keys))
     scores: dict[str, list[Prf]] = {name: [] for name in names}
     for (_seed, loss), rows in zip(keys, results):
         for variant, row in zip(by_loss[loss], rows):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigError, FormatError
 from ..judge import MAX_ARRAY_SIZE, sigmoid
-from ..textcore import Sentence
+from ..textcore import Sentence, write_json
 from .losses import _MAX_NLL
 from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocab
 
@@ -399,9 +399,7 @@ class Seq2SeqModel:
             "config": asdict(self.config),
             "vocab": list(self.vocab.tokens),
         }
-        (directory / "meta.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(directory / "meta.json", meta)
         np.save(directory / "params.npy", self.flat_params())
 
     @classmethod

@@ -11,7 +11,7 @@ cross-entropy part backpropagates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,17 +71,7 @@ class TrainRecord:
     clamped_steps: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "mean_loss": self.mean_loss,
-                "mean_weight": self.mean_weight,
-                "dev_f05": self.dev_f05,
-                "lr": self.lr,
-                "clamped_steps": self.clamped_steps,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass

@@ -197,30 +197,13 @@ def _scatter(x: HashedRows, g: np.ndarray) -> np.ndarray:
     return np.bincount(x.indices, terms, minlength=x.dim)
 
 
-# One entry of featurize's rows: a column and its value side by side, so that
-# gathering a row's entries reads one run of memory. Its indices and data are
-# views of these records.
-_ENTRY = np.dtype([("indices", np.int64), ("data", np.float64)])
-# Entries featurize collects in typed buffers before interleaving them, and
-# entries _map_columns rewrites at a time.
-_ENTRY_BLOCK = 1 << 15
-
-
 def featurize(sentences: Sequence[Sentence], dim: int) -> HashedRows:
     """Hashed n-gram count rows, each L2-normalized."""
+    # Typed buffers, not lists of Python numbers, keep the peak memory low;
+    # the rows are views of them.
     indptr = array("q", [0])
-    entries = bytearray()
-    # Typed buffers, not lists of Python numbers, keep the peak memory low.
     indices = array("q")
     data = array("d")
-
-    def flush() -> None:
-        block = np.empty(len(indices), dtype=_ENTRY)
-        block["indices"] = indices
-        block["data"] = data
-        entries.extend(memoryview(block))
-        del indices[:], data[:]
-
     for sentence in sentences:
         counts = _feature_counts(sentence.text, dim)
         norm = math.sqrt(sum(v * v for v in counts.values())) or 1.0
@@ -228,11 +211,12 @@ def featurize(sentences: Sequence[Sentence], dim: int) -> HashedRows:
         indices.extend(keys)
         data.extend([counts[idx] / norm for idx in keys])
         indptr.append(indptr[-1] + len(keys))
-        if len(indices) >= _ENTRY_BLOCK:
-            flush()
-    flush()
-    rows = np.frombuffer(entries, dtype=_ENTRY)
-    return HashedRows(np.frombuffer(indptr, dtype=np.int64), rows["indices"], rows["data"], dim)
+    return HashedRows(
+        np.frombuffer(indptr, dtype=np.int64),
+        np.frombuffer(indices, dtype=np.int64),
+        np.frombuffer(data, dtype=np.float64),
+        dim,
+    )
 
 
 # --- training -------------------------------------------------------------
@@ -396,10 +380,14 @@ class JudgeModel:
         )
 
 
+# Column indices _map_columns rewrites at a time, so that its temporary stays small.
+_MAP_BLOCK = 1 << 15
+
+
 def _map_columns(x: HashedRows, table: np.ndarray) -> None:
     """Replace every column index c in x by table[c], in place."""
-    for start in range(0, len(x.indices), _ENTRY_BLOCK):
-        block = x.indices[start : start + _ENTRY_BLOCK]
+    for start in range(0, len(x.indices), _MAP_BLOCK):
+        block = x.indices[start : start + _MAP_BLOCK]
         block[...] = table[block]
 
 
@@ -463,7 +451,10 @@ def train_judge(
         epochs=cfg.epochs,
         train_loss=loss,
     )
-    return replace(model, dev_accuracy=acc(evaluate_judge(model, dev)))
+    trained = replace(model, dev_accuracy=acc(evaluate_judge(model, dev)))
+    # Same weights and dim, so the margins just computed for dev still hold.
+    object.__setattr__(trained, "_margins", model._margins)
+    return trained
 
 
 # --- evaluation -----------------------------------------------------------

@@ -9,7 +9,6 @@ error label. Generation is pure given (seed, index).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -38,6 +37,7 @@ from .textcore import (
     apply_edits,
     emit_cola_tsv,
     emit_m2,
+    write_json,
 )
 
 AGREEMENT_BREAK = "agreement_break"
@@ -258,10 +258,7 @@ class SynthGrammar:
 
 
 def save_grammar(grammar: SynthGrammar, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(grammar.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, grammar.to_json_dict())
 
 
 def default_typo_forms(words: Sequence[str], vocabulary: frozenset[str]) -> dict[str, tuple[str, ...]]:
@@ -315,9 +312,7 @@ class ErrorInjectionSpec:
 
 
 def save_injection_spec(spec: ErrorInjectionSpec, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(spec.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, spec.to_json_dict())
 
 
 def _validate_distribution(name: str, weights: Mapping, known: tuple) -> None:
@@ -662,9 +657,7 @@ def write_benchmark(benchmark: Benchmark, out_dir: str | Path) -> dict[str, str]
         cola_path.write_text(emit_cola_tsv(benchmark.cola.split(name)), encoding="utf-8")
         paths[f"cola_{name}"] = str(cola_path)
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(benchmark.manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(manifest_path, benchmark.manifest)
     paths["manifest"] = str(manifest_path)
     lex_dir = out / "lexicons"
     save_lexicons(benchmark.lexicons(), lex_dir)

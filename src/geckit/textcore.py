@@ -2,7 +2,8 @@
 
 Tokenized sentences, span edits, annotated correction pairs, and labeled
 acceptability instances, plus strict parsers and emitters for the M2 edit
-format and the two-column acceptability TSV.
+format and the two-column acceptability TSV, and the one layout of the
+JSON reports, configs and manifests geckit writes.
 
 Both parsers enforce the grammar exactly and report the offending line on
 failure. They accept precisely the language the emitters produce, so
@@ -11,8 +12,10 @@ failure. They accept precisely the language the emitters produce, so
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import FormatError, InvalidEditSet
 
@@ -406,3 +409,11 @@ def parse_cola_tsv(
 def emit_cola_tsv(instances: Iterable[ColaInstance]) -> str:
     lines = [f"{inst.label}\t{inst.sentence.text}" for inst in instances]
     return "\n".join(lines) + "\n" if lines else ""
+
+
+# --- JSON outputs -------------------------------------------------------
+
+
+def write_json(path: str | Path, data) -> None:
+    """Write data as JSON with sorted keys, indented by 2, and a final newline."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")

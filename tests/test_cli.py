@@ -4,9 +4,11 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -1035,3 +1037,71 @@ class TestRunLog:
         assert code == 2
         log = (out / "run.log").read_text(encoding="utf-8")
         assert "started" in log and "failed" in log
+
+
+def _wait_for(condition, what: str, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.05)
+
+
+def _group_is_empty(pgid: int) -> bool:
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+class TestInterrupt:
+    """Ctrl-C ends a run with one stderr line, a logged failure and exit 130."""
+
+    def _run_until_interrupted(self, argv, out, ready, interrupt):
+        env = {**os.environ, "PYTHONPATH": str(Path(geckit.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "geckit", *argv, "--out", str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )  # fmt: skip
+        try:
+            log = out / "run.log"
+            _wait_for(lambda: log.exists() and "started" in log.read_text("utf-8"), "started")
+            _wait_for(lambda: ready(proc.pid), "the run to get going")
+            time.sleep(0.5)
+            interrupt(proc.pid)
+            _stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130
+        assert stderr.splitlines() == ["interrupted"]
+        lines = log.read_text(encoding="utf-8").splitlines()
+        assert lines[-1].endswith(" failed: interrupted")
+        assert sum("failed" in line for line in lines) == 1
+        _wait_for(lambda: _group_is_empty(proc.pid), "no process left", timeout=10)
+
+    def test_train_judge(self, bench_dir, tmp_path):
+        argv = [
+            "train-judge", "--train", str(bench_dir / "cola_train.tsv"),
+            "--dev", str(bench_dir / "cola_dev.tsv"), "--dim", "4096", "--epochs", str(10**9),
+        ]  # fmt: skip
+        self._run_until_interrupted(
+            argv, tmp_path / "judge", lambda pid: True, lambda pid: os.kill(pid, signal.SIGINT)
+        )
+
+    def test_ablate_and_its_workers(self, bench_dir, judge_dir, tmp_path):
+        def has_workers(pid: int) -> bool:
+            return bool(Path(f"/proc/{pid}/task/{pid}/children").read_text().split())
+
+        argv = [
+            "ablate", "--train", str(bench_dir / "gec_train.m2"),
+            "--test", str(bench_dir / "gec_test.m2"), "--judge", str(judge_dir / "judge.json"),
+            "--seeds", "0", "--epochs", str(10**6), "--embed-dim", "8", "--hidden-dim", "8",
+            "--beam", "2",
+        ]  # fmt: skip
+        # Ctrl-C in a terminal signals the whole process group, workers included.
+        self._run_until_interrupted(
+            argv, tmp_path / "ablate", has_workers, lambda pid: os.killpg(pid, signal.SIGINT)
+        )

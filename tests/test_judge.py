@@ -169,6 +169,24 @@ class TestTrainJudge:
         assert (a.bias0, a.bias1) == (b.bias0, b.bias1)
         assert a.dev_accuracy == b.dev_accuracy
 
+    def test_dev_split_is_scored_once(self, monkeypatch):
+        import geckit.judge as judge_module
+
+        train = make_corpus(60, seed=6)
+        dev = make_corpus(20, seed=7)
+        model = train_judge(train, dev, JudgeConfig(dim=2**10, epochs=4, batch_size=16, seed=9))
+        calls = []
+        counts = judge_module._feature_counts
+        monkeypatch.setattr(
+            judge_module, "_feature_counts", lambda *args: calls.append(args) or counts(*args)
+        )
+        assert acc(evaluate_judge(model, dev)) == model.dev_accuracy
+        assert calls == []
+        # The carried margins are the ones a fresh model computes.
+        fresh = JudgeModel(weights=model.weights, bias0=model.bias0, bias1=model.bias1, dim=model.dim)
+        assert [fresh.margin(i.sentence) for i in dev] == [model.margin(i.sentence) for i in dev]
+        assert len(calls) == len({i.sentence.text for i in dev})
+
     def test_score_orientation(self):
         train = make_corpus(200, seed=8)
         dev = make_corpus(40, seed=9)
