@@ -28,6 +28,7 @@ from .textcore import (
     Edit,
     Sentence,
     apply_edits,
+    write_text,
 )
 
 MATCH = "match"
@@ -309,14 +310,12 @@ def save_lexicons(lex: LexiconSet, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for name in ("punctuation", "determiners", "prepositions"):
         tokens = sorted(getattr(lex, name))
-        (directory / f"{name}.txt").write_text("\n".join(tokens) + "\n", encoding="utf-8")
+        write_text(directory / f"{name}.txt", "\n".join(tokens) + "\n")
     lines = []
     for table in lex.morphology:
         for a, b in table.pairs:
             lines.append(f"{table.category}\t{a}\t{b}")
-    (directory / "morphology.tsv").write_text(
-        "\n".join(lines) + "\n" if lines else "", encoding="utf-8"
-    )
+    write_text(directory / "morphology.tsv", "\n".join(lines) + "\n" if lines else "")
 
 
 # --- classification -------------------------------------------------------

@@ -5,6 +5,14 @@ Option resolution order, lowest to highest: built-in defaults, the
 variables, explicit command-line flags. Config keys use the flag names
 with underscores; unknown keys are rejected.
 
+A subcommand accepts only options that it reads. Only the four
+subcommands that draw random numbers (synth-gen, build-cola,
+train-judge, train-gec) take a seed; the others refuse --seed and the
+seed key and ignore GECKIT_SEED (ablate seeds each cell from --seeds).
+Two combinations whose value would go unread are refused: train-gec
+--judge without --loss dynamic, and decode --rerank-lam other than its
+default 0.5 without --judge.
+
 Every option value, and the training pairs a training stage holds, is
 checked before the output directory is made, so a rejected value
 leaves nothing behind. Every run writes an effective-config snapshot
@@ -24,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -72,6 +80,7 @@ from .textcore import (
     parse_cola_tsv,
     parse_m2,
     write_json,
+    write_text,
 )
 
 _ENV_VARS = (("seed", "GECKIT_SEED"), ("out", "GECKIT_OUT"))
@@ -86,10 +95,9 @@ class _Opt:
     required: bool = False
 
 
-_GLOBAL_OPTS = {
-    "seed": _Opt("int", 0, "base random seed for every stochastic step"),
-    "out": _Opt("str", "geckit_out", "output directory"),
-}
+_GLOBAL_OPTS = {"out": _Opt("str", "geckit_out", "output directory")}
+# Only for the subcommands that draw random numbers.
+_SEED_OPT = _Opt("int", 0, "random seed")
 
 
 def _parse_seeds(value) -> tuple[int, ...]:
@@ -166,7 +174,7 @@ def _read_sentences(path: str) -> list[Sentence]:
 
 
 def _write_sentences(path: Path, sentences) -> None:
-    path.write_text("".join(s.text + "\n" for s in sentences), encoding="utf-8")
+    write_text(path, "".join(s.text + "\n" for s in sentences))
 
 
 def _load_lexicons(opts: dict) -> LexiconSet | None:
@@ -185,7 +193,10 @@ def _read_hypotheses(opts: dict) -> tuple[list[Sentence], list[AnnotatedPair]]:
 
 
 def _train_recipe(opts: dict, pairs) -> tuple[TrainStage, ModelConfig]:
-    """The training stage and model shape that the shared training options set."""
+    """The training stage and model shape that the shared training options set.
+
+    The model keeps the default seed; train-gec and ablate each set their own.
+    """
     stage = TrainStage(
         pairs=tuple(pairs),
         epochs=opts["epochs"],
@@ -194,10 +205,7 @@ def _train_recipe(opts: dict, pairs) -> tuple[TrainStage, ModelConfig]:
         batch_size=opts["batch_size"],
         optimizer=opts["optimizer"],
     )
-    config = ModelConfig(
-        embed_dim=opts["embed_dim"], hidden_dim=opts["hidden_dim"], seed=opts["seed"]
-    )
-    return stage, config
+    return stage, ModelConfig(embed_dim=opts["embed_dim"], hidden_dim=opts["hidden_dim"])
 
 
 def _load_judge(opts: dict) -> JudgeModel | None:
@@ -264,7 +272,7 @@ def _run_extract_edits(opts: dict, start: _Start) -> list[str]:
         )
         for src, tgt in zip(sources, targets)
     ]
-    (out / "edits.m2").write_text(emit_m2(pairs), encoding="utf-8")
+    write_text(out / "edits.m2", emit_m2(pairs))
     n_edits = sum(len(pair.gold[0]) for pair in pairs)
     return [f"wrote {out / 'edits.m2'} ({len(pairs)} sentences, {n_edits} edits)"]
 
@@ -286,9 +294,7 @@ def _run_build_cola(opts: dict, start: _Start) -> list[str]:
         balance=bool(opts["balance"]),
     )
     for name in ("train", "dev"):
-        (out / f"cola_{name}.tsv").write_text(
-            emit_cola_tsv(corpus.split(name)), encoding="utf-8"
-        )
+        write_text(out / f"cola_{name}.tsv", emit_cola_tsv(corpus.split(name)))
     write_json(out / "cola_stats.json", {"meta": corpus.meta, "stats": corpus_stats(corpus)})
     return [f"wrote cola splits to {out} ({len(corpus)} instances)"]
 
@@ -309,7 +315,7 @@ def _run_train_judge(opts: dict, start: _Start) -> list[str]:
     model.save(out / "judge.json")
     data, text = _judge_report(evaluate_judge(model, dev))
     write_json(out / "judge_metrics.json", data)
-    (out / "judge_metrics.txt").write_text(text, encoding="utf-8")
+    write_text(out / "judge_metrics.txt", text)
     return [
         f"wrote {out / 'judge.json'}",
         f"dev accuracy {data['accuracy']:.4f}, mcc {data['mcc']:.4f}",
@@ -322,15 +328,18 @@ def _run_judge_eval(opts: dict, start: _Start) -> list[str]:
     instances = parse_cola_tsv(_read_text(opts["data"]), name=opts["data"])
     data, text = _judge_report(evaluate_judge(model, instances))
     write_json(out / "judge_eval.json", data)
-    (out / "judge_eval.txt").write_text(text, encoding="utf-8")
+    write_text(out / "judge_eval.txt", text)
     return [f"accuracy {data['accuracy']:.4f}, mcc {data['mcc']:.4f} on {data['total']} instances"]
 
 
 def _run_train_gec(opts: dict, start: _Start) -> list[str]:
-    if opts["loss"] == DYNAMIC and not opts["judge"]:
-        raise ConfigError("train-gec: the dynamic loss needs option 'judge'")
+    if bool(opts["judge"]) != (opts["loss"] == DYNAMIC):
+        raise ConfigError(
+            "train-gec: the dynamic loss needs option 'judge', and no other loss reads it"
+        )
     pairs = parse_m2(_read_text(opts["train"]), name=opts["train"])
     stage, config = _train_recipe(opts, pairs)
+    config = replace(config, seed=opts["seed"])
     vocab = Vocab.from_pairs(pairs)
     _param_shapes(len(vocab), config)
     out = start()
@@ -354,7 +363,11 @@ def _run_train_gec(opts: dict, start: _Start) -> list[str]:
 def _run_decode(opts: dict, start: _Start) -> list[str]:
     if opts["beam"] < 1:
         raise ConfigError(f"decode: beam_size must be >= 1, got {opts['beam']}")
-    if opts["judge"] and opts["rerank_lam"] < 0:
+    if not opts["judge"] and opts["rerank_lam"] != _BEAM_OPTS["rerank_lam"].default:
+        raise ConfigError(
+            "decode: option 'rerank_lam' weighs the judge's score, so it needs 'judge'"
+        )
+    if opts["rerank_lam"] < 0:
         raise ConfigError(f"decode: rerank_lam must be >= 0, got {opts['rerank_lam']}")
     out = start()
     model = Seq2SeqModel.load(opts["model"])
@@ -369,7 +382,7 @@ def _run_evaluate(opts: dict, start: _Start) -> list[str]:
     hyps, pairs = _read_hypotheses(opts)
     report = evaluate_hypotheses(hyps, pairs, _load_lexicons(opts))
     write_json(out / "evaluate.json", report.to_json_dict())
-    (out / "evaluate.txt").write_text(report.render_table(), encoding="utf-8")
+    write_text(out / "evaluate.txt", report.render_table())
     d = report.to_json_dict()
     return [f"P {d['precision']:.2f}  R {d['recall']:.2f}  F0.5 {d['f0.5']:.2f}"]
 
@@ -398,7 +411,7 @@ def _run_error_analysis(opts: dict, start: _Start) -> list[str]:
     data = {name: report.to_json_dict() for name, report in sections.items()}
     write_json(out / "error_analysis.json", data)
     table = prf_table("analysis", list(sections.items()))
-    (out / "error_analysis.txt").write_text(table, encoding="utf-8")
+    write_text(out / "error_analysis.txt", table)
     return table.splitlines()
 
 
@@ -425,7 +438,7 @@ def _run_ablate(opts: dict, start: _Start) -> list[str]:
     judge = _load_judge(opts)
     report = ablation_run(variants, stage, test_pairs, config, judge=judge, seeds=opts["seeds"])
     write_json(out / "ablation.json", report.to_json_dict())
-    (out / "ablation.txt").write_text(report.render_table(), encoding="utf-8")
+    write_text(out / "ablation.txt", report.render_table())
     return report.render_table().splitlines()
 
 
@@ -451,7 +464,7 @@ _TRAIN_OPTS = {
 }
 _BEAM_OPTS = {
     "beam": _Opt("int", 4, "beam size; in ablate, that of the reranking variants"),
-    "rerank_lam": _Opt("float", 0.5, "judge penalty weight while reranking"),
+    "rerank_lam": _Opt("float", 0.5, "judge penalty weight while reranking (needs a judge)"),
 }
 
 _COMMANDS: dict[str, _Command] = {
@@ -463,6 +476,7 @@ _COMMANDS: dict[str, _Command] = {
             "gec_dev": _Opt("int", 300, "correction dev pairs"),
             "gec_test": _Opt("int", 500, "correction test pairs"),
             "cola_pairs": _Opt("int", 10000, "acceptability sentence pairs"),
+            "seed": _SEED_OPT,
         },
         _run_synth_gen,
     ),
@@ -485,6 +499,7 @@ _COMMANDS: dict[str, _Command] = {
             "dev_frac": _Opt("float", 0.1, "dev split fraction; train takes the rest"),
             "balance": _Opt("bool", False, "downsample the majority label"),
             "no_dedupe": _Opt("bool", False, "keep exact duplicate sentences"),
+            "seed": _SEED_OPT,
         },
         _run_build_cola,
     ),
@@ -498,6 +513,7 @@ _COMMANDS: dict[str, _Command] = {
             "lr": _Opt("float", 8.0, "learning rate"),
             "l2": _Opt("float", 1e-6, "L2 penalty"),
             "batch_size": _Opt("int", 64, "minibatch size"),
+            "seed": _SEED_OPT,
         },
         _run_train_judge,
     ),
@@ -514,9 +530,10 @@ _COMMANDS: dict[str, _Command] = {
         {
             "train": _Opt("str", None, "training M2", required=True),
             "dev": _Opt("str", None, "dev M2 for per-epoch F0.5"),
-            "judge": _Opt("str", None, "saved judge JSON (required for the dynamic loss)"),
+            "judge": _Opt("str", None, "saved judge JSON (for the dynamic loss only)"),
             "loss": _Opt("str", PLAIN_CE, "training loss", choices=LOSS_KINDS),
             **_TRAIN_OPTS,
+            "seed": _SEED_OPT,
         },
         _run_train_gec,
     ),
@@ -639,7 +656,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
             effective[key] = data[key]
     for key, var in _ENV_VARS:
         raw = os.environ.get(var)
-        if raw is not None:
+        if raw is not None and key in schema:
             effective[key] = raw
     for key in schema:
         flag_value = getattr(args, key, None)
@@ -653,7 +670,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
                 f" (--{key.replace('_', '-')} or config key)"
             )
     # numpy's seed sequences take only non-negative integers.
-    if resolved["seed"] < 0:
+    if resolved.get("seed", 0) < 0:
         raise ConfigError(f"{command}: option 'seed' must be >= 0, got {resolved['seed']}")
     seeds = list(resolved.get("seeds", ()))
     if any(seed < 0 for seed in seeds):

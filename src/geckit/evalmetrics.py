@@ -42,17 +42,21 @@ class Prf:
     f05: float
 
 
-def fbeta(precision: float, recall: float, beta: float = 0.5) -> float:
-    """Weighted harmonic mean; 0 whenever the denominator vanishes."""
-    num = (1.0 + beta * beta) * precision * recall
-    den = beta * beta * precision + recall
+# F-beta's beta: 0.5, so precision counts twice as much as recall (F0.5).
+BETA = 0.5
+
+
+def fbeta(precision: float, recall: float) -> float:
+    """Weighted harmonic mean at BETA; 0 whenever the denominator vanishes."""
+    num = (1.0 + BETA * BETA) * precision * recall
+    den = BETA * BETA * precision + recall
     return num / den if den > 0 else 0.0
 
 
-def prf(counts: MatchCounts, beta: float = 0.5) -> Prf:
+def prf(counts: MatchCounts) -> Prf:
     p = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp else 0.0
     r = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn else 0.0
-    return Prf(p, r, fbeta(p, r, beta))
+    return Prf(p, r, fbeta(p, r))
 
 
 def _edit_key(edit: Edit) -> tuple:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import ConfigError, FormatError
 from ..judge import MAX_ARRAY_SIZE, sigmoid
-from ..textcore import Sentence, write_json
+from ..textcore import Sentence, replace_file, write_json
 from .losses import _MAX_NLL
 from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocab
 
@@ -399,8 +399,11 @@ class Seq2SeqModel:
             "config": asdict(self.config),
             "vocab": list(self.vocab.tokens),
         }
+        # Parameters first: a meta.json present means its params.npy is complete.
+        # np.save gets an open file, since it appends .npy to a name without it.
+        flat = self.flat_params()
+        replace_file(directory / "params.npy", lambda fh: np.save(fh, flat))
         write_json(directory / "meta.json", meta)
-        np.save(directory / "params.npy", self.flat_params())
 
     @classmethod
     def load(cls, directory: str | Path) -> "Seq2SeqModel":

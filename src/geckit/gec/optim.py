@@ -8,14 +8,15 @@ import numpy as np
 
 from ..errors import ConfigError
 
+# Largest global L2 norm of one batch's gradients.
+GRAD_CLIP = 5.0
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
-    if max_norm <= 0:
-        raise ConfigError(f"max_norm must be positive, got {max_norm}")
+
+def clip_gradients(grads: dict[str, np.ndarray]) -> float:
+    """Scale all gradients so their global L2 norm is at most GRAD_CLIP."""
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
+    if total > GRAD_CLIP:
+        scale = GRAD_CLIP / total
         for g in grads.values():
             g *= scale
     return total
@@ -51,8 +52,11 @@ class Adam:
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
         for name, g in grads.items():
-            m = self.m.setdefault(name, np.zeros_like(g))
-            v = self.v.setdefault(name, np.zeros_like(g))
+            if name not in self.m:  # the moments are made once, at a name's first step
+                self.m[name] = np.zeros_like(g)
+                self.v[name] = np.zeros_like(g)
+            m = self.m[name]
+            v = self.v[name]
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2

@@ -18,17 +18,16 @@ import numpy as np
 
 from .. import evalmetrics
 from ..errors import ConfigError
-from ..textcore import AnnotatedPair
+from ..textcore import AnnotatedPair, write_text
 from .decoding import greedy_decode_batch
 from .losses import DYNAMIC, LOSS_KINDS, PLAIN_CE, loss_weight
 from .model import Seq2SeqModel
-from .optim import clip_gradients, make_optimizer
+# GRAD_CLIP, the clip every step applies, is part of the recipe, so it is named here too.
+from .optim import GRAD_CLIP, clip_gradients, make_optimizer
 
 # The dynamic loss shrinks effective step sizes by the weight factor;
 # this multiplier compensates. The logged lr includes it.
 DYNAMIC_LR_MULTIPLIER = 2.0
-# Largest global L2 norm of one batch's gradients.
-GRAD_CLIP = 5.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,7 +81,7 @@ class TrainLog:
         return "".join(record.to_json() + "\n" for record in self.records)
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
+        write_text(path, self.to_jsonl())
 
     def last(self) -> TrainRecord:
         if not self.records:
@@ -146,7 +145,7 @@ def train_gec(
             nll, grads, clamped = model.loss_and_grads(
                 batch_src, batch_tgt, sentence_scale=weights / len(batch_idx), _enc=enc
             )
-            clip_gradients(grads, GRAD_CLIP)
+            clip_gradients(grads)
             optimizer.step(model.params, grads)
             loss_sum += float(weights @ nll)
             weight_sum += float(weights.sum())

@@ -25,7 +25,7 @@ from .errors import (
     FormatError,
     InvalidLogits,
 )
-from .textcore import ColaInstance, Sentence
+from .textcore import ColaInstance, Sentence, write_text
 
 _SCORE_FLOOR = 1e-300
 _SCORE_CEIL = math.nextafter(1.0, 0.0)
@@ -319,7 +319,7 @@ class JudgeModel:
             "weight_indices": [int(i) for i in nz],
             "weight_values": [float(v) for v in self.weights[nz]],
         }
-        Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+        write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "JudgeModel":

@@ -38,6 +38,7 @@ from .textcore import (
     emit_cola_tsv,
     emit_m2,
     write_json,
+    write_text,
 )
 
 AGREEMENT_BREAK = "agreement_break"
@@ -651,10 +652,10 @@ def write_benchmark(benchmark: Benchmark, out_dir: str | Path) -> dict[str, str]
     paths = {}
     for name in ("train", "dev", "test"):
         path = out / f"gec_{name}.m2"
-        path.write_text(emit_m2(getattr(benchmark, f"gec_{name}")), encoding="utf-8")
+        write_text(path, emit_m2(getattr(benchmark, f"gec_{name}")))
         paths[f"gec_{name}"] = str(path)
         cola_path = out / f"cola_{name}.tsv"
-        cola_path.write_text(emit_cola_tsv(benchmark.cola.split(name)), encoding="utf-8")
+        write_text(cola_path, emit_cola_tsv(benchmark.cola.split(name)))
         paths[f"cola_{name}"] = str(cola_path)
     manifest_path = out / "manifest.json"
     write_json(manifest_path, benchmark.manifest)

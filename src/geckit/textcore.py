@@ -2,8 +2,9 @@
 
 Tokenized sentences, span edits, annotated correction pairs, and labeled
 acceptability instances, plus strict parsers and emitters for the M2 edit
-format and the two-column acceptability TSV, and the one layout of the
-JSON reports, configs and manifests geckit writes.
+format and the two-column acceptability TSV, the one layout of the JSON
+reports, configs and manifests geckit writes, and the one way every
+output file is written: whole, through a temporary file renamed into place.
 
 Both parsers enforce the grammar exactly and report the offending line on
 failure. They accept precisely the language the emitters produce, so
@@ -13,7 +14,8 @@ failure. They accept precisely the language the emitters produce, so
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+import os
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -190,13 +192,14 @@ class AnnotatedPair:
         return self.gold[self.annotator_ids.index(min(self.annotator_ids))]
 
     @classmethod
-    def from_edits(cls, source: Sentence, edits: Sequence[Edit], annotator_id: int = 0) -> "AnnotatedPair":
+    def from_edits(cls, source: Sentence, edits: Sequence[Edit]) -> "AnnotatedPair":
+        """The pair that one annotator (id 0) corrects with these edits."""
         edits = tuple(_sorted_edits(edits))
         return cls(
             source=source,
             target=apply_edits(source, edits),
             gold=(edits,),
-            annotator_ids=(annotator_id,),
+            annotator_ids=(0,),
         )
 
 
@@ -411,9 +414,33 @@ def emit_cola_tsv(instances: Iterable[ColaInstance]) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-# --- JSON outputs -------------------------------------------------------
+# --- output files -------------------------------------------------------
+
+
+def replace_file(path: str | Path, write: Callable) -> None:
+    """Let write fill a new file beside path through an open binary handle,
+    then rename it over path.
+
+    A reader finds the old file or the whole new one, never a part. If
+    write raises, path is left as it was and the new file is removed.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Replace path with text, encoded as UTF-8 (see replace_file)."""
+    replace_file(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def write_json(path: str | Path, data) -> None:
     """Write data as JSON with sorted keys, indented by 2, and a final newline."""
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")

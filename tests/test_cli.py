@@ -296,10 +296,11 @@ class TestConfigResolution:
     # Required options point nowhere: the seed is rejected before any file is read.
     NEGATIVE_SEED_ARGS = {
         "synth-gen": [],
+        "build-cola": ["--m2", "t.m2"],
         "train-judge": ["--train", "t.tsv", "--dev", "d.tsv"],
         "train-gec": ["--train", "t.m2"],
-        "ablate": ["--train", "t.m2", "--test", "s.m2", "--judge", "j.json"],
     }
+    ABLATE_ARGS = ["--train", "t.m2", "--test", "s.m2", "--judge", "j.json"]
 
     @pytest.mark.parametrize("source", ["flag", "config", "env"])
     @pytest.mark.parametrize("command", list(NEGATIVE_SEED_ARGS))
@@ -320,7 +321,7 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_ablate_seeds_is_one_error_line(self, tmp_path, capsys, source):
-        argv = ["ablate", *self.NEGATIVE_SEED_ARGS["ablate"], "--out", str(tmp_path / "x")]
+        argv = ["ablate", *self.ABLATE_ARGS, "--out", str(tmp_path / "x")]
         if source == "flag":
             argv.append("--seeds=-1,2")
         else:
@@ -332,7 +333,7 @@ class TestConfigResolution:
         assert not (tmp_path / "x").exists()
 
     def test_repeated_ablate_seed_is_one_error_line(self, tmp_path, capsys):
-        argv = ["ablate", *self.NEGATIVE_SEED_ARGS["ablate"], "--seeds", "7,7"]
+        argv = ["ablate", *self.ABLATE_ARGS, "--seeds", "7,7"]
         assert main([*argv, "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == "error: ablate: option 'seeds' must be unique, got [7, 7]\n"
         assert not (tmp_path / "x").exists()
@@ -595,6 +596,18 @@ class TestGecCommands:
         assert "judge" in _single_error_line(capsys)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("loss", [[], ["--loss", "plain_ce"]], ids=["default", "plain_ce"])
+    def test_judge_without_dynamic_loss_is_refused(self, bench_dir, judge_dir, tmp_path, capsys, loss):
+        code = main(
+            ["train-gec", "--train", str(bench_dir / "gec_train.m2"),
+             "--judge", str(judge_dir / "judge.json"), *loss, "--out", str(tmp_path / "o")]
+        )  # fmt: skip
+        assert code == 1
+        assert _single_error_line(capsys) == (
+            "error: train-gec: the dynamic loss needs option 'judge', and no other loss reads it\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_train_gec_rejects_batch_size_zero(self, bench_dir, tmp_path, capsys):
         code = main(
             ["train-gec", "--train", str(bench_dir / "gec_train.m2"), "--batch-size", "0",
@@ -661,6 +674,28 @@ class TestGecCommands:
         assert code == 1
         assert "rerank_lam must be >= 0" in _single_error_line(capsys)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lam", ["0", "0.7", "-0.5"])
+    def test_rerank_lam_without_judge_is_refused(self, gec_dir, decoded_dir, tmp_path, capsys, lam):
+        code = main(
+            ["decode", "--model", str(gec_dir / "gec_model"),
+             "--input", str(decoded_dir / "sources.txt"), "--rerank-lam", lam,
+             "--out", str(tmp_path / "o")]
+        )  # fmt: skip
+        assert code == 1
+        assert _single_error_line(capsys) == (
+            "error: decode: option 'rerank_lam' weighs the judge's score, so it needs 'judge'\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_default_rerank_lam_without_judge_is_accepted(self, gec_dir, decoded_dir, tmp_path):
+        out = tmp_path / "o"
+        code = main(
+            ["decode", "--model", str(gec_dir / "gec_model"), "--input", str(decoded_dir / "sources.txt"),
+             "--beam", "1", "--rerank-lam", "0.5", "--out", str(out)]
+        )  # fmt: skip
+        assert code == 0
+        assert (out / "corrected.txt").read_bytes() == (decoded_dir / "corrected.txt").read_bytes()
 
 
 class TestEvaluateCommands:
@@ -761,6 +796,88 @@ class TestAblate:
         assert code == 1
         assert message in _single_error_line(capsys)
         assert not (tmp_path / "o").exists()
+
+
+SEEDED = ("synth-gen", "build-cola", "train-judge", "train-gec")
+UNSEEDED = ("extract-edits", "judge-eval", "decode", "evaluate", "error-analysis", "ablate")
+
+
+def _outputs(out: Path) -> dict:
+    """Every file a run wrote except run.log and the config snapshot, by relative path."""
+    return {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "run.log" and not path.name.endswith(".config.json")
+    }
+
+
+class TestSeedRule:
+    """A seed is accepted only where it changes an output."""
+
+    def test_registry(self):
+        assert set(SEEDED) | set(UNSEEDED) == set(_COMMANDS)
+        assert {name for name, spec in _COMMANDS.items() if "seed" in spec.opts} == set(SEEDED)
+        assert "seed" not in _GLOBAL_OPTS
+
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_two_seeds_differ_in_some_output_byte(self, command, bench_dir, tmp_path):
+        argv = {
+            "synth-gen": ["--gec-train", "25", "--gec-dev", "6", "--gec-test", "8", "--cola-pairs", "80"],
+            "build-cola": ["--m2", str(bench_dir / "gec_train.m2")],
+            "train-judge": ["--train", str(bench_dir / "cola_train.tsv"),
+                            "--dev", str(bench_dir / "cola_dev.tsv"), "--dim", "4096", "--epochs", "2"],
+            "train-gec": ["--train", str(bench_dir / "gec_dev.m2"), "--epochs", "1",
+                          "--embed-dim", "8", "--hidden-dim", "8"],
+        }[command]  # fmt: skip
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"seed{seed}"
+            assert main([command, *argv, "--seed", seed, "--out", str(out)]) == 0
+            outputs.append(_outputs(out))
+        assert outputs[0].keys() == outputs[1].keys()
+        assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", UNSEEDED)
+    def test_seed_refused(self, command, source, tmp_path, capsys):
+        argv = [command, "--out", str(tmp_path / "x")]
+        if source == "flag":
+            argv += ["--seed", "3"]
+            message = "error: unrecognized arguments: --seed 3\n"
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"seed": 3}), encoding="utf-8")
+            argv += ["--config", str(config)]
+            message = f"error: {config}: unknown config key 'seed' for subcommand {command!r}\n"
+        assert main(argv) == 1
+        assert _single_error_line(capsys) == message
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", UNSEEDED)
+    def test_seed_environment_ignored(
+        self, command, bench_dir, judge_dir, gec_dir, decoded_dir, tmp_path, monkeypatch
+    ):
+        """GECKIT_SEED=-1 would be refused by a command that read it."""
+        src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
+        src.write_text("the dog run .\n", encoding="utf-8")
+        tgt.write_text("the dog runs .\n", encoding="utf-8")
+        hyp = ["--hyp", str(decoded_dir / "corrected.txt"), "--gold", str(bench_dir / "gec_test.m2")]
+        argv = {
+            "extract-edits": ["--source", str(src), "--target", str(tgt)],
+            "judge-eval": ["--model", str(judge_dir / "judge.json"), "--data", str(bench_dir / "cola_dev.tsv")],
+            "decode": ["--model", str(gec_dir / "gec_model"), "--input", str(decoded_dir / "sources.txt")],
+            "evaluate": hyp,
+            "error-analysis": hyp,
+            "ablate": ["--train", str(bench_dir / "gec_dev.m2"), "--test", str(bench_dir / "gec_test.m2"),
+                       "--judge", str(judge_dir / "judge.json"), "--seeds", "0", "--epochs", "1",
+                       "--embed-dim", "8", "--hidden-dim", "8", "--beam", "2"],
+        }[command]  # fmt: skip
+        out = tmp_path / "out"
+        monkeypatch.setenv("GECKIT_SEED", "-1")
+        assert main([command, *argv, "--out", str(out)]) == 0
+        snapshot = json.loads((out / f"{command}.config.json").read_text(encoding="utf-8"))
+        assert "seed" not in snapshot
+        assert _outputs(out)
 
 
 JUDGE_CORRUPTIONS = {

@@ -32,7 +32,7 @@ from geckit.gec import (
 )
 from geckit.gec import model as gec_model
 from geckit.gec.decoding import Hypothesis, _replicate, _step_limit
-from geckit.gec.training import GRAD_CLIP
+from geckit.gec.optim import Adam
 from geckit.gec.vocab import BOS_ID, EOS_ID, SPECIALS
 from geckit import judge as judge_mod
 from geckit.judge import (
@@ -164,7 +164,7 @@ def reference_train(model, stage, judge, seed):
             _nll, grads, _clamped = model.loss_and_grads(
                 batch_src, batch_tgt, sentence_scale=weights / len(batch_idx)
             )
-            clip_gradients(grads, GRAD_CLIP)
+            clip_gradients(grads)
             optimizer.step(model.params, grads)
 
 
@@ -191,6 +191,51 @@ class TestSharedEncoding:
         assert np.array_equal(fresh[0], shared[0]) and fresh[2] == shared[2]
         for name in fresh[1]:
             assert np.array_equal(fresh[1][name], shared[1][name]), name
+
+
+def reference_adam(params, grad_steps, lr):
+    """Adam as it stood with its moments rebuilt by setdefault at every step."""
+    m, v = {}, {}
+    for t, grads in enumerate(grad_steps, start=1):
+        c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+        for name, g in grads.items():
+            m_ = m.setdefault(name, np.zeros_like(g))
+            v_ = v.setdefault(name, np.zeros_like(g))
+            m_ *= 0.9
+            m_ += (1.0 - 0.9) * g
+            v_ *= 0.999
+            v_ += (1.0 - 0.999) * g * g
+            params[name] -= lr * (m_ / c1) / (np.sqrt(v_ / c2) + 1e-8)
+
+
+class TestAdam:
+    def test_moments_made_once_and_steps_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        shapes = {"W": (4, 3), "b": (3,), "E": (5, 2)}
+        start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        # Values over many orders of magnitude, so that any reordering shows.
+        steps = [
+            {name: rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 4, shape) for name, shape in shapes.items()}
+            for _ in range(4)
+        ]  # fmt: skip
+        expected = {name: p.copy() for name, p in start.items()}
+        reference_adam(expected, [{k: g.copy() for k, g in grads.items()} for grads in steps], 0.01)
+        calls = []
+        zeros_like = np.zeros_like
+
+        def counted_zeros_like(a, *args, **kwargs):
+            calls.append(a.shape)
+            return zeros_like(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros_like", counted_zeros_like)
+        params = {name: p.copy() for name, p in start.items()}
+        optimizer = Adam(0.01)
+        for grads in steps:
+            optimizer.step(params, {k: g.copy() for k, g in grads.items()})
+        monkeypatch.undo()
+        for name in shapes:
+            assert np.array_equal(params[name], expected[name]), name
+        assert sorted(calls) == sorted(list(shapes.values()) * 2)  # m and v, once per parameter
 
 
 def reference_margin(judge, sentence):

@@ -1,6 +1,7 @@
 """Tests for the correction model: vocabulary, losses, network gradients."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -230,6 +231,25 @@ class TestModelBasics:
         nll_a, _, _ = model.loss_and_grads(corpus, corpus)
         nll_b, _, _ = loaded.loss_and_grads(corpus, corpus)
         assert np.array_equal(nll_a, nll_b)
+
+
+    def test_save_writes_params_before_meta(self, tmp_path, monkeypatch):
+        """A meta.json in place means its params.npy is complete."""
+        model, _ = toy_model(seed=7)
+        model.save(tmp_path / "model")  # the second save replaces existing files
+        replaced = []
+        os_replace = os.replace
+
+        def recording_replace(src, dst):
+            replaced.append(os.path.basename(dst))
+            os_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        model.save(tmp_path / "model")
+        monkeypatch.undo()
+        assert replaced == ["params.npy", "meta.json"]
+        assert sorted(p.name for p in (tmp_path / "model").iterdir()) == ["meta.json", "params.npy"]
+        assert np.array_equal(Seq2SeqModel.load(tmp_path / "model").flat_params(), model.flat_params())
 
 
 class TestModelGradients:

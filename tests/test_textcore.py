@@ -11,6 +11,9 @@ from geckit.textcore import (
     emit_m2,
     parse_cola_tsv,
     parse_m2,
+    replace_file,
+    write_json,
+    write_text,
 )
 
 
@@ -278,3 +281,36 @@ class TestColaTsv:
     def test_bad_origin_rejected(self):
         with pytest.raises(InvalidEditSet):
             ColaInstance(Sentence(("a",)), 1, origin="scraped")
+
+
+class TestOutputFiles:
+    def test_write_text_replaces_the_whole_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("a much longer old content\n", encoding="utf-8")
+        write_text(path, "new \u00e9\n")
+        assert path.read_bytes() == "new \u00e9\n".encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_serialization_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json(path, {"ok": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"bad": {1, 2}})  # a set is not JSON
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_failed_write_leaves_the_old_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "params.npy"
+        path.write_bytes(b"old bytes")
+
+        def write(fh):
+            fh.write(b"half of the new")
+            fh.flush()
+            assert [p.name for p in tmp_path.iterdir()] != ["params.npy"]  # a new file exists
+            raise RuntimeError("serialization failed")
+
+        with pytest.raises(RuntimeError, match="serialization failed"):
+            replace_file(path, write)
+        assert path.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["params.npy"]
