@@ -28,6 +28,7 @@ from .textcore import (
     Edit,
     Sentence,
     apply_edits,
+    read_text,
     write_text,
 )
 
@@ -257,7 +258,7 @@ _DEFAULT_LEXICONS = LexiconSet()
 
 def load_token_set(path: str | Path) -> frozenset[str]:
     tokens = set()
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     for lineno, line in enumerate(text.splitlines(), 1):
         token = line.strip()
         if not token:
@@ -271,7 +272,7 @@ def load_token_set(path: str | Path) -> frozenset[str]:
 def load_inflections(path: str | Path) -> tuple[InflectionTable, ...]:
     """Parse ``category<TAB>form1<TAB>form2`` lines, grouped by category."""
     grouped: dict[str, list[tuple[str, str]]] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue

@@ -3,7 +3,9 @@
 Option resolution order, lowest to highest: built-in defaults, the
 --config JSON file, the GECKIT_SEED and GECKIT_OUT environment
 variables, explicit command-line flags. Config keys use the flag names
-with underscores; unknown keys are rejected.
+with underscores; unknown keys and a key set twice are rejected. An
+empty string is refused for every path or text value, --config and
+--out included.
 
 A subcommand accepts only options that it reads. Only the four
 subcommands that draw random numbers (synth-gen, build-cola,
@@ -55,7 +57,7 @@ from .evalmetrics import (
     filter_eval,
     prf_table,
 )
-from .experiment import AblationVariant, ablation_run
+from .experiment import ablation_run
 from .gec import (
     DYNAMIC,
     LOSS_KINDS,
@@ -65,10 +67,11 @@ from .gec import (
     TrainStage,
     Vocab,
     check_beam_size,
+    check_rerank_lam,
     decode,
     train_gec,
 )
-from .gec.model import _param_shapes
+from .gec.model import param_shapes
 from .judge import JudgeConfig, JudgeModel, acc, evaluate_judge, mcc, train_judge
 from .synth import PRESETS, SizeConfig, make_benchmark, make_preset, write_benchmark
 from .textcore import (
@@ -79,6 +82,7 @@ from .textcore import (
     emit_m2,
     parse_cola_tsv,
     parse_m2,
+    read_text,
     write_json,
     write_text,
 )
@@ -135,8 +139,8 @@ def _coerce(command: str, key: str, opt: _Opt, value):
             if not math.isfinite(result):
                 raise ValueError("expected a finite number")
         elif opt.kind == "str":
-            if not isinstance(value, str):
-                raise ValueError("expected a string")
+            if not isinstance(value, str) or not value:
+                raise ValueError("expected a non-empty string")
             result = value
         elif opt.kind == "bool":
             if not isinstance(value, bool):
@@ -147,12 +151,11 @@ def _coerce(command: str, key: str, opt: _Opt, value):
         elif opt.kind == "names":
             result = _parse_names(value)
         elif opt.kind == "paths":
-            if isinstance(value, str):
-                result = [value]
-            elif isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
-                result = list(value)
-            else:
-                raise ValueError("expected a path or list of paths")
+            paths = [value] if isinstance(value, str) else value
+            listed = isinstance(paths, (list, tuple)) and len(paths) > 0
+            if not listed or not all(isinstance(v, str) and v for v in paths):
+                raise ValueError("expected a non-empty path or a non-empty list of them")
+            result = list(paths)
         else:  # pragma: no cover - registry typo
             raise AssertionError(opt.kind)
     except ValueError as exc:
@@ -164,13 +167,9 @@ def _coerce(command: str, key: str, opt: _Opt, value):
     return result
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _read_sentences(path: str) -> list[Sentence]:
     # A blank line is a legitimate empty sentence (e.g. a deleted correction).
-    return [Sentence(tuple(line.split())) for line in _read_text(path).splitlines()]
+    return [Sentence(tuple(line.split())) for line in read_text(path).splitlines()]
 
 
 def _write_sentences(path: Path, sentences) -> None:
@@ -183,7 +182,7 @@ def _load_lexicons(opts: dict) -> LexiconSet | None:
 
 def _read_hypotheses(opts: dict) -> tuple[list[Sentence], list[AnnotatedPair]]:
     """The --hyp sentences and the --gold pairs they correct, one for one."""
-    pairs = parse_m2(_read_text(opts["gold"]), name=opts["gold"])
+    pairs = parse_m2(read_text(opts["gold"]), name=opts["gold"])
     hyps = _read_sentences(opts["hyp"])
     if len(hyps) != len(pairs):
         raise ConfigError(
@@ -284,7 +283,7 @@ def _run_build_cola(opts: dict, start: _Start) -> list[str]:
     out = start()
     parts = {}
     for path in opts["m2"]:
-        pairs = parse_m2(_read_text(path), name=path)
+        pairs = parse_m2(read_text(path), name=path)
         parts[path] = build_cola_from_gec(pairs, filters)
     corpus = merge_corpora(
         parts,
@@ -309,8 +308,8 @@ def _run_train_judge(opts: dict, start: _Start) -> list[str]:
         seed=opts["seed"],
     )
     out = start()
-    train = parse_cola_tsv(_read_text(opts["train"]), name=opts["train"])
-    dev = parse_cola_tsv(_read_text(opts["dev"]), name=opts["dev"])
+    train = parse_cola_tsv(read_text(opts["train"]), name=opts["train"])
+    dev = parse_cola_tsv(read_text(opts["dev"]), name=opts["dev"])
     model = train_judge(train, dev, config)
     model.save(out / "judge.json")
     data, text = _judge_report(evaluate_judge(model, dev))
@@ -325,7 +324,7 @@ def _run_train_judge(opts: dict, start: _Start) -> list[str]:
 def _run_judge_eval(opts: dict, start: _Start) -> list[str]:
     out = start()
     model = JudgeModel.load(opts["model"])
-    instances = parse_cola_tsv(_read_text(opts["data"]), name=opts["data"])
+    instances = parse_cola_tsv(read_text(opts["data"]), name=opts["data"])
     data, text = _judge_report(evaluate_judge(model, instances))
     write_json(out / "judge_eval.json", data)
     write_text(out / "judge_eval.txt", text)
@@ -337,15 +336,15 @@ def _run_train_gec(opts: dict, start: _Start) -> list[str]:
         raise ConfigError(
             "train-gec: the dynamic loss needs option 'judge', and no other loss reads it"
         )
-    pairs = parse_m2(_read_text(opts["train"]), name=opts["train"])
+    pairs = parse_m2(read_text(opts["train"]), name=opts["train"])
     stage, config = _train_recipe(opts, pairs)
     config = replace(config, seed=opts["seed"])
     vocab = Vocab.from_pairs(pairs)
-    _param_shapes(len(vocab), config)
+    param_shapes(len(vocab), config)
     out = start()
     dev_pairs = None
     if opts["dev"]:
-        dev_pairs = parse_m2(_read_text(opts["dev"]), name=opts["dev"])
+        dev_pairs = parse_m2(read_text(opts["dev"]), name=opts["dev"])
     judge = _load_judge(opts)
     model = Seq2SeqModel(vocab, config)
     log = train_gec(model, stage, judge=judge, dev_pairs=dev_pairs, seed=opts["seed"])
@@ -367,8 +366,7 @@ def _run_decode(opts: dict, start: _Start) -> list[str]:
         raise ConfigError(
             "decode: option 'rerank_lam' weighs the judge's score, so it needs 'judge'"
         )
-    if opts["rerank_lam"] < 0:
-        raise ConfigError(f"decode: rerank_lam must be >= 0, got {opts['rerank_lam']}")
+    check_rerank_lam(opts["rerank_lam"])
     out = start()
     model = Seq2SeqModel.load(opts["model"])
     sources = _read_sentences(opts["input"])
@@ -416,27 +414,18 @@ def _run_error_analysis(opts: dict, start: _Start) -> list[str]:
 
 
 def _run_ablate(opts: dict, start: _Start) -> list[str]:
-    if not opts.get("judge"):
-        raise ConfigError(
-            "ablate: missing required option 'judge'"
-            " (the variant grid includes dynamic-loss and reranking rows)"
-        )
-    rerank = {"rerank": True, "beam_size": opts["beam"], "rerank_lam": opts["rerank_lam"]}
-    variants = (
-        AblationVariant("plain_ce", loss=PLAIN_CE),
-        AblationVariant("dynamic", loss=DYNAMIC),
-        AblationVariant("plain_ce+rerank", loss=PLAIN_CE, **rerank),
-        AblationVariant("dynamic+rerank", loss=DYNAMIC, **rerank),
-    )
-    train_pairs = parse_m2(_read_text(opts["train"]), name=opts["train"])
+    check_rerank_lam(opts["rerank_lam"])
+    train_pairs = parse_m2(read_text(opts["train"]), name=opts["train"])
     stage, config = _train_recipe(opts, train_pairs)
     vocab_size = len(Vocab.from_pairs(train_pairs))
-    _param_shapes(vocab_size, config)
+    param_shapes(vocab_size, config)
     check_beam_size(opts["beam"], vocab_size)
     out = start()
-    test_pairs = parse_m2(_read_text(opts["test"]), name=opts["test"])
+    test_pairs = parse_m2(read_text(opts["test"]), name=opts["test"])
     judge = _load_judge(opts)
-    report = ablation_run(variants, stage, test_pairs, config, judge=judge, seeds=opts["seeds"])
+    report = ablation_run(
+        stage, test_pairs, judge, opts["seeds"], config, opts["beam"], opts["rerank_lam"]
+    )
     write_json(out / "ablation.json", report.to_json_dict())
     write_text(out / "ablation.txt", report.render_table())
     return report.render_table().splitlines()
@@ -632,8 +621,19 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     schema = {**_GLOBAL_OPTS, **_COMMANDS[command].opts}
     effective = {key: opt.default for key, opt in schema.items()}
     if args.config is not None:
+        if not args.config:
+            raise ConfigError(f"{command}: bad value for option 'config': expected a non-empty path")
+
+        def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+            data: dict = {}
+            for key, value in pairs:
+                if key in data:
+                    raise ConfigError(f"{args.config}: duplicate config key {key!r}")
+                data[key] = value
+            return data
+
         try:
-            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            data = json.loads(read_text(args.config), object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise FormatError(
                 "config file is not valid JSON", name=args.config, line=exc.lineno

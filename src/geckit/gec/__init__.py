@@ -4,6 +4,7 @@ from .decoding import (
     Hypothesis,
     beam_decode,
     check_beam_size,
+    check_rerank_lam,
     decode,
     greedy_decode_batch,
     rerank_score,
@@ -65,6 +66,7 @@ __all__ = [
     "Vocab",
     "beam_decode",
     "check_beam_size",
+    "check_rerank_lam",
     "clip_gradients",
     "decode",
     "greedy_decode_batch",

@@ -86,6 +86,12 @@ def check_beam_size(beam_size: int, vocab_size: int) -> None:
         raise ConfigError(f"beam_size {beam_size} exceeds the vocabulary of {vocab_size} tokens")
 
 
+def check_rerank_lam(lam: float) -> None:
+    """Refuse a negative or NaN judge weight for reranking."""
+    if not lam >= 0:
+        raise ConfigError(f"rerank_lam must be >= 0, got {lam}")
+
+
 def beam_decode(model: Seq2SeqModel, source: Sentence, beam_size: int = 4) -> list[Hypothesis]:
     """Beam search returning up to beam_size finished hypotheses.
 
@@ -164,8 +170,7 @@ def rerank_with_cola(
     """
     if not hypotheses:
         raise ConfigError("no hypotheses to rerank")
-    if not lam >= 0:
-        raise ConfigError(f"lam must be >= 0, got {lam}")
+    check_rerank_lam(lam)
     if lam == 0:
         return hypotheses[0].sentence()
     best = hypotheses[0]

@@ -15,7 +15,6 @@ from ..errors import ConfigError
 
 # Gold-token probabilities below this are clamped before the log.
 PROB_FLOOR = 1e-12
-_MAX_NLL = -math.log(PROB_FLOOR)
 
 PLAIN_CE = "plain_ce"
 DYNAMIC = "dynamic"

@@ -17,12 +17,14 @@ import numpy as np
 
 from ..errors import ConfigError, FormatError
 from ..judge import MAX_ARRAY_SIZE, sigmoid
-from ..textcore import Sentence, replace_file, write_json
-from .losses import _MAX_NLL
+from ..textcore import Sentence, read_text, replace_file, write_json
+from .losses import PROB_FLOOR
 from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocab
 
 MODEL_FORMAT = "gec-seq2seq"
 MODEL_VERSION = 1
+# The cross-entropy of a step whose gold probability is below PROB_FLOOR.
+_MAX_NLL = -math.log(PROB_FLOOR)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,7 +124,7 @@ class EncoderState:
     cache: dict
 
 
-def _param_shapes(v: int, config: ModelConfig) -> dict[str, tuple[int, ...]]:
+def param_shapes(v: int, config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's shape for a vocabulary of v tokens; each must fit numpy."""
     e, h, a = config.embed_dim, config.hidden_dim, config.attention_dim
     shapes: dict[str, tuple[int, ...]] = {"emb": (v, e)}
@@ -155,7 +157,7 @@ class Seq2SeqModel:
         self.vocab = vocab
         self.config = config or ModelConfig()
         rng = np.random.default_rng(self.config.seed)
-        shapes = _param_shapes(len(vocab), self.config)
+        shapes = param_shapes(len(vocab), self.config)
         self.params: dict[str, np.ndarray] = {}
         for name in sorted(shapes):
             shape = shapes[name]
@@ -410,7 +412,7 @@ class Seq2SeqModel:
         directory = Path(directory)
         name = str(directory / "meta.json")
         try:
-            meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+            meta = json.loads(read_text(directory / "meta.json"))
         except json.JSONDecodeError as exc:
             raise FormatError("not a JSON metadata file", name=name, line=exc.lineno) from exc
         if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
@@ -437,7 +439,7 @@ class Seq2SeqModel:
         try:
             vocab, model_config = Vocab(tokens), ModelConfig(**config)
             # Checked before the model is built, so a corrupt size allocates nothing.
-            shapes = _param_shapes(len(vocab), model_config)
+            shapes = param_shapes(len(vocab), model_config)
         except ConfigError as exc:
             raise FormatError(str(exc), name=name) from exc
         expected = sum(math.prod(s) for s in shapes.values())

@@ -25,7 +25,7 @@ from .errors import (
     FormatError,
     InvalidLogits,
 )
-from .textcore import ColaInstance, Sentence, write_text
+from .textcore import ColaInstance, Sentence, read_text, write_text
 
 _SCORE_FLOOR = 1e-300
 _SCORE_CEIL = math.nextafter(1.0, 0.0)
@@ -325,7 +325,7 @@ class JudgeModel:
     def load(cls, path: str | Path) -> "JudgeModel":
         name = str(path)
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            payload = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise FormatError("not a JSON model file", name=name, line=exc.lineno) from exc
         if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:

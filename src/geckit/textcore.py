@@ -436,6 +436,14 @@ def replace_file(path: str | Path, write: Callable) -> None:
         raise
 
 
+def read_text(path: str | Path) -> str:
+    """The file's text, decoded as UTF-8; any other bytes are a FormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8: {exc.reason} at byte {exc.start}", name=str(path)) from None
+
+
 def write_text(path: str | Path, text: str) -> None:
     """Replace path with text, encoded as UTF-8 (see replace_file)."""
     replace_file(path, lambda fh: fh.write(text.encode("utf-8")))

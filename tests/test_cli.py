@@ -9,12 +9,12 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geckit
@@ -444,6 +444,127 @@ class TestConfigResolution:
         assert main([*argv, "--out", str(tmp_path / "x")]) == 1
         assert message in _single_error_line(capsys)
         assert not (tmp_path / "x").exists()
+
+
+# A valid run of each subcommand on the small fixtures, as {key: value}.
+VALID_OPTIONS = {
+    "synth-gen": {"preset": "mix_a", "gec_train": "4", "gec_dev": "2", "gec_test": "2", "cola_pairs": "10"},
+    "extract-edits": {
+        "source": "{decoded}/sources.txt", "target": "{decoded}/corrected.txt", "lexicons": "{bench}/lexicons",
+    },
+    "build-cola": {"m2": "{bench}/gec_dev.m2"},
+    "train-judge": {"train": "{bench}/cola_dev.tsv", "dev": "{bench}/cola_dev.tsv", "dim": "64", "epochs": "1"},
+    "judge-eval": {"model": "{judge}/judge.json", "data": "{bench}/cola_dev.tsv"},
+    "train-gec": {
+        "train": "{bench}/gec_dev.m2", "dev": "{bench}/gec_dev.m2", "loss": "plain_ce", "optimizer": "adam",
+        "epochs": "1", "embed_dim": "4", "hidden_dim": "4",
+    },
+    "decode": {"model": "{gec}/gec_model", "input": "{decoded}/sources.txt", "judge": "{judge}/judge.json"},
+    "evaluate": {"hyp": "{decoded}/corrected.txt", "gold": "{bench}/gec_test.m2", "lexicons": "{bench}/lexicons"},
+    "error-analysis": {
+        "hyp": "{decoded}/corrected.txt", "gold": "{bench}/gec_test.m2", "filter_mode": "drop_edits",
+        "lexicons": "{bench}/lexicons",
+    },
+    "ablate": {
+        "train": "{bench}/gec_dev.m2", "test": "{bench}/gec_dev.m2", "judge": "{judge}/judge.json",
+        "optimizer": "adam", "seeds": "0", "epochs": "1", "embed_dim": "4", "hidden_dim": "4", "beam": "2",
+    },
+}  # fmt: skip
+EMPTY_MESSAGES = {
+    "str": "expected a non-empty string",
+    "paths": "expected a non-empty path or a non-empty list of them",
+}
+
+
+class TestEmptyValues:
+    """An empty path or text value is refused before --out exists."""
+
+    @pytest.fixture
+    def valid_options(self, bench_dir, judge_dir, gec_dir, decoded_dir):
+        dirs = {"bench": bench_dir, "judge": judge_dir, "gec": gec_dir, "decoded": decoded_dir}
+        return {
+            command: {key: value.format(**dirs) for key, value in options.items()}
+            for command, options in VALID_OPTIONS.items()
+        }
+
+    @staticmethod
+    def _argv(command: str, options: dict) -> list[str]:
+        return [command, *(f"--{key.replace('_', '-')}={value}" for key, value in options.items())]
+
+    @pytest.mark.parametrize("command", list(VALID_OPTIONS))
+    def test_the_valid_runs_pass(self, command, valid_options, tmp_path):
+        """So each empty value below is the only fault of its run."""
+        assert set(VALID_OPTIONS) == set(_COMMANDS)
+        assert main([*self._argv(command, valid_options[command]), "--out", str(tmp_path / "x")]) == 0
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            (command, key)
+            for command, spec in _COMMANDS.items()
+            for key, opt in {**_GLOBAL_OPTS, **spec.opts}.items()
+            if opt.kind in EMPTY_MESSAGES
+        ],
+    )
+    def test_empty_value_is_one_error_line(
+        self, command, key, source, valid_options, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # where an empty --out would write
+        options = {k: v for k, v in valid_options[command].items() if k != key}
+        argv = self._argv(command, options)
+        if key != "out":
+            argv += ["--out", str(tmp_path / "x")]
+        opt = {**_GLOBAL_OPTS, **_COMMANDS[command].opts}[key]
+        if source == "flag":
+            argv.append(f"--{key.replace('_', '-')}=")
+        else:
+            config = tmp_path / "run.json"
+            value = [str(tmp_path / "a.m2"), ""] if opt.kind == "paths" else ""
+            config.write_text(json.dumps({key: value}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main(argv) == 1
+        assert _single_error_line(capsys) == (
+            f"error: {command}: bad value for config key {key!r}: {EMPTY_MESSAGES[opt.kind]}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == (["run.json"] if source == "config" else [])
+
+    def test_empty_path_list(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"m2": []}), encoding="utf-8")
+        assert main(["build-cola", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        assert _single_error_line(capsys) == (
+            f"error: build-cola: bad value for config key 'm2': {EMPTY_MESSAGES['paths']}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_empty_out_from_the_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GECKIT_OUT", "")
+        assert main(["synth-gen", "--gec-train", "4"]) == 1
+        assert "config key 'out': expected a non-empty string" in _single_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_config_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth-gen", "--config", "", "--out", str(tmp_path / "x")]) == 1
+        assert _single_error_line(capsys) == (
+            "error: synth-gen: bad value for option 'config': expected a non-empty path\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_duplicate_config_key(self, valid_options, tmp_path, capsys):
+        gold = valid_options["evaluate"]["gold"]
+        config = tmp_path / "run.json"
+        # The last value is a valid path, so only the duplicate is at fault.
+        config.write_text(
+            '{"gold": %s, "gold": %s}' % (json.dumps(str(tmp_path / "nope.m2")), json.dumps(gold)),
+            encoding="utf-8",
+        )
+        argv = ["evaluate", "--hyp", valid_options["evaluate"]["hyp"], "--config", str(config)]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 1
+        assert _single_error_line(capsys) == f"error: {config}: duplicate config key 'gold'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 class TestSynthGen:
@@ -1142,6 +1263,80 @@ class TestCorruptInputsProperty:
         lines = err.getvalue().splitlines()
         assert code in (1, 2)
         assert len(lines) == 1 and lines[0].startswith(("error: ", "i/o error: ")), lines
+
+
+# The files a truncation cuts. Each text input starts with a non-ASCII token,
+# so that a cut can split a UTF-8 character.
+_TRUNCATED = ("judge.json", "meta.json", "params.npy", "gold.m2", "cola.tsv", "config.json")
+_NON_ASCII = "caf\u00e9"
+
+
+def _still_valid(kind: str, cut: bytes, full: bytes) -> bool:
+    """Whether a cut leaves a valid, shorter input (the text formats end each line with one)."""
+    if kind.endswith(".json"):
+        try:
+            return json.loads(cut) == json.loads(full)
+        except ValueError:
+            return False
+    if kind == "params.npy":
+        return False
+    return cut == b"" or (cut.endswith(b"\n") and not cut.endswith(b"\n\n"))
+
+
+class TestTruncatedInputsProperty:
+    """An input cut at any byte fails with one line, unless a valid shorter file is left."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(kind=st.sampled_from(_TRUNCATED), at=st.integers(min_value=0))
+    @example(kind="gold.m2", at=6)  # inside the first "\u00e9"
+    @example(kind="cola.tsv", at=6)
+    def test_truncation(self, bench_dir, judge_dir, gec_dir, decoded_dir, kind, at):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            hyp = tmp / "hyp.txt"
+            hyp.write_bytes(f"{_NON_ASCII}\n".encode() + (decoded_dir / "corrected.txt").read_bytes())
+            model = tmp / "model"
+            shutil.copytree(gec_dir / "gec_model", model)
+            inputs = {
+                "judge.json": (tmp / "judge.json", (judge_dir / "judge.json").read_bytes()),
+                "meta.json": (model / "meta.json", (model / "meta.json").read_bytes()),
+                "params.npy": (model / "params.npy", (model / "params.npy").read_bytes()),
+                "gold.m2": (
+                    tmp / "gold.m2",
+                    f"S {_NON_ASCII}\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n\n".encode()
+                    + (bench_dir / "gec_test.m2").read_bytes(),
+                ),
+                "cola.tsv": (
+                    tmp / "cola.tsv",
+                    f"1\t{_NON_ASCII}\n".encode() + (bench_dir / "cola_dev.tsv").read_bytes(),
+                ),
+                "config.json": (
+                    tmp / "config.json",
+                    (json.dumps({"gold": str(tmp / "gold.m2"), "hyp": str(hyp)}, indent=2) + "\n").encode(),
+                ),
+            }
+            for path, data in inputs.values():
+                path.write_bytes(data)
+            path, full = inputs[kind]
+            cut = full[: at % len(full)]
+            path.write_bytes(cut)
+            argv = {
+                "judge.json": ["judge-eval", "--model", str(tmp / "judge.json"), "--data", str(tmp / "cola.tsv")],
+                "meta.json": ["decode", "--model", str(model), "--input", str(decoded_dir / "sources.txt")],
+                "gold.m2": ["evaluate", "--hyp", str(hyp), "--gold", str(tmp / "gold.m2")],
+                "config.json": ["evaluate", "--config", str(tmp / "config.json")],
+            }
+            argv["params.npy"] = argv["meta.json"]
+            argv["cola.tsv"] = argv["judge.json"]
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main([*argv[kind], "--out", str(tmp / "o")])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert _still_valid(kind, cut, full), (kind, len(cut), len(full))
+        else:
+            assert code in (1, 2)
+            assert len(lines) == 1 and lines[0].startswith(("error: ", "i/o error: ")), lines
 
 
 class TestRunLog:

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import geckit.experiment
 from geckit.errors import ConfigError, EmptyEvaluation, InvalidLogits
 from geckit.evalmetrics import Prf, evaluate_hypotheses
-from geckit.experiment import AblationVariant, ablation_run, mean_prf
+from geckit.experiment import ablation_run, mean_prf
 from geckit.gec import (
     DYNAMIC,
     PLAIN_CE,
@@ -68,63 +69,49 @@ def toy_task():
 @pytest.fixture(scope="module")
 def toy_report(toy_task):
     stage, test, config = toy_task
-    variants = (
-        AblationVariant("plain"),
-        AblationVariant("dynamic_rerank", loss=DYNAMIC, rerank=True, beam_size=3),
-    )
-    return ablation_run(variants, stage, test, config, judge=FlatJudge(), seeds=(0, 1))
+    return ablation_run(stage, test, FlatJudge(), (0, 1), config, beam_size=3)
+
+
+GRID = ("plain_ce", "dynamic", "plain_ce+rerank", "dynamic+rerank")
 
 
 class TestAblation:
-    def test_needs_two_variants(self, toy_task):
-        stage, test, config = toy_task
-        with pytest.raises(ConfigError):
-            ablation_run([AblationVariant("only")], stage, test, config)
-
-    def test_duplicate_names_rejected(self, toy_task):
-        stage, test, config = toy_task
-        variants = [AblationVariant("same"), AblationVariant("same", rerank=True)]
-        with pytest.raises(ConfigError, match="same"):
-            ablation_run(variants, stage, test, config, judge=FlatJudge())
-
     def test_duplicate_seeds_rejected(self, toy_task):
         stage, test, config = toy_task
-        variants = [AblationVariant("a"), AblationVariant("b")]
         with pytest.raises(ConfigError):
-            ablation_run(variants, stage, test, config, seeds=(3, 3))
+            ablation_run(stage, test, FlatJudge(), (3, 3), config)
 
     def test_dynamic_needs_judge(self, toy_task):
         stage, test, config = toy_task
-        variants = [AblationVariant("a"), AblationVariant("b", loss=DYNAMIC)]
         with pytest.raises(ConfigError, match="judge"):
-            ablation_run(variants, stage, test, config)
+            ablation_run(stage, test, None, (0,), config)
 
-    def test_rerank_needs_judge(self, toy_task):
+    @pytest.mark.parametrize(
+        "beam_size,rerank_lam,message",
+        [
+            (0, 0.5, "beam_size must be >= 1, got 0"),
+            (10**6, 0.5, "exceeds the vocabulary"),
+            (2, -0.1, "rerank_lam must be >= 0, got -0.1"),
+            (2, float("nan"), "rerank_lam must be >= 0, got nan"),
+        ],
+    )
+    def test_bad_rerank_settings_rejected_before_training(
+        self, toy_task, monkeypatch, beam_size, rerank_lam, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the settings were checked")
+
+        monkeypatch.setattr(geckit.experiment, "train_gec", no_training)
         stage, test, config = toy_task
-        variants = [AblationVariant("a"), AblationVariant("b", rerank=True)]
-        with pytest.raises(ConfigError, match="judge"):
-            ablation_run(variants, stage, test, config)
-
-    def test_unknown_loss_rejected(self, toy_task):
-        stage, test, config = toy_task
-        variants = [AblationVariant("a"), AblationVariant("b", loss="focal")]
-        with pytest.raises(ConfigError):
-            ablation_run(variants, stage, test, config, seeds=(0,))
-
-    def test_bad_variants(self):
-        with pytest.raises(ConfigError):
-            AblationVariant("")
-        with pytest.raises(ConfigError):
-            AblationVariant("x", beam_size=0)
-        with pytest.raises(ConfigError):
-            AblationVariant("x", rerank_lam=-0.1)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ablation_run(stage, test, FlatJudge(), (0,), config, beam_size, rerank_lam)
 
     def test_mean_prf_empty(self):
         with pytest.raises(EmptyEvaluation):
             mean_prf([])
 
     def test_report_shape(self, toy_report):
-        assert toy_report.variants == ("plain", "dynamic_rerank")
+        assert toy_report.variants == GRID
         assert toy_report.seeds == (0, 1)
         for name in toy_report.variants:
             assert len(toy_report.per_seed[name]) == 2
@@ -134,7 +121,7 @@ class TestAblation:
 
     def test_render_table(self, toy_report):
         lines = toy_report.render_table().splitlines()
-        assert len(lines) == 3
+        assert len(lines) == 1 + len(GRID)
         assert lines[0].split() == ["variant", "P", "R", "F0.5"]
         for line in lines[1:]:
             cells = line.split()
@@ -153,22 +140,12 @@ class TestAblation:
 
     def test_deterministic(self, toy_task):
         stage, test, config = toy_task
-        variants = (AblationVariant("plain"), AblationVariant("beam", rerank=True, beam_size=2))
-        runs = [
-            ablation_run(variants, stage, test, config, judge=FlatJudge(), seeds=(7,))
-            for _ in range(2)
-        ]
+        runs = [ablation_run(stage, test, FlatJudge(), (7,), config, beam_size=2) for _ in range(2)]
         assert runs[0].per_seed == runs[1].per_seed
 
     def test_variants_sharing_a_loss_share_one_model(self, toy_task, monkeypatch, tmp_path):
         stage, test, config = toy_task
         judge = FlatJudge()
-        variants = (
-            AblationVariant("plain"),
-            AblationVariant("plain+rerank", rerank=True, beam_size=2),
-            AblationVariant("dyn", loss=DYNAMIC),
-            AblationVariant("dyn+rerank", loss=DYNAMIC, rerank=True, beam_size=2),
-        )
         seeds = (0, 1)
         # The groups may train in worker processes: each call appends one line.
         calls_file = tmp_path / "train_gec_calls"
@@ -182,63 +159,53 @@ class TestAblation:
             return train_gec(*args, **kwargs)
 
         monkeypatch.setattr(geckit.experiment, "train_gec", counting_train_gec)
-        report = ablation_run(variants, stage, test, config, judge=judge, seeds=seeds)
+        report = ablation_run(stage, test, judge, seeds, config, beam_size=2, rerank_lam=0.7)
         calls = [int(line) for line in calls_file.read_text(encoding="utf-8").split()]
         assert sorted(calls) == [0, 0, 1, 1]
 
-        # Reference: a fresh model for every (variant, seed) cell.
+        # Reference: a fresh model for every (row, seed) cell.
         sentences = [p.source for p in stage.pairs] + [p.target for p in stage.pairs]
         vocab = Vocab.from_sentences(sentences)
         sources = [pair.source for pair in test]
-        for variant in variants:
-            expected = []
-            for seed in seeds:
-                model = Seq2SeqModel(vocab, replace(config, seed=seed))
-                train_gec(model, replace(stage, loss=variant.loss), judge=judge, seed=seed)
-                if variant.rerank:
-                    decoded = [
-                        rerank_with_cola(
-                            beam_decode(model, src, variant.beam_size), judge, variant.rerank_lam
-                        )
-                        for src in sources
-                    ]
-                else:
-                    decoded = greedy_decode_batch(model, sources)
-                r = evaluate_hypotheses(decoded, test)
-                expected.append(Prf(r.precision, r.recall, r.f05))
-            assert report.per_seed[variant.name] == tuple(expected)
+        for loss in (PLAIN_CE, DYNAMIC):
+            for rerank in (False, True):
+                expected = []
+                for seed in seeds:
+                    model = Seq2SeqModel(vocab, replace(config, seed=seed))
+                    train_gec(model, replace(stage, loss=loss), judge=judge, seed=seed)
+                    if rerank:
+                        decoded = [
+                            rerank_with_cola(beam_decode(model, src, 2), judge, 0.7)
+                            for src in sources
+                        ]
+                    else:
+                        decoded = greedy_decode_batch(model, sources)
+                    r = evaluate_hypotheses(decoded, test)
+                    expected.append(Prf(r.precision, r.recall, r.f05))
+                name = f"{loss}+rerank" if rerank else loss
+                assert report.per_seed[name] == tuple(expected)
 
     def test_per_seed_follows_the_seed_order(self, toy_task):
         stage, test, config = toy_task
         judge = FlatJudge()
-        variants = (
-            AblationVariant("plain"),
-            AblationVariant("dyn", loss=DYNAMIC),
-            AblationVariant("plain+rerank", rerank=True, beam_size=2),
-        )
         seeds = (3, 1, 2)
-        report = ablation_run(variants, stage, test, config, judge=judge, seeds=seeds)
+        report = ablation_run(stage, test, judge, seeds, config, beam_size=2)
         assert report.seeds == seeds
 
         # Reference: the same (seed, loss) groups, one after another in this process.
         vocab = Vocab.from_pairs(stage.pairs)
         sources = [pair.source for pair in test]
-        expected = {variant.name: [] for variant in variants}
+        expected = {name: [] for name in GRID}
         for seed in seeds:
             for loss in (PLAIN_CE, DYNAMIC):
                 model = Seq2SeqModel(vocab, replace(config, seed=seed))
                 train_gec(model, replace(stage, loss=loss), judge=judge, seed=seed)
-                for variant in variants:
-                    if variant.loss != loss:
-                        continue
-                    if variant.rerank:
-                        decoded = decode(
-                            model, sources, variant.beam_size, judge, variant.rerank_lam
-                        )
-                    else:
-                        decoded = decode(model, sources)
+                for name, decoded in (
+                    (loss, decode(model, sources)),
+                    (f"{loss}+rerank", decode(model, sources, 2, judge, 0.5)),
+                ):
                     r = evaluate_hypotheses(decoded, test)
-                    expected[variant.name].append(Prf(r.precision, r.recall, r.f05))
+                    expected[name].append(Prf(r.precision, r.recall, r.f05))
         assert report.per_seed == {name: tuple(rows) for name, rows in expected.items()}
 
     def test_error_in_a_group_reaches_the_caller(self, toy_task):
@@ -247,9 +214,8 @@ class TestAblation:
                 raise InvalidLogits("non-finite logits (nan, 0.0)")
 
         stage, test, config = toy_task
-        variants = (AblationVariant("plain"), AblationVariant("dyn", loss=DYNAMIC))
         with pytest.raises(InvalidLogits) as excinfo:
-            ablation_run(variants, stage, test, config, judge=RaisingJudge(), seeds=(0, 1))
+            ablation_run(stage, test, RaisingJudge(), (0, 1), config)
         assert type(excinfo.value) is InvalidLogits
         assert str(excinfo.value) == "non-finite logits (nan, 0.0)"
         assert multiprocessing.active_children() == []

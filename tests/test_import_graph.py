@@ -36,9 +36,13 @@ def _targets(node: ast.Import | ast.ImportFrom, module: str, is_package: bool) -
     return [base] + [f"{base}.{alias.name}" for alias in node.names]
 
 
+def _files() -> dict[str, Path]:
+    return {_module_name(path): path for path in PACKAGE.rglob("*.py")}
+
+
 def _graph() -> tuple[dict[str, set[str]], set[tuple[str, str, str]]]:
     """Module-level edges, and (module, function, target) of imports inside functions."""
-    files = {_module_name(path): path for path in PACKAGE.rglob("*.py")}
+    files = _files()
     edges: dict[str, set[str]] = {name: set() for name in files}
     local: set[tuple[str, str, str]] = set()
     for module, path in files.items():
@@ -89,6 +93,19 @@ def test_module_level_imports_have_no_cycle():
 def test_no_geckit_module_is_imported_inside_a_function():
     _, local = _graph()
     assert local == set()
+
+
+def test_no_geckit_module_imports_a_private_name_of_another():
+    files = _files()
+    private = []
+    for module, path in files.items():
+        for _, node in _imports(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = _targets(node, module, path.name == "__init__.py")[0]
+            if source in files and source != module:
+                private += [f"{module}: {source}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []
 
 
 def test_cycle_finder():
