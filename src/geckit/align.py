@@ -289,12 +289,14 @@ def load_inflections(path: str | Path) -> tuple[InflectionTable, ...]:
 
 
 def load_lexicons(directory: str | Path) -> LexiconSet:
-    """Load a lexicon directory; missing files fall back to the defaults.
+    """Load a lexicon directory, which must exist; missing files fall back to the defaults.
 
     Expected files: punctuation.txt, determiners.txt, prepositions.txt
     (one token per line) and morphology.tsv.
     """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ConfigError(f"{directory}: not a lexicon directory")
     kwargs = {}
     for name in ("punctuation", "determiners", "prepositions"):
         path = directory / f"{name}.txt"

@@ -15,10 +15,12 @@ Two combinations whose value would go unread are refused: train-gec
 --judge without --loss dynamic, and decode --rerank-lam other than its
 default 0.5 without --judge.
 
-Every option value, and the training pairs a training stage holds, is
-checked before the output directory is made, so a rejected value
-leaves nothing behind. Every run writes an effective-config snapshot
-(<subcommand>.config.json) beside its outputs. Reports are JSON plus an
+The option values are checked first. Then one loader reads and checks
+every input file once, before the output directory is made, so a
+rejected value or input leaves nothing behind: an M2 or TSV input with
+no records is refused, a sentence file may be empty (empty in, empty
+out), and --lexicons must name a directory. Every run writes an
+effective-config snapshot (<subcommand>.config.json) beside its outputs. Reports are JSON plus an
 aligned plain-text table and are bytewise identical across reruns with
 the same configuration; wall-clock timestamps go only to the run.log
 sidecar.
@@ -39,7 +41,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from .align import LexiconSet, extract_edits, load_lexicons
+from .align import extract_edits, load_lexicons
 from .colacorpus import (
     FilterConfig,
     SplitConfig,
@@ -92,6 +94,8 @@ _ENV_VARS = (("seed", "GECKIT_SEED"), ("out", "GECKIT_OUT"))
 
 @dataclass(frozen=True)
 class _Opt:
+    # A value kind (int, float, str, bool, seeds, names), or an input kind
+    # (m2, tsv, sentences, judge, model, lexicons, m2_list) that _load_inputs reads.
     kind: str
     default: object = None
     help: str = ""
@@ -104,24 +108,19 @@ _GLOBAL_OPTS = {"out": _Opt("str", "geckit_out", "output directory")}
 _SEED_OPT = _Opt("int", 0, "random seed")
 
 
-def _parse_seeds(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        value = [part for part in value.split(",") if part.strip()]
-    if isinstance(value, int) and not isinstance(value, bool):
-        value = [value]
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ValueError("expected a non-empty comma-separated list of integers")
-    return tuple(int(v) for v in value)
-
-
-def _parse_names(value) -> tuple[str, ...]:
+def _parse_list(value, element: type) -> tuple:
+    """Integers (element int) or names (str), comma-separated or as a non-empty list."""
+    what = "integers" if element is int else "names"
     if isinstance(value, str):
         value = [part.strip() for part in value.split(",") if part.strip()]
+    if element is int and isinstance(value, int) and not isinstance(value, bool):
+        value = [value]
     if not isinstance(value, (list, tuple)) or not value:
-        raise ValueError("expected a non-empty comma-separated list of names")
-    if not all(isinstance(v, str) for v in value):
-        raise ValueError("expected a list of names")
-    return tuple(value)
+        raise ValueError(f"expected a non-empty comma-separated list of {what}")
+    # As for an int option, a float, a bool or a nested value is not an integer.
+    if not all(isinstance(v, (element, str)) and not isinstance(v, bool) for v in value):
+        raise ValueError(f"expected a list of {what}")
+    return tuple(element(v) for v in value)
 
 
 def _coerce(command: str, key: str, opt: _Opt, value):
@@ -138,7 +137,7 @@ def _coerce(command: str, key: str, opt: _Opt, value):
             result = float(value)
             if not math.isfinite(result):
                 raise ValueError("expected a finite number")
-        elif opt.kind == "str":
+        elif opt.kind == "str" or opt.kind in _READERS:
             if not isinstance(value, str) or not value:
                 raise ValueError("expected a non-empty string")
             result = value
@@ -146,11 +145,9 @@ def _coerce(command: str, key: str, opt: _Opt, value):
             if not isinstance(value, bool):
                 raise ValueError("expected true or false")
             result = value
-        elif opt.kind == "seeds":
-            result = _parse_seeds(value)
-        elif opt.kind == "names":
-            result = _parse_names(value)
-        elif opt.kind == "paths":
+        elif opt.kind in ("seeds", "names"):
+            result = _parse_list(value, int if opt.kind == "seeds" else str)
+        elif opt.kind == "m2_list":
             paths = [value] if isinstance(value, str) else value
             listed = isinstance(paths, (list, tuple)) and len(paths) > 0
             if not listed or not all(isinstance(v, str) and v for v in paths):
@@ -172,29 +169,53 @@ def _read_sentences(path: str) -> list[Sentence]:
     return [Sentence(tuple(line.split())) for line in read_text(path).splitlines()]
 
 
-def _write_sentences(path: Path, sentences) -> None:
-    write_text(path, "".join(s.text + "\n" for s in sentences))
+def _read_records(path: str, parse: Callable, what: str) -> list:
+    records = parse(read_text(path), name=path)
+    if not records:
+        raise FormatError(f"no {what} records", name=path)
+    return records
 
 
-def _load_lexicons(opts: dict) -> LexiconSet | None:
-    return load_lexicons(opts["lexicons"]) if opts.get("lexicons") else None
+# The reader of each input kind, by the kind in the registry.
+_READERS: dict[str, Callable[[str], object]] = {
+    "m2": lambda path: _read_records(path, parse_m2, "M2"),
+    "tsv": lambda path: _read_records(path, parse_cola_tsv, "TSV"),
+    "sentences": _read_sentences,
+    "judge": JudgeModel.load,
+    "model": Seq2SeqModel.load,
+    "lexicons": load_lexicons,
+}
 
 
-def _read_hypotheses(opts: dict) -> tuple[list[Sentence], list[AnnotatedPair]]:
-    """The --hyp sentences and the --gold pairs they correct, one for one."""
-    pairs = parse_m2(read_text(opts["gold"]), name=opts["gold"])
-    hyps = _read_sentences(opts["hyp"])
-    if len(hyps) != len(pairs):
+def _load_inputs(command: str, opts: dict) -> dict:
+    """Every input option of the command, read, parsed and checked once, in registry order.
+
+    An unset option gives None, and build-cola's m2 list gives {path: pairs}.
+    This is the only place where a subcommand reads its input files.
+    """
+    inputs: dict = {}
+    for key, opt in _COMMANDS[command].opts.items():
+        if opt.kind == "m2_list":
+            inputs[key] = {path: _READERS["m2"](path) for path in dict.fromkeys(opts[key])}
+        elif opt.kind in _READERS:
+            inputs[key] = None if opts[key] is None else _READERS[opt.kind](opts[key])
+    return inputs
+
+
+def _check_one_for_one(opts: dict, inputs: dict, first: str, second: str) -> None:
+    """Refuse two inputs whose records do not correspond one for one."""
+    if len(inputs[first]) != len(inputs[second]):
         raise ConfigError(
-            f"{opts['hyp']} has {len(hyps)} sentences but {opts['gold']} has {len(pairs)}"
+            f"{opts[first]} has {len(inputs[first])} sentences"
+            f" but {opts[second]} has {len(inputs[second])}"
         )
-    return hyps, pairs
 
 
-def _train_recipe(opts: dict, pairs) -> tuple[TrainStage, ModelConfig]:
-    """The training stage and model shape that the shared training options set.
+def _train_recipe(opts: dict, pairs) -> tuple[TrainStage, ModelConfig, Vocab]:
+    """The training stage, model shape and vocabulary that the shared training options set.
 
-    The model keeps the default seed; train-gec and ablate each set their own.
+    Every parameter must fit numpy. The model keeps the default seed;
+    train-gec and ablate each set their own.
     """
     stage = TrainStage(
         pairs=tuple(pairs),
@@ -204,11 +225,10 @@ def _train_recipe(opts: dict, pairs) -> tuple[TrainStage, ModelConfig]:
         batch_size=opts["batch_size"],
         optimizer=opts["optimizer"],
     )
-    return stage, ModelConfig(embed_dim=opts["embed_dim"], hidden_dim=opts["hidden_dim"])
-
-
-def _load_judge(opts: dict) -> JudgeModel | None:
-    return JudgeModel.load(opts["judge"]) if opts.get("judge") else None
+    config = ModelConfig(embed_dim=opts["embed_dim"], hidden_dim=opts["hidden_dim"])
+    vocab = Vocab.from_pairs(pairs)
+    param_shapes(len(vocab), config)
+    return stage, config, vocab
 
 
 def _judge_report(counts) -> tuple[dict, str]:
@@ -232,13 +252,17 @@ def _judge_report(counts) -> tuple[dict, str]:
 
 # --- subcommand runners -----------------------------------------------------
 
-# A runner checks its options and builds its config objects, then calls
-# start() once: it makes the output directory, writes the config snapshot
-# and returns the directory. So nothing is written for a rejected value.
+# A runner checks its option values and builds its config objects, then
+# calls load() once for its parsed inputs (see _load_inputs) and checks
+# them against each other and against the options, then calls start()
+# once: it makes the output directory, writes the config snapshot and
+# returns the directory. So nothing is written for a rejected value or
+# input, and no runner reads a file of its own.
+_Load = Callable[[], dict]
 _Start = Callable[[], Path]
 
 
-def _run_synth_gen(opts: dict, start: _Start) -> list[str]:
+def _run_synth_gen(opts: dict, load: _Load, start: _Start) -> list[str]:
     grammar, spec = make_preset(opts["preset"])
     sizes = SizeConfig(
         gec_train=opts["gec_train"],
@@ -252,39 +276,31 @@ def _run_synth_gen(opts: dict, start: _Start) -> list[str]:
     return [f"wrote benchmark {opts['preset']!r} to {out} ({len(paths)} entries)"]
 
 
-def _run_extract_edits(opts: dict, start: _Start) -> list[str]:
+def _run_extract_edits(opts: dict, load: _Load, start: _Start) -> list[str]:
+    inputs = load()
+    _check_one_for_one(opts, inputs, "source", "target")
     out = start()
-    sources = _read_sentences(opts["source"])
-    targets = _read_sentences(opts["target"])
-    if len(sources) != len(targets):
-        raise ConfigError(
-            f"{opts['source']} has {len(sources)} sentences"
-            f" but {opts['target']} has {len(targets)}"
-        )
-    lexicons = _load_lexicons(opts)
     pairs = [
         AnnotatedPair(
             source=src,
             target=tgt,
-            gold=(tuple(extract_edits(src, tgt, lexicons)),),
+            gold=(tuple(extract_edits(src, tgt, inputs["lexicons"])),),
             annotator_ids=(0,),
         )
-        for src, tgt in zip(sources, targets)
+        for src, tgt in zip(inputs["source"], inputs["target"])
     ]
     write_text(out / "edits.m2", emit_m2(pairs))
     n_edits = sum(len(pair.gold[0]) for pair in pairs)
     return [f"wrote {out / 'edits.m2'} ({len(pairs)} sentences, {n_edits} edits)"]
 
 
-def _run_build_cola(opts: dict, start: _Start) -> list[str]:
+def _run_build_cola(opts: dict, load: _Load, start: _Start) -> list[str]:
     filters = FilterConfig(opts["min_len"], opts["max_len"], opts["max_edits"])
     # M2 input yields only GEC-origin instances, which never enter test.
     split = SplitConfig(dev=opts["dev_frac"], test=0.0)
+    inputs = load()
     out = start()
-    parts = {}
-    for path in opts["m2"]:
-        pairs = parse_m2(read_text(path), name=path)
-        parts[path] = build_cola_from_gec(pairs, filters)
+    parts = {path: build_cola_from_gec(pairs, filters) for path, pairs in inputs["m2"].items()}
     corpus = merge_corpora(
         parts,
         split,
@@ -298,7 +314,7 @@ def _run_build_cola(opts: dict, start: _Start) -> list[str]:
     return [f"wrote cola splits to {out} ({len(corpus)} instances)"]
 
 
-def _run_train_judge(opts: dict, start: _Start) -> list[str]:
+def _run_train_judge(opts: dict, load: _Load, start: _Start) -> list[str]:
     config = JudgeConfig(
         dim=opts["dim"],
         epochs=opts["epochs"],
@@ -307,12 +323,11 @@ def _run_train_judge(opts: dict, start: _Start) -> list[str]:
         batch_size=opts["batch_size"],
         seed=opts["seed"],
     )
+    inputs = load()
     out = start()
-    train = parse_cola_tsv(read_text(opts["train"]), name=opts["train"])
-    dev = parse_cola_tsv(read_text(opts["dev"]), name=opts["dev"])
-    model = train_judge(train, dev, config)
+    model = train_judge(inputs["train"], inputs["dev"], config)
     model.save(out / "judge.json")
-    data, text = _judge_report(evaluate_judge(model, dev))
+    data, text = _judge_report(evaluate_judge(model, inputs["dev"]))
     write_json(out / "judge_metrics.json", data)
     write_text(out / "judge_metrics.txt", text)
     return [
@@ -321,33 +336,25 @@ def _run_train_judge(opts: dict, start: _Start) -> list[str]:
     ]
 
 
-def _run_judge_eval(opts: dict, start: _Start) -> list[str]:
+def _run_judge_eval(opts: dict, load: _Load, start: _Start) -> list[str]:
+    inputs = load()
     out = start()
-    model = JudgeModel.load(opts["model"])
-    instances = parse_cola_tsv(read_text(opts["data"]), name=opts["data"])
-    data, text = _judge_report(evaluate_judge(model, instances))
+    data, text = _judge_report(evaluate_judge(inputs["model"], inputs["data"]))
     write_json(out / "judge_eval.json", data)
     write_text(out / "judge_eval.txt", text)
     return [f"accuracy {data['accuracy']:.4f}, mcc {data['mcc']:.4f} on {data['total']} instances"]
 
 
-def _run_train_gec(opts: dict, start: _Start) -> list[str]:
+def _run_train_gec(opts: dict, load: _Load, start: _Start) -> list[str]:
     if bool(opts["judge"]) != (opts["loss"] == DYNAMIC):
         raise ConfigError(
             "train-gec: the dynamic loss needs option 'judge', and no other loss reads it"
         )
-    pairs = parse_m2(read_text(opts["train"]), name=opts["train"])
-    stage, config = _train_recipe(opts, pairs)
-    config = replace(config, seed=opts["seed"])
-    vocab = Vocab.from_pairs(pairs)
-    param_shapes(len(vocab), config)
+    inputs = load()
+    stage, config, vocab = _train_recipe(opts, inputs["train"])
     out = start()
-    dev_pairs = None
-    if opts["dev"]:
-        dev_pairs = parse_m2(read_text(opts["dev"]), name=opts["dev"])
-    judge = _load_judge(opts)
-    model = Seq2SeqModel(vocab, config)
-    log = train_gec(model, stage, judge=judge, dev_pairs=dev_pairs, seed=opts["seed"])
+    model = Seq2SeqModel(vocab, replace(config, seed=opts["seed"]))
+    log = train_gec(model, stage, inputs["judge"], dev_pairs=inputs["dev"], seed=opts["seed"])
     model.save(out / "gec_model")
     log.write(out / "train_log.jsonl")
     last = log.last()
@@ -359,42 +366,43 @@ def _run_train_gec(opts: dict, start: _Start) -> list[str]:
     return lines
 
 
-def _run_decode(opts: dict, start: _Start) -> list[str]:
-    if opts["beam"] < 1:
-        raise ConfigError(f"decode: beam_size must be >= 1, got {opts['beam']}")
+def _run_decode(opts: dict, load: _Load, start: _Start) -> list[str]:
     if not opts["judge"] and opts["rerank_lam"] != _BEAM_OPTS["rerank_lam"].default:
         raise ConfigError(
             "decode: option 'rerank_lam' weighs the judge's score, so it needs 'judge'"
         )
     check_rerank_lam(opts["rerank_lam"])
+    inputs = load()
+    model = inputs["model"]
+    check_beam_size(opts["beam"], len(model.vocab))
     out = start()
-    model = Seq2SeqModel.load(opts["model"])
-    sources = _read_sentences(opts["input"])
-    decoded = decode(model, sources, opts["beam"], _load_judge(opts), opts["rerank_lam"])
-    _write_sentences(out / "corrected.txt", decoded)
+    decoded = decode(model, inputs["input"], opts["beam"], inputs["judge"], opts["rerank_lam"])
+    write_text(out / "corrected.txt", "".join(s.text + "\n" for s in decoded))
     return [f"wrote {out / 'corrected.txt'} ({len(decoded)} sentences)"]
 
 
-def _run_evaluate(opts: dict, start: _Start) -> list[str]:
+def _run_evaluate(opts: dict, load: _Load, start: _Start) -> list[str]:
+    inputs = load()
+    _check_one_for_one(opts, inputs, "hyp", "gold")
     out = start()
-    hyps, pairs = _read_hypotheses(opts)
-    report = evaluate_hypotheses(hyps, pairs, _load_lexicons(opts))
+    report = evaluate_hypotheses(inputs["hyp"], inputs["gold"], inputs["lexicons"])
     write_json(out / "evaluate.json", report.to_json_dict())
     write_text(out / "evaluate.txt", report.render_table())
     d = report.to_json_dict()
     return [f"P {d['precision']:.2f}  R {d['recall']:.2f}  F0.5 {d['f0.5']:.2f}"]
 
 
-def _run_error_analysis(opts: dict, start: _Start) -> list[str]:
+def _run_error_analysis(opts: dict, load: _Load, start: _Start) -> list[str]:
     for etype in opts["types"]:
         if etype not in CORE_ERROR_TYPES:
             raise ConfigError(
                 f"error-analysis: unknown error type {etype!r} in 'types'"
                 f" (known: {', '.join(CORE_ERROR_TYPES)})"
             )
+    inputs = load()
+    _check_one_for_one(opts, inputs, "hyp", "gold")
     out = start()
-    hyps, pairs = _read_hypotheses(opts)
-    lexicons = _load_lexicons(opts)
+    hyps, pairs, lexicons = inputs["hyp"], inputs["gold"], inputs["lexicons"]
     hyp_edits = [extract_edits(pair.source, hyp, lexicons) for hyp, pair in zip(hyps, pairs)]
     sections: dict[str, MetricsReport] = {"unfiltered": evaluate_corpus(hyp_edits, pairs)}
     for etype in opts["types"]:
@@ -413,19 +421,14 @@ def _run_error_analysis(opts: dict, start: _Start) -> list[str]:
     return table.splitlines()
 
 
-def _run_ablate(opts: dict, start: _Start) -> list[str]:
+def _run_ablate(opts: dict, load: _Load, start: _Start) -> list[str]:
     check_rerank_lam(opts["rerank_lam"])
-    train_pairs = parse_m2(read_text(opts["train"]), name=opts["train"])
-    stage, config = _train_recipe(opts, train_pairs)
-    vocab_size = len(Vocab.from_pairs(train_pairs))
-    param_shapes(vocab_size, config)
-    check_beam_size(opts["beam"], vocab_size)
+    inputs = load()
+    stage, config, vocab = _train_recipe(opts, inputs["train"])
+    check_beam_size(opts["beam"], len(vocab))
     out = start()
-    test_pairs = parse_m2(read_text(opts["test"]), name=opts["test"])
-    judge = _load_judge(opts)
-    report = ablation_run(
-        stage, test_pairs, judge, opts["seeds"], config, opts["beam"], opts["rerank_lam"]
-    )
+    beam, lam = opts["beam"], opts["rerank_lam"]
+    report = ablation_run(stage, inputs["test"], inputs["judge"], opts["seeds"], config, beam, lam)
     write_json(out / "ablation.json", report.to_json_dict())
     write_text(out / "ablation.txt", report.render_table())
     return report.render_table().splitlines()
@@ -438,10 +441,10 @@ def _run_ablate(opts: dict, start: _Start) -> list[str]:
 class _Command:
     help: str
     opts: dict
-    run: Callable[[dict, _Start], list[str]]
+    run: Callable[[dict, _Load, _Start], list[str]]
 
 
-_LEXICONS_OPT = _Opt("str", None, "lexicon directory for edit classification")
+_LEXICONS_OPT = _Opt("lexicons", None, "lexicon directory for edit classification")
 # Shared by train-gec and ablate; _train_recipe builds their stage and model shape.
 _TRAIN_OPTS = {
     "epochs": _Opt("int", 30, "training epochs"),
@@ -472,8 +475,8 @@ _COMMANDS: dict[str, _Command] = {
     "extract-edits": _Command(
         "align parallel text files and emit typed edits as M2",
         {
-            "source": _Opt("str", None, "source sentences, one per line", required=True),
-            "target": _Opt("str", None, "corrected sentences, one per line", required=True),
+            "source": _Opt("sentences", None, "source sentences, one per line", required=True),
+            "target": _Opt("sentences", None, "corrected sentences, one per line", required=True),
             "lexicons": _LEXICONS_OPT,
         },
         _run_extract_edits,
@@ -481,7 +484,7 @@ _COMMANDS: dict[str, _Command] = {
     "build-cola": _Command(
         "mine labeled acceptability train/dev splits from M2 correction data",
         {
-            "m2": _Opt("paths", None, "M2 file (repeatable)", required=True),
+            "m2": _Opt("m2_list", None, "M2 file (repeatable)", required=True),
             "min_len": _Opt("int", 3, "minimum source length"),
             "max_len": _Opt("int", 80, "maximum source length"),
             "max_edits": _Opt("int", 10, "maximum edits per pair"),
@@ -495,8 +498,8 @@ _COMMANDS: dict[str, _Command] = {
     "train-judge": _Command(
         "fit the acceptability judge on labeled TSV splits",
         {
-            "train": _Opt("str", None, "training TSV (label<TAB>sentence)", required=True),
-            "dev": _Opt("str", None, "dev TSV for the frozen accuracy", required=True),
+            "train": _Opt("tsv", None, "training TSV (label<TAB>sentence)", required=True),
+            "dev": _Opt("tsv", None, "dev TSV for the frozen accuracy", required=True),
             "dim": _Opt("int", 2**18, "hashed feature dimension"),
             "epochs": _Opt("int", 80, "training epochs"),
             "lr": _Opt("float", 8.0, "learning rate"),
@@ -509,17 +512,17 @@ _COMMANDS: dict[str, _Command] = {
     "judge-eval": _Command(
         "score a saved judge on a labeled TSV",
         {
-            "model": _Opt("str", None, "saved judge JSON", required=True),
-            "data": _Opt("str", None, "labeled TSV to score", required=True),
+            "model": _Opt("judge", None, "saved judge JSON", required=True),
+            "data": _Opt("tsv", None, "labeled TSV to score", required=True),
         },
         _run_judge_eval,
     ),
     "train-gec": _Command(
         "train the corrector on an M2 file",
         {
-            "train": _Opt("str", None, "training M2", required=True),
-            "dev": _Opt("str", None, "dev M2 for per-epoch F0.5"),
-            "judge": _Opt("str", None, "saved judge JSON (for the dynamic loss only)"),
+            "train": _Opt("m2", None, "training M2", required=True),
+            "dev": _Opt("m2", None, "dev M2 for per-epoch F0.5"),
+            "judge": _Opt("judge", None, "saved judge JSON (for the dynamic loss only)"),
             "loss": _Opt("str", PLAIN_CE, "training loss", choices=LOSS_KINDS),
             **_TRAIN_OPTS,
             "seed": _SEED_OPT,
@@ -529,9 +532,9 @@ _COMMANDS: dict[str, _Command] = {
     "decode": _Command(
         "correct sentences with a saved model, optionally judge-reranked",
         {
-            "model": _Opt("str", None, "saved model directory", required=True),
-            "input": _Opt("str", None, "sentences to correct, one per line", required=True),
-            "judge": _Opt("str", None, "saved judge JSON; enables beam reranking"),
+            "model": _Opt("model", None, "saved model directory", required=True),
+            "input": _Opt("sentences", None, "sentences to correct, one per line", required=True),
+            "judge": _Opt("judge", None, "saved judge JSON; enables beam reranking"),
             **_BEAM_OPTS,
         },
         _run_decode,
@@ -539,8 +542,8 @@ _COMMANDS: dict[str, _Command] = {
     "evaluate": _Command(
         "score corrected text against gold M2",
         {
-            "hyp": _Opt("str", None, "corrected sentences, one per line", required=True),
-            "gold": _Opt("str", None, "gold M2", required=True),
+            "hyp": _Opt("sentences", None, "corrected sentences, one per line", required=True),
+            "gold": _Opt("m2", None, "gold M2", required=True),
             "lexicons": _LEXICONS_OPT,
         },
         _run_evaluate,
@@ -548,8 +551,8 @@ _COMMANDS: dict[str, _Command] = {
     "error-analysis": _Command(
         "rescore with error types excluded individually and combined",
         {
-            "hyp": _Opt("str", None, "corrected sentences, one per line", required=True),
-            "gold": _Opt("str", None, "gold M2", required=True),
+            "hyp": _Opt("sentences", None, "corrected sentences, one per line", required=True),
+            "gold": _Opt("m2", None, "gold M2", required=True),
             "types": _Opt("names", ("PUNCT", "OTHER"), "error types to exclude"),
             "filter_mode": _Opt("str", DROP_EDITS, "exclusion mode", choices=FILTER_MODES),
             "lexicons": _LEXICONS_OPT,
@@ -559,9 +562,9 @@ _COMMANDS: dict[str, _Command] = {
     "ablate": _Command(
         "train and score the four-variant grid over fixed seeds",
         {
-            "train": _Opt("str", None, "training M2", required=True),
-            "test": _Opt("str", None, "test M2", required=True),
-            "judge": _Opt("str", None, "saved judge JSON", required=True),
+            "train": _Opt("m2", None, "training M2", required=True),
+            "test": _Opt("m2", None, "test M2", required=True),
+            "judge": _Opt("judge", None, "saved judge JSON", required=True),
             "seeds": _Opt("seeds", (0, 1, 2, 3, 4), "comma-separated per-cell seeds"),
             **_TRAIN_OPTS,
             **_BEAM_OPTS,
@@ -583,7 +586,7 @@ def _add_options(parser: argparse.ArgumentParser, opts: dict) -> None:
         flag = "--" + key.replace("_", "-")
         if opt.kind == "bool":
             parser.add_argument(flag, dest=key, action="store_true", default=None, help=opt.help)
-        elif opt.kind == "paths":
+        elif opt.kind == "m2_list":
             parser.add_argument(
                 flag, dest=key, action="append", default=None, metavar="PATH", help=opt.help
             )
@@ -708,7 +711,7 @@ def main(argv: list[str] | None = None) -> int:
         if command is None:
             raise ConfigError("no subcommand given (see geckit --help)")
         opts = resolve_options(command, args)
-        summary = _COMMANDS[command].run(opts, start)
+        summary = _COMMANDS[command].run(opts, lambda: _load_inputs(command, opts), start)
     except (GeckitError, MemoryError, OSError) as exc:
         # numpy's MemoryError names the size it could not allocate.
         message = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)

@@ -33,12 +33,15 @@ from .textcore import AnnotatedPair
 def mean_prf(values: Sequence[Prf]) -> Prf:
     if not values:
         raise EmptyEvaluation("no scores to average")
-    n = len(values)
-    return Prf(
-        sum(v.precision for v in values) / n,
-        sum(v.recall for v in values) / n,
-        sum(v.f05 for v in values) / n,
-    )
+    # Added left to right from 0.0 on every Python: from 3.12 on the builtin
+    # sum compensates float rounding (gh-100425), which would change the means.
+    def mean(field: str) -> float:
+        total = 0.0
+        for v in values:
+            total += getattr(v, field)
+        return total / len(values)
+
+    return Prf(mean("precision"), mean("recall"), mean("f05"))
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,7 +22,7 @@ from .losses import PROB_FLOOR
 from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocab
 
 MODEL_FORMAT = "gec-seq2seq"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 # The cross-entropy of a step whose gold probability is below PROB_FLOOR.
 _MAX_NLL = -math.log(PROB_FLOOR)
 
@@ -31,18 +31,11 @@ _MAX_NLL = -math.log(PROB_FLOOR)
 class ModelConfig:
     embed_dim: int = 32
     hidden_dim: int = 64
-    attn_dim: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ConfigError("embed_dim and hidden_dim must be positive")
-        if self.attn_dim is not None and self.attn_dim < 1:
-            raise ConfigError("attn_dim must be positive when set")
-
-    @property
-    def attention_dim(self) -> int:
-        return self.hidden_dim if self.attn_dim is None else self.attn_dim
 
 
 def _gru_weights(p: dict, prefix: str) -> tuple[np.ndarray, ...]:
@@ -126,7 +119,7 @@ class EncoderState:
 
 def param_shapes(v: int, config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's shape for a vocabulary of v tokens; each must fit numpy."""
-    e, h, a = config.embed_dim, config.hidden_dim, config.attention_dim
+    e, h = config.embed_dim, config.hidden_dim
     shapes: dict[str, tuple[int, ...]] = {"emb": (v, e)}
     for side in ("enc", "dec"):
         for gate in ("z", "r", "n"):
@@ -136,9 +129,9 @@ def param_shapes(v: int, config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes.update(
         init_W=(h, h),
         init_b=(h,),
-        attn_Wq=(h, a),
-        attn_Wk=(h, a),
-        attn_v=(a,),
+        attn_Wq=(h, h),
+        attn_Wk=(h, h),
+        attn_v=(h,),
         comb_W=(2 * h, h),
         comb_b=(h,),
         out_W=(h, v),
@@ -427,7 +420,6 @@ class Seq2SeqModel:
             key
             for key, value in config.items()
             if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0)
-            and not (key == "attn_dim" and value is None)
         ]
         if bad:
             raise FormatError(

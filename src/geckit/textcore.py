@@ -384,12 +384,8 @@ def emit_m2(pairs: Iterable[AnnotatedPair]) -> str:
 # --- acceptability TSV --------------------------------------------------
 
 
-def parse_cola_tsv(
-    text: str,
-    origin: str = ORIGIN_LINGUISTICS,
-    name: str = "<tsv>",
-) -> list[ColaInstance]:
-    """Parse ``label<TAB>sentence`` lines into ColaInstances."""
+def parse_cola_tsv(text: str, name: str = "<tsv>") -> list[ColaInstance]:
+    """Parse ``label<TAB>sentence`` lines into ColaInstances of the linguistics origin."""
     if text == "":
         return []
     if not text.endswith("\n"):
@@ -405,7 +401,7 @@ def parse_cola_tsv(
         if not sentence_part:
             raise FormatError("empty sentence", name=name, line=lineno)
         sentence = _parse_sentence_field(sentence_part, name, lineno)
-        instances.append(ColaInstance(sentence, int(label_part), origin))
+        instances.append(ColaInstance(sentence, int(label_part)))
     return instances
 
 

@@ -28,7 +28,7 @@ from geckit.align import (
     save_lexicons,
     substitute_cost,
 )
-from geckit.errors import FormatError, InvalidEditSet
+from geckit.errors import ConfigError, FormatError, InvalidEditSet
 from geckit.textcore import DET, ORTH, OTHER, PREP, PUNCT, SPELL, Edit, Sentence, apply_edits
 
 
@@ -298,3 +298,7 @@ class TestLexiconIO:
     def test_missing_files_fall_back_to_defaults(self, tmp_path):
         lex = load_lexicons(tmp_path)
         assert "the" in lex.determiners
+
+    def test_missing_directory_is_refused(self, tmp_path):
+        with pytest.raises(ConfigError, match="not a lexicon directory"):
+            load_lexicons(tmp_path / "nowhere")

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import ast
 import io
 import json
 import os
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geckit
+from geckit import cli
 from geckit.cli import _COMMANDS, _GLOBAL_OPTS, build_parser, main, resolve_options
 from geckit.errors import ConfigError
 from geckit.judge import MAX_ARRAY_SIZE
@@ -471,31 +473,38 @@ VALID_OPTIONS = {
     },
 }  # fmt: skip
 EMPTY_MESSAGES = {
-    "str": "expected a non-empty string",
-    "paths": "expected a non-empty path or a non-empty list of them",
+    **dict.fromkeys(
+        ("str", "m2", "tsv", "sentences", "judge", "model", "lexicons"), "expected a non-empty string"
+    ),
+    "m2_list": "expected a non-empty path or a non-empty list of them",
 }
+
+
+def _valid_options(bench_dir, judge_dir, gec_dir, decoded_dir) -> dict:
+    dirs = {"bench": bench_dir, "judge": judge_dir, "gec": gec_dir, "decoded": decoded_dir}
+    return {
+        command: {key: value.format(**dirs) for key, value in options.items()}
+        for command, options in VALID_OPTIONS.items()
+    }
+
+
+@pytest.fixture
+def valid_options(bench_dir, judge_dir, gec_dir, decoded_dir):
+    return _valid_options(bench_dir, judge_dir, gec_dir, decoded_dir)
+
+
+def _options_argv(command: str, options: dict) -> list[str]:
+    return [command, *(f"--{key.replace('_', '-')}={value}" for key, value in options.items())]
 
 
 class TestEmptyValues:
     """An empty path or text value is refused before --out exists."""
 
-    @pytest.fixture
-    def valid_options(self, bench_dir, judge_dir, gec_dir, decoded_dir):
-        dirs = {"bench": bench_dir, "judge": judge_dir, "gec": gec_dir, "decoded": decoded_dir}
-        return {
-            command: {key: value.format(**dirs) for key, value in options.items()}
-            for command, options in VALID_OPTIONS.items()
-        }
-
-    @staticmethod
-    def _argv(command: str, options: dict) -> list[str]:
-        return [command, *(f"--{key.replace('_', '-')}={value}" for key, value in options.items())]
-
     @pytest.mark.parametrize("command", list(VALID_OPTIONS))
     def test_the_valid_runs_pass(self, command, valid_options, tmp_path):
         """So each empty value below is the only fault of its run."""
         assert set(VALID_OPTIONS) == set(_COMMANDS)
-        assert main([*self._argv(command, valid_options[command]), "--out", str(tmp_path / "x")]) == 0
+        assert main([*_options_argv(command, valid_options[command]), "--out", str(tmp_path / "x")]) == 0
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
@@ -512,7 +521,7 @@ class TestEmptyValues:
     ):
         monkeypatch.chdir(tmp_path)  # where an empty --out would write
         options = {k: v for k, v in valid_options[command].items() if k != key}
-        argv = self._argv(command, options)
+        argv = _options_argv(command, options)
         if key != "out":
             argv += ["--out", str(tmp_path / "x")]
         opt = {**_GLOBAL_OPTS, **_COMMANDS[command].opts}[key]
@@ -520,7 +529,7 @@ class TestEmptyValues:
             argv.append(f"--{key.replace('_', '-')}=")
         else:
             config = tmp_path / "run.json"
-            value = [str(tmp_path / "a.m2"), ""] if opt.kind == "paths" else ""
+            value = [str(tmp_path / "a.m2"), ""] if opt.kind == "m2_list" else ""
             config.write_text(json.dumps({key: value}), encoding="utf-8")
             argv += ["--config", str(config)]
         assert main(argv) == 1
@@ -534,7 +543,7 @@ class TestEmptyValues:
         config.write_text(json.dumps({"m2": []}), encoding="utf-8")
         assert main(["build-cola", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
         assert _single_error_line(capsys) == (
-            f"error: build-cola: bad value for config key 'm2': {EMPTY_MESSAGES['paths']}\n"
+            f"error: build-cola: bad value for config key 'm2': {EMPTY_MESSAGES['m2_list']}\n"
         )
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
@@ -565,6 +574,158 @@ class TestEmptyValues:
         assert main([*argv, "--out", str(tmp_path / "x")]) == 1
         assert _single_error_line(capsys) == f"error: {config}: duplicate config key 'gold'\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
+# Every input option, as the registry declares it: (subcommand, key, kind).
+INPUTS = [
+    ("extract-edits", "source", "sentences"),
+    ("extract-edits", "target", "sentences"),
+    ("extract-edits", "lexicons", "lexicons"),
+    ("build-cola", "m2", "m2_list"),
+    ("train-judge", "train", "tsv"),
+    ("train-judge", "dev", "tsv"),
+    ("judge-eval", "model", "judge"),
+    ("judge-eval", "data", "tsv"),
+    ("train-gec", "train", "m2"),
+    ("train-gec", "dev", "m2"),
+    ("train-gec", "judge", "judge"),
+    ("decode", "model", "model"),
+    ("decode", "input", "sentences"),
+    ("decode", "judge", "judge"),
+    ("evaluate", "hyp", "sentences"),
+    ("evaluate", "gold", "m2"),
+    ("evaluate", "lexicons", "lexicons"),
+    ("error-analysis", "hyp", "sentences"),
+    ("error-analysis", "gold", "m2"),
+    ("error-analysis", "lexicons", "lexicons"),
+    ("ablate", "train", "m2"),
+    ("ablate", "test", "m2"),
+    ("ablate", "judge", "judge"),
+]
+VALUE_KINDS = ("int", "float", "str", "bool", "seeds", "names")
+RECORD_KINDS = {"m2": "M2", "m2_list": "M2", "tsv": "TSV"}
+
+
+def _corrupt_input(kind: str, tmp_path: Path) -> tuple[Path, Path]:
+    """An input of the kind holding one bad record, and the file that holds it."""
+    if kind in ("m2", "m2_list"):
+        path = tmp_path / "bad.m2"
+        path.write_text("S a b\nA 9 9|||R:OTHER|||c|||REQUIRED|||-NONE-|||0\n", encoding="utf-8")
+        return path, path
+    if kind == "tsv":
+        path = tmp_path / "bad.tsv"
+        path.write_text("1\ta b\n2\tc d\n", encoding="utf-8")
+        return path, path
+    if kind == "sentences":
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"a b\n\xff c\n")
+        return path, path
+    if kind == "judge":
+        path = tmp_path / "judge.json"
+        path.write_text("{}\n", encoding="utf-8")
+        return path, path
+    directory = tmp_path / kind
+    directory.mkdir()
+    if kind == "model":
+        (directory / "meta.json").write_text("{}\n", encoding="utf-8")
+        return directory, directory / "meta.json"
+    (directory / "morphology.tsv").write_text("VERB\tgo\n", encoding="utf-8")
+    return directory, directory / "morphology.tsv"
+
+
+class TestInputs:
+    """Every declared input is read and checked before --out exists."""
+
+    @staticmethod
+    def _run(command: str, key: str, value, valid_options, tmp_path) -> int:
+        options = {**valid_options[command], key: str(value)}
+        if command == "train-gec" and key == "judge":
+            options["loss"] = "dynamic"  # the only loss that reads a judge
+        return main([*_options_argv(command, options), "--out", str(tmp_path / "x")])
+
+    def test_the_registry_declares_these_inputs(self):
+        declared = [
+            (command, key, opt.kind)
+            for command, spec in _COMMANDS.items()
+            for key, opt in spec.opts.items()
+            if opt.kind not in VALUE_KINDS
+        ]
+        assert declared == INPUTS
+
+    @pytest.mark.parametrize("command,key,kind", INPUTS)
+    def test_missing_path(self, command, key, kind, valid_options, tmp_path, capsys):
+        missing = tmp_path / "missing" / "input"
+        assert self._run(command, key, missing, valid_options, tmp_path) in (1, 2)
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(missing) in err, err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "command,key,kind", [row for row in INPUTS if row[2] in RECORD_KINDS]
+    )
+    def test_no_records(self, command, key, kind, valid_options, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.write_bytes(b"")
+        assert self._run(command, key, empty, valid_options, tmp_path) == 1
+        assert _single_error_line(capsys) == f"error: {empty}: no {RECORD_KINDS[kind]} records\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command,key,kind", INPUTS)
+    def test_one_corrupt_record(self, command, key, kind, valid_options, tmp_path, capsys):
+        value, bad_file = _corrupt_input(kind, tmp_path)
+        assert self._run(command, key, value, valid_options, tmp_path) == 1
+        assert f"error: {bad_file}: " in _single_error_line(capsys)
+        assert not (tmp_path / "x").exists()
+
+    def test_missing_lexicon_directory(self, valid_options, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "dir"
+        assert self._run("evaluate", "lexicons", missing, valid_options, tmp_path) == 1
+        assert _single_error_line(capsys) == f"error: {missing}: not a lexicon directory\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_empty_gold_and_hypotheses(self, tmp_path, capsys):
+        hyp, gold = tmp_path / "hyp.txt", tmp_path / "gold.m2"
+        hyp.write_bytes(b"")
+        gold.write_bytes(b"")
+        code = main(["evaluate", "--hyp", str(hyp), "--gold", str(gold), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert _single_error_line(capsys) == f"error: {gold}: no M2 records\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_decode_empty_in_empty_out(self, gec_dir, judge_dir, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        out = tmp_path / "out"
+        code = main(
+            ["decode", "--model", str(gec_dir / "gec_model"), "--input", str(empty),
+             "--judge", str(judge_dir / "judge.json"), "--beam", "2", "--out", str(out)]
+        )  # fmt: skip
+        assert code == 0
+        assert (out / "corrected.txt").read_bytes() == b""
+
+    def test_extract_edits_empty_in_empty_out(self, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        out = tmp_path / "out"
+        code = main(["extract-edits", "--source", str(empty), "--target", str(empty), "--out", str(out)])
+        assert code == 0
+        assert (out / "edits.m2").read_bytes() == b""
+
+    def test_runners_read_no_file(self):
+        """Only the loader reads: no runner calls read_text, a parse_* function or a .load.
+
+        A runner gets its parsed inputs from the load() it is handed.
+        """
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        runners = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_run_")]
+        assert len(runners) == len(_COMMANDS)
+        for runner in runners:
+            for node in ast.walk(runner):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                    assert name != "read_text" and not name.startswith("parse_"), (runner.name, name)
+                    assert not (isinstance(func, ast.Attribute) and name == "load"), runner.name
 
 
 class TestSynthGen:
@@ -765,7 +926,7 @@ class TestGecCommands:
     def test_decode_rejects_beam_wider_than_vocabulary_at_once(
         self, gec_dir, decoded_dir, tmp_path
     ):
-        """The beam is checked against the model's vocabulary, which is read after --out exists."""
+        """The beam is checked against the model's vocabulary, which is read before --out exists."""
         out = tmp_path / "wide"
         argv = [
             "decode", "--model", str(gec_dir / "gec_model"),
@@ -780,9 +941,7 @@ class TestGecCommands:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert "exceeds the vocabulary" in lines[0]
-        log = (out / "run.log").read_text(encoding="utf-8").splitlines()
-        assert log[-1].endswith(f" failed: {lines[0][len('error: '):]}")
-        assert not (out / "corrected.txt").exists()
+        assert not out.exists()
 
     def test_decode_rejects_negative_rerank_lam(
         self, gec_dir, judge_dir, decoded_dir, tmp_path, capsys
@@ -1087,6 +1246,20 @@ class TestCorruptModelFiles:
         assert self._decode(model_dir, decoded_dir / "sources.txt", tmp_path / "o") == 1
         assert "meta.json" in _single_error_line(capsys)
 
+    def test_version_1_model_is_refused(self, gec_dir, decoded_dir, tmp_path, capsys):
+        """A model saved before attn_dim was deleted: its meta.json is version 1."""
+        model_dir = tmp_path / "model"
+        shutil.copytree(gec_dir / "gec_model", model_dir)
+        meta = json.loads((model_dir / "meta.json").read_text(encoding="utf-8"))
+        meta["version"] = 1
+        meta["config"]["attn_dim"] = None
+        (model_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        assert self._decode(model_dir, decoded_dir / "sources.txt", tmp_path / "o") == 1
+        assert _single_error_line(capsys) == (
+            f"error: {model_dir / 'meta.json'}: unsupported model version 1\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("damage", [*PARAMS_DAMAGE, *PARAMS_CORRUPTIONS])
     def test_bad_params(self, damage, gec_dir, decoded_dir, tmp_path, capsys):
         model_dir = tmp_path / "model"
@@ -1180,9 +1353,12 @@ class TestWhitespaceInTokens:
 # --- property test: corrupt inputs never escape as a traceback ------------------
 
 _NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+# Every character UTF-8 encodes: the alphabet of st.text's default, without the
+# codec table that hypothesis would build afresh in each session's storage.
+_CHARS = st.characters(exclude_categories=["Cs"])
 # Values that no integer field and no float field of the model files accepts.
 _NOT_A_NUMBER = st.one_of(
-    st.text(max_size=4),
+    st.text(_CHARS, max_size=4),
     st.booleans(),
     st.lists(st.integers(), max_size=2),
     _NON_FINITE,
@@ -1215,20 +1391,114 @@ _PARAMS_CORRUPTION = st.one_of(
     st.tuples(st.just("dtype"), _OTHER_DTYPE, st.none()),
 )
 _M2_CORRUPTION = st.tuples(st.just("m2"), st.integers(0, 10**6), st.sampled_from(_SPACES))
+# A COLA TSV line with a label other than 0 or 1, or without exactly two fields.
+_TSV_CORRUPTION = st.tuples(
+    st.just("tsv"),
+    st.integers(0, 10**6),
+    st.one_of(
+        st.tuples(st.just("label"), st.text(_CHARS, max_size=3).filter(lambda label: label not in ("0", "1"))),
+        st.tuples(st.sampled_from(["extra field", "no tab", "empty sentence"]), st.none()),
+    ),
+)
+
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(_CHARS, max_size=4))
+_DICT = st.dictionaries(st.text(_CHARS, max_size=3), _SCALAR, max_size=2)
+
+
+def _list_of(element):
+    return st.lists(element, min_size=1, max_size=2)
+
+
+_NOT_STR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _list_of(_SCALAR), _DICT)
+_NOT_INT = st.one_of(st.none(), st.booleans(), st.floats(), _list_of(_SCALAR), _DICT)
+# JSON values of a type that the option kind refuses. Strings are drawn only
+# for bool, since a string may spell a number. null goes only to keys that have
+# a default or are required, where it is refused as well.
+_WRONG_TYPE = {
+    "int": _NOT_INT,
+    "float": st.one_of(st.none(), st.booleans(), _NON_FINITE, _list_of(_SCALAR), _DICT),
+    "str": st.one_of(st.booleans(), st.integers(), st.floats(), _list_of(_SCALAR), _DICT),
+    "bool": st.one_of(st.none(), st.integers(), st.floats(), st.text(_CHARS, max_size=4), _list_of(_SCALAR), _DICT),
+    "names": st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.just([]), _list_of(_NOT_STR), _DICT),
+    "seeds": st.one_of(st.none(), st.booleans(), st.floats(), st.just([]), _list_of(_NOT_INT), _DICT),
+    "m2_list": st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.just([]), _list_of(_NOT_STR), _DICT),
+}  # fmt: skip
+_CONFIG_COMMANDS = ("build-cola", "error-analysis", "ablate")
+
+
+@st.composite
+def _config_corruption(draw):
+    """A --config file: one key of the wrong type or nested, or the object itself nested or replaced."""
+    command = draw(st.sampled_from(_CONFIG_COMMANDS))
+    how = draw(st.sampled_from(["type", "nested value", "wrapped", "under a key", "not an object"]))
+    opts = _COMMANDS[command].opts
+    key = draw(st.sampled_from(sorted(opts)))
+    if how == "type":
+        kind = opts[key].kind
+        value = draw(_WRONG_TYPE[kind if kind in _WRONG_TYPE else "str"])
+    elif how == "nested value":
+        depth = draw(st.integers(1, 3))
+        value = draw(_SCALAR)
+        if draw(st.booleans()):
+            for _ in range(depth + 1):  # one list level is a valid list option
+                value = [value]
+        else:
+            for _ in range(depth):
+                value = {key: value}
+    elif how == "under a key":
+        key = draw(st.sampled_from([command, "config", "options"]))
+        value = None
+    else:
+        value = draw(st.one_of(_SCALAR, _list_of(_SCALAR))) if how == "not an object" else None
+    return ("config", command, (how, key, value))
 
 
 class TestCorruptInputsProperty:
-    """Any of these corruptions exits 1 or 2 with exactly one error line."""
+    """Any of these corruptions exits 1 or 2 with exactly one error line, and writes no --out."""
 
-    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-    @given(st.one_of(_judge_corruption(), _meta_corruption(), _PARAMS_CORRUPTION, _M2_CORRUPTION))
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.one_of(
+            _judge_corruption(), _meta_corruption(), _PARAMS_CORRUPTION, _M2_CORRUPTION,
+            _TSV_CORRUPTION, _config_corruption(),
+        )
+    )  # fmt: skip
+    # Each escaped once: a float seed was truncated, and a nested one raised TypeError.
+    @example(("config", "ablate", ("type", "seeds", [1.5])))
+    @example(("config", "ablate", ("nested value", "seeds", [[0]])))
     def test_corruption_gives_one_error_line(
         self, bench_dir, judge_dir, gec_dir, decoded_dir, corruption
     ):
         kind, where, value = corruption
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            if kind == "judge":
+            if kind == "tsv":
+                lines = (bench_dir / "cola_dev.tsv").read_text(encoding="utf-8").split("\n")
+                i = where % (len(lines) - 1)  # the text ends with a newline
+                label, sentence = lines[i].split("\t")
+                how, text = value
+                lines[i] = {
+                    "label": f"{text}\t{sentence}",
+                    "extra field": f"{label}\t{sentence}\tx",
+                    "no tab": f"{label} {sentence}",
+                    "empty sentence": f"{label}\t",
+                }[how]
+                (tmp / "bad.tsv").write_text("\n".join(lines), encoding="utf-8")
+                argv = ["judge-eval", "--model", str(judge_dir / "judge.json"), "--data", str(tmp / "bad.tsv")]
+            elif kind == "config":
+                how, key, wrong = value
+                config = _valid_options(bench_dir, judge_dir, gec_dir, decoded_dir)[where]
+                if how in ("type", "nested value"):
+                    config[key] = wrong
+                elif how == "wrapped":
+                    config = [config]
+                elif how == "under a key":
+                    config = {key: config}
+                else:
+                    config = wrong
+                (tmp / "run.json").write_text(json.dumps(config), encoding="utf-8")
+                argv = [where, "--config", str(tmp / "run.json")]
+            elif kind == "judge":
                 payload = json.loads((judge_dir / "judge.json").read_text(encoding="utf-8"))
                 payload[where] = value
                 (tmp / "judge.json").write_text(json.dumps(payload), encoding="utf-8")
@@ -1260,9 +1530,11 @@ class TestCorruptInputsProperty:
             err = io.StringIO()
             with redirect_stderr(err):
                 code = main([*argv, "--out", str(tmp / "o")])
+            wrote = (tmp / "o").exists()
         lines = err.getvalue().splitlines()
         assert code in (1, 2)
         assert len(lines) == 1 and lines[0].startswith(("error: ", "i/o error: ")), lines
+        assert not wrote
 
 
 # The files a truncation cuts. Each text input starts with a non-ASCII token,
@@ -1340,13 +1612,22 @@ class TestTruncatedInputsProperty:
 
 
 class TestRunLog:
-    def test_failures_are_logged(self, tmp_path):
+    def test_failures_are_logged(self, bench_dir, tmp_path):
+        """A missing input leaves no --out; a failure after start() is logged."""
         out = tmp_path / "out"
         code = main(
             ["evaluate", "--hyp", str(tmp_path / "missing.txt"),
              "--gold", str(tmp_path / "missing.m2"), "--out", str(out)]
         )
         assert code == 2
+        assert not out.exists()
+        one_class = tmp_path / "one_class.tsv"
+        one_class.write_text("1\ta b\n1\tc d\n", encoding="utf-8")
+        code = main(
+            ["train-judge", "--train", str(one_class), "--dev", str(bench_dir / "cola_dev.tsv"),
+             "--dim", "64", "--out", str(out)]
+        )  # fmt: skip
+        assert code == 1
         log = (out / "run.log").read_text(encoding="utf-8")
         assert "started" in log and "failed" in log
 

@@ -110,6 +110,14 @@ class TestAblation:
         with pytest.raises(EmptyEvaluation):
             mean_prf([])
 
+    def test_mean_prf_adds_left_to_right(self):
+        """0.1 added ten times from 0.0 is 0.9999999999999999 on every Python.
+
+        From 3.12 on the builtin sum compensates and gives 1.0 (gh-100425).
+        """
+        mean = 0.9999999999999999 / 10
+        assert mean_prf([Prf(0.1, 0.1, 0.1)] * 10) == Prf(mean, mean, mean)
+
     def test_report_shape(self, toy_report):
         assert toy_report.variants == GRID
         assert toy_report.seeds == (0, 1)

@@ -274,10 +274,6 @@ class TestColaTsv:
             parse_cola_tsv("1\ta b\n0\tg\xa0h\n")
         assert err.value.line == 2
 
-    def test_origin_is_attached(self):
-        instances = parse_cola_tsv("1\ta\n", origin="synthetic")
-        assert instances[0].origin == "synthetic"
-
     def test_bad_origin_rejected(self):
         with pytest.raises(InvalidEditSet):
             ColaInstance(Sentence(("a",)), 1, origin="scraped")
