@@ -31,6 +31,10 @@ large to allocate), 2 I/O failure, 130 interrupted (Ctrl-C).
 
 from __future__ import annotations
 
+# Only modules that load without numpy are imported here, so --help, an
+# option refused while resolving and the scoring subcommands start without
+# it. judge, gec and experiment are imported by the runners and readers
+# that use them.
 import argparse
 import json
 import math
@@ -59,22 +63,7 @@ from .evalmetrics import (
     filter_eval,
     prf_table,
 )
-from .experiment import ablation_run
-from .gec import (
-    DYNAMIC,
-    LOSS_KINDS,
-    PLAIN_CE,
-    ModelConfig,
-    Seq2SeqModel,
-    TrainStage,
-    Vocab,
-    check_beam_size,
-    check_rerank_lam,
-    decode,
-    train_gec,
-)
-from .gec.model import param_shapes
-from .judge import JudgeConfig, JudgeModel, acc, evaluate_judge, mcc, train_judge
+from .losses import DYNAMIC, LOSS_KINDS, PLAIN_CE
 from .synth import PRESETS, SizeConfig, make_benchmark, make_preset, write_benchmark
 from .textcore import (
     CORE_ERROR_TYPES,
@@ -176,13 +165,25 @@ def _read_records(path: str, parse: Callable, what: str) -> list:
     return records
 
 
+def _read_judge(path: str):
+    from .judge import JudgeModel
+
+    return JudgeModel.load(path)
+
+
+def _read_model(path: str):
+    from .gec import Seq2SeqModel
+
+    return Seq2SeqModel.load(path)
+
+
 # The reader of each input kind, by the kind in the registry.
 _READERS: dict[str, Callable[[str], object]] = {
     "m2": lambda path: _read_records(path, parse_m2, "M2"),
     "tsv": lambda path: _read_records(path, parse_cola_tsv, "TSV"),
     "sentences": _read_sentences,
-    "judge": JudgeModel.load,
-    "model": Seq2SeqModel.load,
+    "judge": _read_judge,
+    "model": _read_model,
     "lexicons": load_lexicons,
 }
 
@@ -211,12 +212,15 @@ def _check_one_for_one(opts: dict, inputs: dict, first: str, second: str) -> Non
         )
 
 
-def _train_recipe(opts: dict, pairs) -> tuple[TrainStage, ModelConfig, Vocab]:
+def _train_recipe(opts: dict, pairs) -> tuple:
     """The training stage, model shape and vocabulary that the shared training options set.
 
     Every parameter must fit numpy. The model keeps the default seed;
     train-gec and ablate each set their own.
     """
+    from .gec import ModelConfig, TrainStage, Vocab
+    from .gec.model import param_shapes
+
     stage = TrainStage(
         pairs=tuple(pairs),
         epochs=opts["epochs"],
@@ -232,6 +236,8 @@ def _train_recipe(opts: dict, pairs) -> tuple[TrainStage, ModelConfig, Vocab]:
 
 
 def _judge_report(counts) -> tuple[dict, str]:
+    from .judge import acc, mcc
+
     data = {
         "accuracy": round(acc(counts), 4),
         "mcc": round(mcc(counts), 4),
@@ -315,6 +321,8 @@ def _run_build_cola(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_train_judge(opts: dict, load: _Load, start: _Start) -> list[str]:
+    from .judge import JudgeConfig, check_training_labels, evaluate_judge, train_judge
+
     config = JudgeConfig(
         dim=opts["dim"],
         epochs=opts["epochs"],
@@ -324,6 +332,7 @@ def _run_train_judge(opts: dict, load: _Load, start: _Start) -> list[str]:
         seed=opts["seed"],
     )
     inputs = load()
+    check_training_labels(inputs["train"])
     out = start()
     model = train_judge(inputs["train"], inputs["dev"], config)
     model.save(out / "judge.json")
@@ -337,6 +346,8 @@ def _run_train_judge(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_judge_eval(opts: dict, load: _Load, start: _Start) -> list[str]:
+    from .judge import evaluate_judge
+
     inputs = load()
     out = start()
     data, text = _judge_report(evaluate_judge(inputs["model"], inputs["data"]))
@@ -346,6 +357,8 @@ def _run_judge_eval(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_train_gec(opts: dict, load: _Load, start: _Start) -> list[str]:
+    from .gec import Seq2SeqModel, train_gec
+
     if bool(opts["judge"]) != (opts["loss"] == DYNAMIC):
         raise ConfigError(
             "train-gec: the dynamic loss needs option 'judge', and no other loss reads it"
@@ -367,6 +380,8 @@ def _run_train_gec(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_decode(opts: dict, load: _Load, start: _Start) -> list[str]:
+    from .gec import check_beam_size, check_rerank_lam, decode
+
     if not opts["judge"] and opts["rerank_lam"] != _BEAM_OPTS["rerank_lam"].default:
         raise ConfigError(
             "decode: option 'rerank_lam' weighs the judge's score, so it needs 'judge'"
@@ -422,6 +437,9 @@ def _run_error_analysis(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_ablate(opts: dict, load: _Load, start: _Start) -> list[str]:
+    from .experiment import ablation_run
+    from .gec import check_beam_size, check_rerank_lam
+
     check_rerank_lam(opts["rerank_lam"])
     inputs = load()
     stage, config, vocab = _train_recipe(opts, inputs["train"])

@@ -3,8 +3,9 @@
 The grid is fixed at 2x2: plain cross-entropy against the judge-weighted
 dynamic loss, each decoded greedily and as a judge-reranked beam. It
 runs over a seed list and reports mean P/R/F0.5 with the per-seed
-values behind them. Every grid runs its (seed, loss) groups in a fork
-pool, whose workers leave Ctrl-C to the parent.
+values behind them. Every grid runs each (seed, loss) group in its own
+forked child, which leaves Ctrl-C to the parent; a child that dies
+without its scores ends the run with one error naming its group.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import signal
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError, EmptyEvaluation
+from .errors import ConfigError, EmptyEvaluation, GeckitError
 from .evalmetrics import Prf, evaluate_hypotheses, prf_table
 from .gec import (
     LOSS_KINDS,
@@ -77,22 +78,74 @@ class AblationReport:
         return prf_table("variant", [(name, self.means[name]) for name in self.variants])
 
 
-# The grid's group function inside a pool worker; set only there, by the
-# pool's initializer. Under fork the function and all it closes over
-# (vocab, stage, judge with its memo, test pairs) reach each worker by
-# inheritance: only (seed, loss) keys and Prf rows are pickled.
-_group = None
-
-
-def _set_group(group) -> None:
-    global _group
-    _group = group
+def _child(group, key: tuple[int, str], writer) -> None:
+    """Run one group in a forked child and send (True, rows) or (False, exception)."""
     # Ctrl-C reaches the whole process group; only the parent reports it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        message = (True, group(key))
+    except Exception as exc:  # raised again in the parent
+        message = (False, exc)
+    writer.send(message)
 
 
-def _run_group(key: tuple[int, str]) -> list[Prf]:
-    return _group(key)
+def _died(key: tuple[int, str], exitcode: int) -> GeckitError:
+    seed, loss = key
+    try:
+        how = f"signal {signal.Signals(-exitcode).name}" if exitcode < 0 else f"exit code {exitcode}"
+    except ValueError:  # a real-time signal between SIGRTMIN and SIGRTMAX has no name
+        how = f"signal {-exitcode}"
+    return GeckitError(f"ablation group (seed {seed}, loss {loss}) ended by {how} without its scores")
+
+
+def _run_groups(group, keys: list[tuple[int, str]], workers: int) -> list:
+    """group(key) for every key, each in its own forked child, at most workers at once.
+
+    Under fork the function and all it closes over (vocab, stage, judge
+    with its memo, test pairs) reach each child by inheritance: only the
+    rows or the exception come back, through a pipe. The results are in
+    key order. Any error, Ctrl-C included, terminates and joins the
+    children still running.
+    """
+    import multiprocessing  # only here: every other subcommand runs in one process
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context("fork")
+    results: dict[int, list] = {}
+    running: dict[int, tuple] = {}  # key index -> (process, reader)
+
+    def finish(index: int) -> None:
+        process, reader = running[index]
+        try:
+            ok, value = reader.recv()
+        except EOFError:  # the child ended without sending
+            process.join()
+            raise _died(keys[index], process.exitcode) from None
+        if not ok:
+            raise value
+        process.join()
+        reader.close()
+        del running[index]
+        results[index] = value
+
+    try:
+        for index, key in enumerate(keys):
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(target=_child, args=(group, key, writer), daemon=True)
+            process.start()
+            writer.close()  # the child holds the only copy left, so its end closes the pipe
+            running[index] = (process, reader)
+            while len(running) == workers or (running and index == len(keys) - 1):
+                ready = wait([obj for p, r in running.values() for obj in (r, p.sentinel)])
+                for done in [i for i, (p, r) in running.items() if r in ready or p.sentinel in ready]:
+                    finish(done)
+    finally:
+        for process, reader in running.values():
+            process.terminate()
+        for process, reader in running.values():
+            process.join()
+            reader.close()
+    return [results[index] for index in range(len(keys))]
 
 
 def ablation_run(
@@ -116,9 +169,9 @@ def ablation_run(
     over seeds; the per-seed values are kept so the means can be
     recomputed.
 
-    The (seed, loss) groups are independent and fully seeded, so they
-    run in a fork pool, one worker per usable CPU up to the number of
-    groups, and their scores are put back in seed-major order.
+    The (seed, loss) groups are independent and fully seeded, so each
+    runs in its own forked child, as many at once as there are usable
+    CPUs, and their scores are put back in seed-major order.
     """
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be non-empty and unique")
@@ -144,12 +197,7 @@ def ablation_run(
         return rows
 
     keys = [(seed, loss) for seed in seeds for loss in LOSS_KINDS]
-    workers = min(len(keys), len(os.sched_getaffinity(0)))
-    import multiprocessing  # only here: every other subcommand runs in one process
-
-    # Leaving the block terminates the workers, also when a group raises.
-    with multiprocessing.get_context("fork").Pool(workers, _set_group, (group,)) as pool:
-        results = list(pool.imap(_run_group, keys))
+    results = _run_groups(group, keys, len(os.sched_getaffinity(0)))
     names = (*LOSS_KINDS, *(f"{loss}+rerank" for loss in LOSS_KINDS))
     scores: dict[str, list[Prf]] = {name: [] for name in names}
     for (_seed, loss), (greedy, reranked) in zip(keys, results):

@@ -10,7 +10,7 @@ from .decoding import (
     rerank_score,
     rerank_with_cola,
 )
-from .losses import (
+from ..losses import (
     DYNAMIC,
     LOSS_KINDS,
     PLAIN_CE,

@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import ConfigError, FormatError
 from ..judge import MAX_ARRAY_SIZE, sigmoid
 from ..textcore import Sentence, read_text, replace_file, write_json
-from .losses import PROB_FLOOR
+from ..losses import PROB_FLOOR
 from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocab
 
 MODEL_FORMAT = "gec-seq2seq"

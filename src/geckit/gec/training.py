@@ -20,7 +20,7 @@ from .. import evalmetrics
 from ..errors import ConfigError
 from ..textcore import AnnotatedPair, write_text
 from .decoding import greedy_decode_batch
-from .losses import DYNAMIC, LOSS_KINDS, PLAIN_CE, loss_weight
+from ..losses import DYNAMIC, LOSS_KINDS, PLAIN_CE, loss_weight
 from .model import Seq2SeqModel
 # GRAD_CLIP, the clip every step applies, is part of the recipe, so it is named here too.
 from .optim import GRAD_CLIP, clip_gradients, make_optimizer

@@ -409,6 +409,13 @@ def _touched_columns(x: HashedRows) -> tuple[np.ndarray, HashedRows]:
     return cols, HashedRows(x.indptr, x.indices, x.data, len(cols))
 
 
+def check_training_labels(train: Sequence[ColaInstance]) -> None:
+    """Refuse training data from which nothing can be learned: one label only."""
+    labels = {inst.label for inst in train}
+    if len(labels) < 2:
+        raise DegenerateCorpus(f"training labels {sorted(labels)} cover a single class")
+
+
 def train_judge(
     train: Sequence[ColaInstance],
     dev: Sequence[ColaInstance],
@@ -419,9 +426,7 @@ def train_judge(
     Each epoch shuffles with a generator derived from (seed, epoch).
     """
     cfg = config or JudgeConfig()
-    labels = {inst.label for inst in train}
-    if len(labels) < 2:
-        raise DegenerateCorpus(f"training labels {sorted(labels)} cover a single class")
+    check_training_labels(train)
     x = featurize([inst.sentence for inst in train], cfg.dim)
     y = np.array([float(inst.label) for inst in train])
     cols, xc = _touched_columns(x)

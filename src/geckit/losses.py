@@ -5,13 +5,16 @@ variant rescales it by a per-sentence weight sqrt(judge_accuracy *
 acceptability_score), passed as sentence_scale. The weight acts on the
 loss as a detached scalar: gradients are the cross-entropy gradients
 times the weight, never differentiated through the judge.
+
+This module needs no numpy, so the CLI can offer the loss kinds
+without loading the corrector; geckit.gec re-exports every name.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..errors import ConfigError
+from .errors import ConfigError
 
 # Gold-token probabilities below this are clamped before the log.
 PROB_FLOOR = 1e-12

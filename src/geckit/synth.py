@@ -17,8 +17,6 @@ from itertools import product
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from numpy.random import default_rng
-
 from .align import InflectionTable, LexiconSet, save_lexicons
 from .colacorpus import Corpus, SplitConfig, corpus_stats, merge_corpora
 from .errors import ConfigError, InvalidEditSet
@@ -330,6 +328,13 @@ def _validate_distribution(name: str, weights: Mapping, known: tuple) -> None:
         raise ConfigError(f"{name} sums to {total!r}, expected 1")
 
 
+def _rng(seed: int | Sequence[int]):
+    """numpy's default generator for seed; numpy loads at the first draw, not at import."""
+    from numpy.random import default_rng
+
+    return default_rng(seed)
+
+
 def _sample_sentence(grammar: SynthGrammar, rng) -> Sentence:
     template = grammar.templates[int(rng.integers(len(grammar.templates)))]
     subj_num = int(rng.integers(2))
@@ -358,7 +363,7 @@ def gen_corpus(grammar: SynthGrammar, n: int, seed: int) -> list[Sentence]:
     """Generate n sentences; item i depends only on (seed, i)."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    return [_sample_sentence(grammar, default_rng([seed, i])) for i in range(n)]
+    return [_sample_sentence(grammar, _rng([seed, i])) for i in range(n)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,7 +422,7 @@ def inject(
     ``seed`` may be an int or a sequence of ints.
     """
     grammar = spec.grammar
-    rng = default_rng(seed)
+    rng = _rng(seed)
     kinds = tuple(spec.kind_weights)
     kind_p = [spec.kind_weights[k] for k in kinds]
     counts = tuple(spec.count_weights)
@@ -545,7 +550,7 @@ def _unique_pool(grammar: SynthGrammar, need: int, seed: int) -> list[Sentence]:
     for i in range(cap):
         if len(pool) >= need:
             break
-        sentence = _sample_sentence(grammar, default_rng([seed, 0, i]))
+        sentence = _sample_sentence(grammar, _rng([seed, 0, i]))
         if sentence.text not in seen:
             seen.add(sentence.text)
             pool.append(sentence)

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geckit
+import geckit.experiment
 from geckit import cli
 from geckit.cli import _COMMANDS, _GLOBAL_OPTS, build_parser, main, resolve_options
 from geckit.errors import ConfigError
@@ -176,6 +177,92 @@ def test_import_leaves_scipy_unloaded(bench_dir, tmp_path):
 def test_import_leaves_process_pools_unloaded():
     """Only ablate runs a process pool, so no other command pays for importing one."""
     assert _loaded_by_cli_import("multiprocessing.pool", "concurrent.futures.process") == "[]"
+
+
+# Besides module names, "geckit.synth:numpy" stands for a numpy object bound in
+# geckit.synth's namespace: synth loads numpy only at its first draw.
+_MODEL_MODULES = ("geckit.judge", "geckit.gec", "geckit.experiment")
+_LOAD_ROWS = {
+    "import": (None, ("numpy", *_MODEL_MODULES)),
+    "help": (["--help"], ("numpy", *_MODEL_MODULES)),
+    "evaluate": (
+        ["evaluate", "--hyp", "{sources}", "--gold", "{bench}/gec_test.m2"],
+        ("numpy",),
+    ),
+    "error-analysis": (
+        ["error-analysis", "--hyp", "{sources}", "--gold", "{bench}/gec_test.m2"],
+        ("numpy",),
+    ),
+    "extract-edits": (["extract-edits", "--source", "{sources}", "--target", "{sources}"], ("numpy",)),
+    "build-cola": (["build-cola", "--m2", "{bench}/gec_dev.m2"], ("numpy",)),
+    "synth-gen": (
+        ["synth-gen", "--gec-train", "20", "--gec-dev", "4", "--gec-test", "4", "--cola-pairs", "40"],
+        _MODEL_MODULES,
+    ),
+    "train-judge": (
+        ["train-judge", "--train", "{bench}/cola_train.tsv", "--dev", "{bench}/cola_dev.tsv",
+         "--dim", "1024", "--epochs", "1"],
+        ("geckit.gec", "geckit.experiment", "geckit.synth:numpy"),
+    ),  # fmt: skip
+    "judge-eval": (
+        ["judge-eval", "--model", "{judge}/judge.json", "--data", "{bench}/cola_dev.tsv"],
+        ("geckit.gec", "geckit.experiment", "geckit.synth:numpy"),
+    ),
+    "train-gec": (
+        ["train-gec", "--train", "{bench}/gec_dev.m2", "--epochs", "1", "--embed-dim", "4",
+         "--hidden-dim", "4"],
+        ("geckit.experiment", "multiprocessing.pool"),
+    ),  # fmt: skip
+    "decode": (
+        ["decode", "--model", "{gec}/gec_model", "--input", "{sources}", "--beam", "1"],
+        ("geckit.experiment", "multiprocessing.pool"),
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(_LOAD_ROWS))
+def test_each_invocation_loads_only_what_it_runs(row, bench_dir, judge_dir, gec_dir, decoded_dir, tmp_path):
+    template, unloaded = _LOAD_ROWS[row]
+    argv = None
+    if template is not None:
+        paths = {"bench": bench_dir, "judge": judge_dir, "gec": gec_dir, "sources": decoded_dir / "sources.txt"}
+        argv = [arg.format(**paths) for arg in template]
+        argv += [] if argv == ["--help"] else ["--out", str(tmp_path / "out")]
+    code = (
+        "import json, sys, geckit.cli\n"
+        f"argv = {argv!r}\n"
+        "try:\n"
+        "    code = 0 if argv is None else geckit.cli.main(argv)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "loaded = set(sys.modules)\n"
+        "if any(str(getattr(v, '__module__', None) or getattr(v, '__name__', '')).startswith('numpy')\n"
+        "       for v in vars(sys.modules['geckit.synth']).values()):\n"
+        "    loaded.add('geckit.synth:numpy')\n"
+        "print(json.dumps([code, sorted(loaded)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(geckit.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    exit_code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert exit_code == 0, proc.stderr
+    assert sorted(set(unloaded) & set(loaded)) == []
+
+
+_HELP_SNAPSHOT = json.loads((Path(__file__).parent / "help_snapshot.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", list(_HELP_SNAPSHOT))
+def test_help_is_unchanged(command, monkeypatch):
+    """`geckit --help` and each `geckit <cmd> --help` print the snapshot's bytes at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as excinfo:
+        main(["--help"] if command == "geckit" else [command, "--help"])
+    assert excinfo.value.code == 0
+    assert out.getvalue() == _HELP_SNAPSHOT[command]
 
 
 class TestConfigResolution:
@@ -848,6 +935,17 @@ class TestJudgeCommands:
         assert "batch_size must be >= 1" in _single_error_line(capsys)
         assert not (tmp_path / "o").exists()
 
+    def test_one_class_training_tsv_writes_nothing(self, bench_dir, tmp_path, capsys):
+        one_class = tmp_path / "one_class.tsv"
+        one_class.write_text("1\ta b\n1\tc d\n", encoding="utf-8")
+        code = main(
+            ["train-judge", "--train", str(one_class), "--dev", str(bench_dir / "cola_dev.tsv"),
+             "--dim", "64", "--out", str(tmp_path / "o")]
+        )  # fmt: skip
+        assert code == 1
+        assert _single_error_line(capsys) == "error: training labels [1] cover a single class\n"
+        assert not (tmp_path / "o").exists()
+
     def test_judge_eval(self, bench_dir, judge_dir, tmp_path):
         out = tmp_path / "eval"
         code = main(
@@ -1053,6 +1151,24 @@ class TestAblate:
         assert code == 1
         assert "judge" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_dead_group_is_one_error_line(self, bench_dir, judge_dir, tmp_path, capsys, monkeypatch):
+        def dying_train_gec(*args, **kwargs):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(geckit.experiment, "train_gec", dying_train_gec)
+        out = tmp_path / "ablate"
+        code = main(
+            ["ablate", "--train", str(bench_dir / "gec_train.m2"),
+             "--test", str(bench_dir / "gec_test.m2"), "--judge", str(judge_dir / "judge.json"),
+             "--seeds", "3", "--out", str(out)]
+        )  # fmt: skip
+        assert code == 1
+        error = _single_error_line(capsys)
+        assert error.startswith("error: ablation group (seed 3, loss ")
+        assert error.endswith(" ended by signal SIGKILL without its scores\n")
+        log = (out / "run.log").read_text(encoding="utf-8").splitlines()
+        assert log[-1].endswith(f" failed: {error[len('error: '):].rstrip()}")
 
     @pytest.mark.parametrize(
         "flag,value,message",
@@ -1621,11 +1737,9 @@ class TestRunLog:
         )
         assert code == 2
         assert not out.exists()
-        one_class = tmp_path / "one_class.tsv"
-        one_class.write_text("1\ta b\n1\tc d\n", encoding="utf-8")
         code = main(
-            ["train-judge", "--train", str(one_class), "--dev", str(bench_dir / "cola_dev.tsv"),
-             "--dim", "64", "--out", str(out)]
+            ["train-judge", "--train", str(bench_dir / "cola_train.tsv"),
+             "--dev", str(bench_dir / "cola_dev.tsv"), "--dim", str(10**15), "--out", str(out)]
         )  # fmt: skip
         assert code == 1
         log = (out / "run.log").read_text(encoding="utf-8")

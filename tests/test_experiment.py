@@ -4,13 +4,15 @@ import json
 import multiprocessing
 import os
 import re
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import geckit.experiment
-from geckit.errors import ConfigError, EmptyEvaluation, InvalidLogits
+from geckit.errors import ConfigError, EmptyEvaluation, GeckitError, InvalidLogits
 from geckit.evalmetrics import Prf, evaluate_hypotheses
 from geckit.experiment import ablation_run, mean_prf
 from geckit.gec import (
@@ -227,3 +229,44 @@ class TestAblation:
         assert type(excinfo.value) is InvalidLogits
         assert str(excinfo.value) == "non-finite logits (nan, 0.0)"
         assert multiprocessing.active_children() == []
+
+    def test_a_dead_group_ends_the_run(self, toy_task, monkeypatch, tmp_path):
+        """A group killed by a signal ends the run at once, naming it, with no child left."""
+        stage, test, config = toy_task
+        pids = tmp_path / "pids"
+
+        def dying_train_gec(model, stage, judge=None, seed=0, **kwargs):
+            with pids.open("a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if (seed, stage.loss) == (0, PLAIN_CE):
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(60)
+
+        def hung(signum, frame):
+            raise TimeoutError("ablation_run waited on a dead group")
+
+        monkeypatch.setattr(geckit.experiment, "train_gec", dying_train_gec)
+        # A hang fails the test instead of the suite; forked children do not inherit the alarm.
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(GeckitError) as excinfo:
+                ablation_run(stage, test, FlatJudge(), (0, 1), config)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert str(excinfo.value) == (
+            "ablation group (seed 0, loss plain_ce) ended by signal SIGKILL without its scores"
+        )
+        assert multiprocessing.active_children() == []
+        for pid in map(int, pids.read_text(encoding="utf-8").split()):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    @pytest.mark.parametrize(
+        "exitcode,how",
+        [(-9, "signal SIGKILL"), (-35, "signal 35"), (1, "exit code 1")],
+    )
+    def test_a_dead_group_is_named_with_how_it_ended(self, exitcode, how):
+        error = geckit.experiment._died((2, DYNAMIC), exitcode)
+        assert str(error) == f"ablation group (seed 2, loss dynamic) ended by {how} without its scores"
