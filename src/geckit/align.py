@@ -259,12 +259,12 @@ _DEFAULT_LEXICONS = LexiconSet()
 def load_token_set(path: str | Path) -> frozenset[str]:
     tokens = set()
     text = read_text(path)
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         token = line.strip()
         if not token:
             continue
-        if " " in token:
-            raise FormatError(f"token contains a space: {token!r}", name=str(path), line=lineno)
+        if len(token.split()) > 1:
+            raise FormatError(f"token contains whitespace: {token!r}", name=str(path), line=lineno)
         tokens.add(token)
     return frozenset(tokens)
 
@@ -273,14 +273,15 @@ def load_inflections(path: str | Path) -> tuple[InflectionTable, ...]:
     """Parse ``category<TAB>form1<TAB>form2`` lines, grouped by category."""
     grouped: dict[str, list[tuple[str, str]]] = {}
     text = read_text(path)
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"expected 3 tab-separated fields, got {len(parts)}", name=str(path), line=lineno)
         category, form1, form2 = (p.strip() for p in parts)
-        if not category or not form1 or not form2 or form1 == form2:
+        # A form is one token: empty or holding whitespace, it could never match.
+        if not category or len(form1.split()) != 1 or len(form2.split()) != 1 or form1 == form2:
             raise FormatError(f"bad inflection line {line!r}", name=str(path), line=lineno)
         grouped.setdefault(category, []).append((form1, form2))
     return tuple(

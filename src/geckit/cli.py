@@ -155,7 +155,12 @@ def _coerce(command: str, key: str, opt: _Opt, value):
 
 def _read_sentences(path: str) -> list[Sentence]:
     # A blank line is a legitimate empty sentence (e.g. a deleted correction).
-    return [Sentence(tuple(line.split())) for line in read_text(path).splitlines()]
+    # Only "\n" ends a line (read_text maps "\r\n" and "\r" to it): the other
+    # breaks str.splitlines knows are whitespace inside a line to str.split.
+    text = read_text(path)
+    if not text:
+        return []
+    return [Sentence(tuple(line.split())) for line in text.removesuffix("\n").split("\n")]
 
 
 def _read_records(path: str, parse: Callable, what: str) -> list:
@@ -269,7 +274,7 @@ _Start = Callable[[], Path]
 
 
 def _run_synth_gen(opts: dict, load: _Load, start: _Start) -> list[str]:
-    grammar, spec = make_preset(opts["preset"])
+    spec = make_preset(opts["preset"])
     sizes = SizeConfig(
         gec_train=opts["gec_train"],
         gec_dev=opts["gec_dev"],
@@ -277,7 +282,7 @@ def _run_synth_gen(opts: dict, load: _Load, start: _Start) -> list[str]:
         cola_pairs=opts["cola_pairs"],
     )
     out = start()
-    benchmark = make_benchmark(grammar, spec, sizes, seed=opts["seed"])
+    benchmark = make_benchmark(spec, sizes, seed=opts["seed"])
     paths = write_benchmark(benchmark, out)
     return [f"wrote benchmark {opts['preset']!r} to {out} ({len(paths)} entries)"]
 
@@ -287,12 +292,7 @@ def _run_extract_edits(opts: dict, load: _Load, start: _Start) -> list[str]:
     _check_one_for_one(opts, inputs, "source", "target")
     out = start()
     pairs = [
-        AnnotatedPair(
-            source=src,
-            target=tgt,
-            gold=(tuple(extract_edits(src, tgt, inputs["lexicons"])),),
-            annotator_ids=(0,),
-        )
+        AnnotatedPair.from_edits(src, extract_edits(src, tgt, inputs["lexicons"]))
         for src, tgt in zip(inputs["source"], inputs["target"])
     ]
     write_text(out / "edits.m2", emit_m2(pairs))
@@ -367,7 +367,7 @@ def _run_train_gec(opts: dict, load: _Load, start: _Start) -> list[str]:
     stage, config, vocab = _train_recipe(opts, inputs["train"])
     out = start()
     model = Seq2SeqModel(vocab, replace(config, seed=opts["seed"]))
-    log = train_gec(model, stage, inputs["judge"], dev_pairs=inputs["dev"], seed=opts["seed"])
+    log = train_gec(model, stage, inputs["judge"], dev_pairs=inputs["dev"])
     model.save(out / "gec_model")
     log.write(out / "train_log.jsonl")
     last = log.last()

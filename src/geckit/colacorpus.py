@@ -87,7 +87,7 @@ def build_cola_from_gec(
     instances: list[ColaInstance] = []
     for pair in pairs:
         edits = pair.canonical_edits
-        if not edits or pair.target is None:
+        if not edits:
             continue
         if not (flt.min_len <= len(pair.source) <= flt.max_len):
             continue
@@ -101,10 +101,9 @@ def build_cola_from_gec(
 def _dedupe(
     instances: Sequence[ColaInstance],
 ) -> tuple[list[ColaInstance], int, int]:
-    """Exact-duplicate removal keeping first occurrence.
+    """Exact-duplicate removal keeping the first occurrence.
 
-    Conflicting labels for the same sentence keep the linguistics-origin
-    label when one side has it; otherwise the first occurrence wins.
+    A duplicate whose label differs from the kept one counts as a conflict.
     """
     kept: dict[str, ColaInstance] = {}
     removed = 0
@@ -116,10 +115,7 @@ def _dedupe(
             kept[key] = inst
             continue
         removed += 1
-        if existing.label != inst.label:
-            conflicts += 1
-            if inst.origin == ORIGIN_LINGUISTICS and existing.origin != ORIGIN_LINGUISTICS:
-                kept[key] = inst
+        conflicts += existing.label != inst.label
     return list(kept.values()), removed, conflicts
 
 

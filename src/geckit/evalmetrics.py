@@ -248,12 +248,7 @@ def filter_eval(
             tuple(edit for edit in edits if edit.etype not in exclude) for edits in pair.gold
         )
         filtered_p.append(
-            AnnotatedPair(
-                source=pair.source,
-                target=None,
-                gold=gold,
-                annotator_ids=pair.annotator_ids,
-            )
+            AnnotatedPair(source=pair.source, gold=gold, annotator_ids=pair.annotator_ids)
         )
     return evaluate_corpus(filtered_h, filtered_p)
 

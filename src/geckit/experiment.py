@@ -187,7 +187,7 @@ def ablation_run(
         """Train one model for (seed, loss); score its greedy and its reranked decode."""
         seed, loss = key
         model = Seq2SeqModel(vocab, replace(base_config, seed=seed))
-        train_gec(model, replace(stage, loss=loss), judge=judge, seed=seed)
+        train_gec(model, replace(stage, loss=loss), judge=judge)
         greedy = decode(model, sources)
         reranked = decode(model, sources, beam_size, judge, rerank_lam)
         rows = []

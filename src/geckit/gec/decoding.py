@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..judge import cola_score
 from ..textcore import Sentence
 from .model import EncoderState, Seq2SeqModel
 from .vocab import BOS_ID, EOS_ID, PAD_ID
@@ -183,9 +182,8 @@ def rerank_with_cola(
 
 
 def rerank_score(hypothesis: Hypothesis, judge, lam: float) -> float:
-    sentence = hypothesis.sentence()
     fluency = hypothesis.log_prob / max(1, len(hypothesis.tokens))
-    return fluency - lam * cola_score(judge.logits(sentence)).value
+    return fluency - lam * judge.score(hypothesis.sentence()).value
 
 
 def decode(

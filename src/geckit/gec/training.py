@@ -100,12 +100,12 @@ def train_gec(
     stage: TrainStage,
     judge=None,
     dev_pairs: list[AnnotatedPair] | None = None,
-    seed: int = 0,
 ) -> TrainLog:
     """Train the model in place on one stage, returning the log.
 
-    Batches are shuffled by a generator derived from (seed, 0, epoch),
-    so runs are reproducible given the same model initialization.
+    Batches are shuffled by a generator derived from (model.config.seed,
+    0, epoch), so the one seed that initializes the model also orders its
+    batches, and runs are reproducible.
     """
     if stage.loss == DYNAMIC:
         if judge is None:
@@ -115,17 +115,15 @@ def train_gec(
             raise ConfigError(f"judge dev accuracy {accuracy!r} is unusable")
     optimizer = make_optimizer(stage.optimizer, stage.effective_lr)
     sources = [pair.source for pair in stage.pairs]
-    targets = []
-    for pair in stage.pairs:
-        if pair.target is None:
-            raise ConfigError("training pair without a target sentence")
-        targets.append(pair.target)
+    targets = [pair.target for pair in stage.pairs]
+    if None in targets:
+        raise ConfigError("training pair without a target sentence")
     n = len(stage.pairs)
     log = TrainLog()
     for epoch in range(1, stage.epochs + 1):
         # The 0 is part of the stream: dropping it would reorder every batch
         # and so change every trained model.
-        order = np.random.default_rng([seed, 0, epoch]).permutation(n)
+        order = np.random.default_rng([model.config.seed, 0, epoch]).permutation(n)
         loss_sum = 0.0
         weight_sum = 0.0
         clamped_total = 0

@@ -256,10 +256,6 @@ class SynthGrammar:
         }
 
 
-def save_grammar(grammar: SynthGrammar, path: str | Path) -> None:
-    write_json(path, grammar.to_json_dict())
-
-
 def default_typo_forms(words: Sequence[str], vocabulary: frozenset[str]) -> dict[str, tuple[str, ...]]:
     """Fixed misspellings per word: second char dropped, first two swapped, last doubled.
 
@@ -310,10 +306,6 @@ class ErrorInjectionSpec:
         }
 
 
-def save_injection_spec(spec: ErrorInjectionSpec, path: str | Path) -> None:
-    write_json(path, spec.to_json_dict())
-
-
 def _validate_distribution(name: str, weights: Mapping, known: tuple) -> None:
     if not weights:
         raise ConfigError(f"{name} is empty")
@@ -321,8 +313,8 @@ def _validate_distribution(name: str, weights: Mapping, known: tuple) -> None:
     for key, value in weights.items():
         if key not in known:
             raise ConfigError(f"{name} has unknown key {key!r}")
-        if value < 0:
-            raise ConfigError(f"{name}[{key!r}] is negative")
+        if not value >= 0:  # also rejects NaN
+            raise ConfigError(f"{name}[{key!r}] must be >= 0, got {value!r}")
         total += value
     if abs(total - 1.0) > 1e-9:
         raise ConfigError(f"{name} sums to {total!r}, expected 1")
@@ -510,11 +502,7 @@ class Benchmark:
     gec_test: tuple[AnnotatedPair, ...]
     cola: Corpus
     manifest: dict
-    grammar: SynthGrammar
     spec: ErrorInjectionSpec
-
-    def lexicons(self) -> LexiconSet:
-        return self.grammar.lexicons()
 
 
 _UNIQUE_ATTEMPT_FACTOR = 60
@@ -563,12 +551,10 @@ def _unique_pool(grammar: SynthGrammar, need: int, seed: int) -> list[Sentence]:
 
 
 def make_benchmark(
-    grammar: SynthGrammar,
-    spec: ErrorInjectionSpec,
-    sizes: SizeConfig | None = None,
-    seed: int = 0,
+    spec: ErrorInjectionSpec, sizes: SizeConfig | None = None, seed: int = 0
 ) -> Benchmark:
-    """Build disjoint GEC splits and a balanced acceptability corpus.
+    """Build disjoint GEC splits and a balanced acceptability corpus from
+    spec.grammar's sentences, corrupted as spec says.
 
     One unique sentence pool backs everything, so GEC test sentences
     never appear in train/dev and acceptability pairs never repeat.
@@ -576,11 +562,9 @@ def make_benchmark(
     acceptable (original) instance; skipped injections contribute
     nothing, which keeps the label balance exact before deduplication.
     """
-    if spec.grammar != grammar:
-        raise ConfigError("injection spec was built for a different grammar")
     sizes = sizes or SizeConfig()
     gec_total = sizes.gec_train + sizes.gec_dev + sizes.gec_test
-    pool = _unique_pool(grammar, gec_total + sizes.cola_pairs, seed)
+    pool = _unique_pool(spec.grammar, gec_total + sizes.cola_pairs, seed)
 
     results = [inject(sentence, spec, seed=[seed, 1, j]) for j, sentence in enumerate(pool)]
     error_counts = Counter(label for result in results for label in result.types)
@@ -645,7 +629,6 @@ def make_benchmark(
         gec_test=sections["test"],
         cola=cola,
         manifest=manifest,
-        grammar=grammar,
         spec=spec,
     )
 
@@ -666,13 +649,13 @@ def write_benchmark(benchmark: Benchmark, out_dir: str | Path) -> dict[str, str]
     write_json(manifest_path, benchmark.manifest)
     paths["manifest"] = str(manifest_path)
     lex_dir = out / "lexicons"
-    save_lexicons(benchmark.lexicons(), lex_dir)
+    save_lexicons(benchmark.spec.grammar.lexicons(), lex_dir)
     paths["lexicons"] = str(lex_dir)
     grammar_path = out / "grammar.json"
-    save_grammar(benchmark.grammar, grammar_path)
+    write_json(grammar_path, benchmark.spec.grammar.to_json_dict())
     paths["grammar"] = str(grammar_path)
     spec_path = out / "injection.json"
-    save_injection_spec(benchmark.spec, spec_path)
+    write_json(spec_path, benchmark.spec.to_json_dict())
     paths["injection"] = str(spec_path)
     return paths
 
@@ -779,7 +762,7 @@ def _char_grammar() -> SynthGrammar:
     )
 
 
-def make_preset(name: str) -> tuple[SynthGrammar, ErrorInjectionSpec]:
+def make_preset(name: str) -> ErrorInjectionSpec:
     """Build one of the shipped benchmark presets.
 
     mix_a is punctuation-light, mix_b punctuation-heavy with a wider
@@ -798,6 +781,4 @@ def make_preset(name: str) -> tuple[SynthGrammar, ErrorInjectionSpec]:
         weights = _MIX_A_WEIGHTS
     else:
         raise ConfigError(f"unknown preset {name!r}, expected one of {', '.join(PRESETS)}")
-    return grammar, ErrorInjectionSpec(
-        grammar=grammar, kind_weights=weights, count_weights=dict(_COUNT_WEIGHTS)
-    )
+    return ErrorInjectionSpec(grammar=grammar, kind_weights=weights, count_weights=dict(_COUNT_WEIGHTS))

@@ -150,15 +150,14 @@ def apply_edits(source: Sentence, edits: Sequence[Edit]) -> Sentence:
 
 @dataclass(frozen=True, slots=True)
 class AnnotatedPair:
-    """A source sentence with per-annotator gold edits and optional target.
+    """A source sentence with per-annotator gold edits.
 
     ``gold[i]`` holds the edits of ``annotator_ids[i]``, sorted and
-    non-overlapping. When a target is present, applying the canonical
-    annotator's edits to the source must reproduce it exactly.
+    non-overlapping. The target is derived from them: the source with
+    the canonical annotator's edits applied.
     """
 
     source: Sentence
-    target: Sentence | None
     gold: tuple[tuple[Edit, ...], ...]
     annotator_ids: tuple[int, ...]
 
@@ -177,12 +176,6 @@ class AnnotatedPair:
             check_edits(edits, len(self.source))
             if list(edits) != _sorted_edits(edits):
                 raise InvalidEditSet("annotator edits are not sorted by span")
-        if self.target is not None and self.annotator_ids:
-            derived = apply_edits(self.source, self.canonical_edits)
-            if derived.tokens != self.target.tokens:
-                raise InvalidEditSet(
-                    f"canonical edits produce {derived.text!r}, not target {self.target.text!r}"
-                )
 
     @property
     def canonical_edits(self) -> tuple[Edit, ...]:
@@ -191,16 +184,17 @@ class AnnotatedPair:
             return ()
         return self.gold[self.annotator_ids.index(min(self.annotator_ids))]
 
+    @property
+    def target(self) -> Sentence | None:
+        """The source corrected by the canonical edits; None without annotators."""
+        if not self.annotator_ids:
+            return None
+        return apply_edits(self.source, self.canonical_edits)
+
     @classmethod
     def from_edits(cls, source: Sentence, edits: Sequence[Edit]) -> "AnnotatedPair":
         """The pair that one annotator (id 0) corrects with these edits."""
-        edits = tuple(_sorted_edits(edits))
-        return cls(
-            source=source,
-            target=apply_edits(source, edits),
-            gold=(edits,),
-            annotator_ids=(0,),
-        )
+        return cls(source=source, gold=(tuple(_sorted_edits(edits)),), annotator_ids=(0,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,22 +278,10 @@ class _Block:
 
 
 def _flush_block(block: _Block, name: str) -> AnnotatedPair:
-    gold = []
-    for aid in block.annotator_order:
-        gold.append(tuple(block.edits.get(aid, ())))
-    target = None
-    if block.annotator_order:
-        try:
-            canonical = min(block.annotator_order)
-            target = apply_edits(block.source, block.edits.get(canonical, []))
-        except InvalidEditSet as exc:
-            raise FormatError(str(exc), name=name, line=block.start_line) from exc
+    gold = tuple(tuple(block.edits.get(aid, ())) for aid in block.annotator_order)
     try:
         return AnnotatedPair(
-            source=block.source,
-            target=target,
-            gold=tuple(gold),
-            annotator_ids=tuple(block.annotator_order),
+            source=block.source, gold=gold, annotator_ids=tuple(block.annotator_order)
         )
     except InvalidEditSet as exc:
         raise FormatError(str(exc), name=name, line=block.start_line) from exc

@@ -267,6 +267,20 @@ class TestLexiconIO:
             load_token_set(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("brk", ["\x0c", "\x85", "\u2028"])
+    def test_only_newline_ends_a_line(self, tmp_path, brk):
+        """Other breaks str.splitlines knows are whitespace inside a token line."""
+        path = tmp_path / "bad.txt"
+        path.write_text(f"a\nthe{brk}an\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_token_set(path)
+        assert err.value.line == 2
+        path = tmp_path / "morphology.tsv"
+        path.write_text(f"SVA\tgo\tgoes\nSVA\twalk{brk}x\twalks\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            load_inflections(path)
+        assert err.value.line == 2
+
     def test_inflections_grouped_by_category(self, tmp_path):
         path = tmp_path / "morphology.tsv"
         path.write_text("SVA\twalk\twalks\nSVA\tgo\tgoes\nNN\tcat\tcats\n", encoding="utf-8")

@@ -869,6 +869,21 @@ class TestExtractEdits:
         for pair in pairs:
             assert apply_edits(pair.source, pair.canonical_edits).tokens == pair.target.tokens
 
+    def test_only_newline_ends_a_sentence(self, tmp_path):
+        """Form feed, NEL and U+2028 are whitespace inside a line, as str.split has them."""
+        src = tmp_path / "src.txt"
+        tgt = tmp_path / "tgt.txt"
+        src.write_text("the dog run .\x0cshe go home\nok\x85.\u2028fine", encoding="utf-8")
+        tgt.write_text("the dog runs . she goes home .\nok . fine\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            ["extract-edits", "--source", str(src), "--target", str(tgt), "--out", str(out)]
+        )
+        assert code == 0
+        pairs = parse_m2((out / "edits.m2").read_text(encoding="utf-8"))
+        assert [p.source.text for p in pairs] == ["the dog run . she go home", "ok . fine"]
+        assert [p.target.text for p in pairs] == ["the dog runs . she goes home .", "ok . fine"]
+
     def test_length_mismatch(self, tmp_path, capsys):
         src = tmp_path / "src.txt"
         tgt = tmp_path / "tgt.txt"

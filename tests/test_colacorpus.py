@@ -31,7 +31,7 @@ def pair(source_tokens, edits):
 
 def noop_pair(source_tokens):
     src = Sentence(tuple(source_tokens))
-    return AnnotatedPair(source=src, target=src, gold=((),), annotator_ids=(0,))
+    return AnnotatedPair(source=src, gold=((),), annotator_ids=(0,))
 
 
 def inst(text, label, origin=ORIGIN_LINGUISTICS):
@@ -104,15 +104,6 @@ class TestMergeCorpora:
         assert corpus.meta["label_conflicts"] == 0
         kept = (corpus.train + corpus.dev + corpus.test)[0]
         assert kept.origin == ORIGIN_LINGUISTICS
-
-    def test_conflict_prefers_linguistics_label(self):
-        gec_first = inst("odd sentence here", 0, ORIGIN_GEC_SOURCE)
-        ling_second = inst("odd sentence here", 1, ORIGIN_LINGUISTICS)
-        corpus = merge_corpora({"gec": [gec_first], "ling": [ling_second]}, seed=1)
-        kept = (corpus.train + corpus.dev + corpus.test)[0]
-        assert kept.label == 1
-        assert kept.origin == ORIGIN_LINGUISTICS
-        assert corpus.meta["label_conflicts"] == 1
 
     def test_conflict_between_gec_sides_keeps_first(self):
         a = inst("same words twice", 0, ORIGIN_GEC_SOURCE)

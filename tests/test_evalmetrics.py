@@ -25,7 +25,7 @@ def pair_multi(source, annotator_edits):
     """AnnotatedPair with explicit edits per annotator id."""
     ids = tuple(sorted(annotator_edits))
     gold = tuple(tuple(annotator_edits[i]) for i in ids)
-    return AnnotatedPair(source=sent(source), target=None, gold=gold, annotator_ids=ids)
+    return AnnotatedPair(source=sent(source), gold=gold, annotator_ids=ids)
 
 
 class TestPrf:
@@ -97,7 +97,7 @@ class TestMatchSentence:
         assert annotator == 2
 
     def test_no_annotators(self):
-        pair = AnnotatedPair(source=sent("a b"), target=None, gold=(), annotator_ids=())
+        pair = AnnotatedPair(source=sent("a b"), gold=(), annotator_ids=())
         counts, annotator = match_sentence([Edit(0, 1, ("x",))], pair)
         assert annotator is None
         assert (counts.tp, counts.fp, counts.fn) == (0, 1, 0)

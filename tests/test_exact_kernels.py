@@ -176,8 +176,8 @@ class TestSharedEncoding:
         config = ModelConfig(embed_dim=6, hidden_dim=10, seed=5)
         stage = TrainStage(pairs=pairs, epochs=3, lr=0.05, loss=loss, batch_size=7)
         shared, unshared = Seq2SeqModel(vocab, config), Seq2SeqModel(vocab, config)
-        train_gec(shared, stage, judge=LengthJudge(), seed=4)
-        reference_train(unshared, stage, LengthJudge(), seed=4)
+        train_gec(shared, stage, judge=LengthJudge())
+        reference_train(unshared, stage, LengthJudge(), seed=config.seed)
         assert sorted(shared.params) == sorted(unshared.params)
         for name in shared.params:
             assert np.array_equal(shared.params[name], unshared.params[name]), name

@@ -163,7 +163,7 @@ class TestAblation:
         def counting_train_gec(*args, **kwargs):
             fd = os.open(calls_file, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
             try:
-                os.write(fd, f"{kwargs['seed']}\n".encode())
+                os.write(fd, f"{args[0].config.seed}\n".encode())
             finally:
                 os.close(fd)
             return train_gec(*args, **kwargs)
@@ -182,7 +182,7 @@ class TestAblation:
                 expected = []
                 for seed in seeds:
                     model = Seq2SeqModel(vocab, replace(config, seed=seed))
-                    train_gec(model, replace(stage, loss=loss), judge=judge, seed=seed)
+                    train_gec(model, replace(stage, loss=loss), judge=judge)
                     if rerank:
                         decoded = [
                             rerank_with_cola(beam_decode(model, src, 2), judge, 0.7)
@@ -209,7 +209,7 @@ class TestAblation:
         for seed in seeds:
             for loss in (PLAIN_CE, DYNAMIC):
                 model = Seq2SeqModel(vocab, replace(config, seed=seed))
-                train_gec(model, replace(stage, loss=loss), judge=judge, seed=seed)
+                train_gec(model, replace(stage, loss=loss), judge=judge)
                 for name, decoded in (
                     (loss, decode(model, sources)),
                     (f"{loss}+rerank", decode(model, sources, 2, judge, 0.5)),
@@ -235,10 +235,10 @@ class TestAblation:
         stage, test, config = toy_task
         pids = tmp_path / "pids"
 
-        def dying_train_gec(model, stage, judge=None, seed=0, **kwargs):
+        def dying_train_gec(model, stage, judge=None, **kwargs):
             with pids.open("a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()}\n")
-            if (seed, stage.loss) == (0, PLAIN_CE):
+            if (model.config.seed, stage.loss) == (0, PLAIN_CE):
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(60)
 

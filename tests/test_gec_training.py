@@ -23,7 +23,7 @@ from geckit.gec import (
     rerank_with_cola,
     train_gec,
 )
-from geckit.judge import Logits
+from geckit.judge import Logits, cola_score
 from geckit.textcore import OTHER, AnnotatedPair, Edit, Sentence
 
 WORDS = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -38,7 +38,7 @@ def copy_pairs(n, seed):
     out = []
     for _ in range(n):
         s = Sentence(tuple(rng.choice(WORDS) for _ in range(rng.randint(3, 7))))
-        out.append(AnnotatedPair(source=s, target=s, gold=((),), annotator_ids=(0,)))
+        out.append(AnnotatedPair(source=s, gold=((),), annotator_ids=(0,)))
     return out
 
 
@@ -78,6 +78,9 @@ class TableJudge:
         # High logit0 marks the sentence as bad.
         return Logits(self.table.get(sentence.text, 0.0), 0.0)
 
+    def score(self, sentence):
+        return cola_score(self.logits(sentence))
+
 
 @pytest.fixture(scope="module")
 def copy_model():
@@ -85,7 +88,7 @@ def copy_model():
     vocab = Vocab.from_sentences([p.source for p in train])
     model = Seq2SeqModel(vocab, ModelConfig(embed_dim=16, hidden_dim=32, seed=0))
     stage = TrainStage(pairs=tuple(train), epochs=50, lr=0.02)
-    log = train_gec(model, stage, seed=0)
+    log = train_gec(model, stage)
     return model, log
 
 
@@ -280,7 +283,7 @@ class TestTrainingRuns:
         for _ in range(2):
             model = Seq2SeqModel(vocab, ModelConfig(embed_dim=8, hidden_dim=12, seed=2))
             stage = TrainStage(pairs=pairs, epochs=3, lr=0.02)
-            logs.append(train_gec(model, stage, seed=7).to_jsonl())
+            logs.append(train_gec(model, stage).to_jsonl())
         assert logs[0] == logs[1]
 
     def test_log_schema(self):
@@ -289,7 +292,7 @@ class TestTrainingRuns:
         vocab = Vocab.from_sentences([p.source for p in pairs] + [p.target for p in pairs])
         model = Seq2SeqModel(vocab, ModelConfig(embed_dim=8, hidden_dim=12, seed=0))
         stage = TrainStage(pairs=pairs, epochs=2, lr=0.02)
-        log = train_gec(model, stage, dev_pairs=dev, seed=0)
+        log = train_gec(model, stage, dev_pairs=dev)
         assert len(log.records) == 2
         for line in log.to_jsonl().splitlines():
             record = json.loads(line)
@@ -311,7 +314,7 @@ class TestTrainingRuns:
         model = Seq2SeqModel(vocab, ModelConfig(embed_dim=8, hidden_dim=12, seed=4))
         judge = ConstantJudge(value=0.5, dev_accuracy=0.85)
         stage = TrainStage(pairs=pairs, epochs=2, lr=0.01, loss=DYNAMIC)
-        log = train_gec(model, stage, judge=judge, seed=1)
+        log = train_gec(model, stage, judge=judge)
         expected = math.sqrt(0.85 * 0.5)
         for record in log.records:
             assert record.mean_weight == pytest.approx(expected, abs=1e-12)
@@ -325,11 +328,9 @@ class TestTrainingRuns:
         common = dict(pairs=pairs, epochs=3, optimizer="sgd", batch_size=8)
         # The dynamic loss multiplies its lr; 0.05 * 2.0 == 0.1 exactly.
         assert 0.05 * DYNAMIC_LR_MULTIPLIER == 0.1
-        train_gec(plain, TrainStage(lr=0.1, loss="plain_ce", **common), seed=11)
+        train_gec(plain, TrainStage(lr=0.1, loss="plain_ce", **common))
         judge = ConstantJudge(value=1.0, dev_accuracy=1.0)
-        train_gec(
-            dynamic, TrainStage(lr=0.05, loss=DYNAMIC, **common), judge=judge, seed=11
-        )
+        train_gec(dynamic, TrainStage(lr=0.05, loss=DYNAMIC, **common), judge=judge)
         assert np.array_equal(plain.flat_params(), dynamic.flat_params())
 
     def test_constant_half_judge_matches_scaled_plain_closely(self):
@@ -343,14 +344,12 @@ class TestTrainingRuns:
         train_gec(
             plain,
             TrainStage(pairs=pairs, epochs=2, lr=0.1 * weight, optimizer="sgd"),
-            seed=13,
         )
         judge = ConstantJudge(value=0.5, dev_accuracy=0.85)
         train_gec(
             dynamic,
             TrainStage(pairs=pairs, epochs=2, lr=0.05, optimizer="sgd", loss=DYNAMIC),
             judge=judge,
-            seed=13,
         )
         assert np.allclose(plain.flat_params(), dynamic.flat_params(), rtol=1e-9, atol=1e-12)
 
@@ -362,5 +361,5 @@ class TestTrainingRuns:
         )
         model = Seq2SeqModel(vocab, ModelConfig(embed_dim=16, hidden_dim=32, seed=0))
         stage = TrainStage(pairs=train, epochs=40, lr=0.02)
-        log = train_gec(model, stage, dev_pairs=dev, seed=0)
+        log = train_gec(model, stage, dev_pairs=dev)
         assert log.last().dev_f05 >= 0.8

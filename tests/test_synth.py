@@ -26,8 +26,6 @@ from geckit.synth import (
     inject,
     make_benchmark,
     make_preset,
-    save_grammar,
-    save_injection_spec,
     write_benchmark,
 )
 from geckit.textcore import (
@@ -39,6 +37,7 @@ from geckit.textcore import (
     apply_edits,
     parse_cola_tsv,
     parse_m2,
+    write_json,
 )
 
 
@@ -75,29 +74,29 @@ class TestGrammarValidation:
             )
 
     def test_unknown_slot(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         with pytest.raises(ConfigError):
             replace(grammar, templates=(("adverb",),))
 
     def test_typo_form_collision(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         with pytest.raises(ConfigError):
             replace(grammar, typo_forms={"dog": ("cat",)})
 
     def test_noun_surface_in_both_numbers(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         with pytest.raises(ConfigError):
             replace(grammar, nouns=(("sheep", "sheep"),))
 
     def test_confusion_preposition_collision(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         with pytest.raises(ConfigError):
             replace(grammar, confusion_prepositions=("near",))
 
 
 class TestGeneration:
     def test_golden_first_three(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         texts = [s.text for s in gen_corpus(grammar, 3, seed=1)]
         assert texts == [
             "some dogs are drinking with the houses .",
@@ -106,25 +105,25 @@ class TestGeneration:
         ]
 
     def test_deterministic(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         a = [s.text for s in gen_corpus(grammar, 50, seed=4)]
         b = [s.text for s in gen_corpus(grammar, 50, seed=4)]
         assert a == b
 
     def test_prefix_stability(self, mix_a):
         # Item i depends on (seed, i) only, so prefixes agree.
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         long = gen_corpus(grammar, 20, seed=9)
         short = gen_corpus(grammar, 5, seed=9)
         assert [s.text for s in long[:5]] == [s.text for s in short]
 
     def test_all_outputs_valid(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         for sentence in gen_corpus(grammar, 300, seed=2):
             assert grammar.is_valid(sentence)
 
     def test_seed_changes_output_not_lengths(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         a = gen_corpus(grammar, 1000, seed=1)
         b = gen_corpus(grammar, 1000, seed=2)
         assert Counter(s.text for s in a) != Counter(s.text for s in b)
@@ -133,12 +132,12 @@ class TestGeneration:
         assert abs(mean_a - mean_b) / mean_a < 0.10
 
     def test_n_zero_rejected(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         with pytest.raises(ConfigError):
             gen_corpus(grammar, 0, seed=0)
 
     def test_char_mode_outputs_valid(self, char_mix):
-        grammar, _ = char_mix
+        grammar = char_mix.grammar
         sentences = gen_corpus(grammar, 100, seed=3)
         for sentence in sentences:
             assert grammar.is_valid(sentence)
@@ -147,7 +146,7 @@ class TestGeneration:
 
 class TestValidityChecker:
     def test_rejects_structural_breaks(self, mix_a, char_mix):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         assert grammar.is_valid(Sentence(("the", "dog", "is", "running", ".")))
         assert not grammar.is_valid(Sentence(("the", "dog", "are", "running", ".")))
         assert not grammar.is_valid(Sentence(("dog", "is", "running", ".")))
@@ -156,12 +155,12 @@ class TestValidityChecker:
         assert not grammar.is_valid(Sentence(("the", "dgo", "is", "running", ".")))
         assert not grammar.is_valid(Sentence(()))
         # char_mix sentences fall outside the word grammar.
-        assert not any(grammar.is_valid(s) for s in gen_corpus(char_mix[0], 20, seed=0))
+        assert not any(grammar.is_valid(s) for s in gen_corpus(char_mix.grammar, 20, seed=0))
 
 
 class TestSpecValidation:
     def test_weights_must_sum_to_one(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         with pytest.raises(ConfigError):
             ErrorInjectionSpec(
                 grammar=grammar,
@@ -170,14 +169,14 @@ class TestSpecValidation:
             )
 
     def test_unknown_kind(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         with pytest.raises(ConfigError):
             ErrorInjectionSpec(
                 grammar=grammar, kind_weights={"elision": 1.0}, count_weights={1: 1.0}
             )
 
     def test_negative_weight(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         with pytest.raises(ConfigError):
             ErrorInjectionSpec(
                 grammar=grammar,
@@ -185,8 +184,20 @@ class TestSpecValidation:
                 count_weights={1: 1.0},
             )
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            {"kind_weights": {PUNCTUATION_DROP: float("nan"), TOKEN_SWAP: 1.0}, "count_weights": {1: 1.0}},
+            {"kind_weights": {TOKEN_SWAP: 1.0}, "count_weights": {1: float("nan"), 2: 1.0}},
+        ],
+        ids=["kind_weights", "count_weights"],
+    )
+    def test_nan_weight(self, mix_a, weights):
+        with pytest.raises(ConfigError, match="must be >= 0, got nan"):
+            ErrorInjectionSpec(grammar=mix_a.grammar, **weights)
+
     def test_bad_count_key(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         with pytest.raises(ConfigError):
             ErrorInjectionSpec(
                 grammar=grammar,
@@ -197,7 +208,7 @@ class TestSpecValidation:
 
 class TestInject:
     def test_punctuation_drop_example(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         spec = uniform_spec(grammar, kinds=(PUNCTUATION_DROP,))
         result = inject(Sentence(("She", "goes", "home", ".")), spec, seed=0)
         assert not result.skipped
@@ -206,7 +217,7 @@ class TestInject:
         assert result.types == (PUNCT,)
 
     def test_round_trip_always(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         spec = ErrorInjectionSpec(
             grammar=grammar,
             kind_weights={k: 1 / 6 for k in ERROR_KINDS},
@@ -226,20 +237,22 @@ class TestInject:
             return Sentence(restored.tokens[:-1])
 
         monkeypatch.setattr(synth, "apply_edits", drop_last_token)
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         spec = uniform_spec(grammar, kinds=(PUNCTUATION_DROP,))
         with pytest.raises(InvalidEditSet):
             inject(Sentence(("She", "goes", "home", ".")), spec, seed=0)
 
     def test_deterministic_under_seed(self, mix_a):
-        grammar, spec = mix_a
+        spec = mix_a
+        grammar = spec.grammar
         sentence = gen_corpus(grammar, 1, seed=8)[0]
         a = inject(sentence, spec, seed=[3, 14])
         b = inject(sentence, spec, seed=[3, 14])
         assert a == b
 
     def test_kind_distribution_within_two_percent(self, mix_a):
-        grammar, spec = mix_a
+        spec = mix_a
+        grammar = spec.grammar
         single = ErrorInjectionSpec(
             grammar=grammar, kind_weights=spec.kind_weights, count_weights={1: 1.0}
         )
@@ -255,7 +268,7 @@ class TestInject:
             assert abs(realized - spec.kind_weights[kind]) <= 0.02, kind
 
     def test_multi_error_spans_never_touch(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         spec = uniform_spec(grammar, counts={3: 1.0})
         sentences = gen_corpus(grammar, 500, seed=31)
         seen_multi = 0
@@ -267,7 +280,7 @@ class TestInject:
         assert seen_multi > 300
 
     def test_too_short_skipped(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         spec = uniform_spec(grammar, kinds=(PUNCTUATION_DROP,))
         result = inject(Sentence(("hello",)), spec, seed=0)
         assert result.skipped
@@ -275,7 +288,7 @@ class TestInject:
         assert result.gold == ()
 
     def test_corruption_kinds_do_what_they_say(self, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         sentence = Sentence(("the", "dog", "is", "running", "near", "the", "house", "."))
         for kind in ERROR_KINDS:
             result = inject(sentence, uniform_spec(grammar, kinds=(kind,)), seed=7)
@@ -294,7 +307,8 @@ class TestInject:
 class TestOracleAgreement:
     @pytest.mark.parametrize("preset", ["mix_a", "char_mix"])
     def test_single_error_extraction_matches_gold(self, preset):
-        grammar, spec = make_preset(preset)
+        spec = make_preset(preset)
+        grammar = spec.grammar
         single = ErrorInjectionSpec(
             grammar=grammar, kind_weights=spec.kind_weights, count_weights={1: 1.0}
         )
@@ -324,9 +338,8 @@ class TestOracleAgreement:
 
 @pytest.fixture(scope="module")
 def small_mix_b():
-    grammar, spec = make_preset("mix_b")
     sizes = SizeConfig(gec_train=400, gec_dev=80, gec_test=120, cola_pairs=1500)
-    return make_benchmark(grammar, spec, sizes, seed=3)
+    return make_benchmark(make_preset("mix_b"), sizes, seed=3)
 
 
 class TestBenchmark:
@@ -347,9 +360,8 @@ class TestBenchmark:
         assert abs(small_mix_b.manifest["punct_fraction"] - 0.167) <= 0.01
 
     def test_mix_a_punct_fraction(self, mix_a):
-        grammar, spec = mix_a
         sizes = SizeConfig(gec_train=400, gec_dev=80, gec_test=120, cola_pairs=1500)
-        bench = make_benchmark(grammar, spec, sizes, seed=3)
+        bench = make_benchmark(mix_a, sizes, seed=3)
         assert abs(bench.manifest["punct_fraction"] - 0.076) <= 0.01
 
     def test_cola_balance_within_one_percent(self, small_mix_b):
@@ -365,7 +377,7 @@ class TestBenchmark:
         # Every acceptable instance passes the checker. Most corruptions
         # fail it; a few (e.g. modifier/preposition swaps) stay
         # agreement-clean, so the unacceptable side is a bound.
-        grammar = small_mix_b.grammar
+        grammar = small_mix_b.spec.grammar
         instances = list(small_mix_b.cola.split("dev"))
         bad = [inst for inst in instances if inst.label == 0]
         for inst in instances:
@@ -392,9 +404,8 @@ class TestBenchmark:
         assert json.dumps(manifest)
 
     def test_deterministic(self, small_mix_b):
-        grammar, spec = make_preset("mix_b")
         sizes = SizeConfig(gec_train=400, gec_dev=80, gec_test=120, cola_pairs=1500)
-        again = make_benchmark(grammar, spec, sizes, seed=3)
+        again = make_benchmark(make_preset("mix_b"), sizes, seed=3)
         assert again.manifest == small_mix_b.manifest
         assert [p.source.text for p in again.gec_test] == [
             p.source.text for p in small_mix_b.gec_test
@@ -404,16 +415,9 @@ class TestBenchmark:
         with pytest.raises(ConfigError):
             SizeConfig(gec_train=0)
 
-    def test_mismatched_spec_rejected(self, mix_a, char_mix):
-        grammar_a, _ = mix_a
-        _, spec_c = char_mix
-        with pytest.raises(ConfigError):
-            make_benchmark(grammar_a, spec_c, SizeConfig(10, 5, 5, 20), seed=0)
-
     def test_grammar_too_small_rejected(self, char_mix):
-        grammar, spec = char_mix
         with pytest.raises(ConfigError):
-            make_benchmark(grammar, spec, SizeConfig(2000, 300, 500, 10000), seed=0)
+            make_benchmark(char_mix, SizeConfig(2000, 300, 500, 10000), seed=0)
 
     def test_distinct_bound_is_tight_and_rejects_before_sampling(self, monkeypatch):
         grammar = SynthGrammar(
@@ -438,11 +442,10 @@ class TestBenchmark:
 
         monkeypatch.setattr(synth, "_sample_sentence", no_sampling)
         with pytest.raises(ConfigError, match=f"at most {bound} unique"):
-            make_benchmark(grammar, uniform_spec(grammar), SizeConfig(20, 5, 5, 7), seed=0)
+            make_benchmark(uniform_spec(grammar), SizeConfig(20, 5, 5, 7), seed=0)
 
     def test_char_benchmark_works(self, char_mix):
-        grammar, spec = char_mix
-        bench = make_benchmark(grammar, spec, SizeConfig(120, 30, 40, 300), seed=1)
+        bench = make_benchmark(char_mix, SizeConfig(120, 30, 40, 300), seed=1)
         for pair in bench.gec_train:
             for sentence in (pair.source, pair.target):
                 assert all(len(token) == 1 for token in sentence.tokens)
@@ -450,8 +453,7 @@ class TestBenchmark:
 
 class TestSerialization:
     def test_write_benchmark_round_trips(self, tmp_path, char_mix):
-        grammar, spec = char_mix
-        bench = make_benchmark(grammar, spec, SizeConfig(60, 15, 20, 150), seed=2)
+        bench = make_benchmark(char_mix, SizeConfig(60, 15, 20, 150), seed=2)
         paths = write_benchmark(bench, tmp_path)
         reparsed = parse_m2((tmp_path / "gec_test.m2").read_text(encoding="utf-8"))
         assert tuple(reparsed) == bench.gec_test
@@ -461,12 +463,12 @@ class TestSerialization:
         ]
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["sizes"] == bench.manifest["sizes"]
-        assert load_lexicons(paths["lexicons"]) == grammar.lexicons()
+        assert load_lexicons(paths["lexicons"]) == char_mix.grammar.lexicons()
 
     def test_grammar_json_round_trip(self, tmp_path, mix_a):
-        grammar, _ = mix_a
+        grammar = mix_a.grammar
         path = tmp_path / "grammar.json"
-        save_grammar(grammar, path)
+        write_json(path, grammar.to_json_dict())
         data = json.loads(path.read_text(encoding="utf-8"))
         assert sorted(data) == [
             "confusion_prepositions", "determiners_pl", "determiners_sg", "modifiers",
@@ -487,9 +489,9 @@ class TestSerialization:
         assert rebuilt == grammar
 
     def test_spec_json_round_trip(self, tmp_path, mix_a):
-        grammar, spec = mix_a
+        spec = mix_a
         path = tmp_path / "spec.json"
-        save_injection_spec(spec, path)
+        write_json(path, spec.to_json_dict())
         data = json.loads(path.read_text(encoding="utf-8"))
         assert data == {
             "kind_weights": dict(spec.kind_weights),
@@ -503,8 +505,8 @@ class TestPresets:
             make_preset("mix_c")
 
     def test_mix_b_widens_punctuation(self):
-        grammar_a, _ = make_preset("mix_a")
-        grammar_b, _ = make_preset("mix_b")
+        grammar_a = make_preset("mix_a").grammar
+        grammar_b = make_preset("mix_b").grammar
         assert set(grammar_a.punctuation) < set(grammar_b.punctuation)
 
     def test_default_typo_forms_skips_collisions(self):

@@ -101,20 +101,10 @@ class TestAnnotatedPair:
         assert pair.target.tokens == ("I", "have", "a", "dog")
         assert pair.annotator_ids == (0,)
 
-    def test_target_mismatch_rejected(self):
-        with pytest.raises(InvalidEditSet):
-            AnnotatedPair(
-                source=Sentence(("a", "b")),
-                target=Sentence(("a", "b")),
-                gold=((Edit(0, 1, ("x",)),),),
-                annotator_ids=(0,),
-            )
-
     def test_unsorted_gold_rejected(self):
         with pytest.raises(InvalidEditSet):
             AnnotatedPair(
                 source=Sentence(("a", "b", "c")),
-                target=None,
                 gold=((Edit(2, 3, ("x",)), Edit(0, 1, ("y",))),),
                 annotator_ids=(0,),
             )
@@ -122,11 +112,11 @@ class TestAnnotatedPair:
     def test_canonical_edits_lowest_annotator(self):
         pair = AnnotatedPair(
             source=Sentence(("a", "b")),
-            target=None,
             gold=((Edit(0, 1, ("x",)),), (Edit(1, 2, ("y",)),)),
             annotator_ids=(2, 1),
         )
         assert pair.canonical_edits == (Edit(1, 2, ("y",)),)
+        assert pair.target.tokens == ("a", "y")
 
 
 GOLDEN_M2 = (
