@@ -306,7 +306,10 @@ def _run_build_cola(opts: dict, load: _Load, start: _Start) -> list[str]:
     split = SplitConfig(dev=opts["dev_frac"], test=0.0)
     inputs = load()
     out = start()
-    parts = {path: build_cola_from_gec(pairs, filters) for path, pairs in inputs["m2"].items()}
+    # Keyed by position, not path, so that the same bytes anywhere give the same stats.
+    parts = {
+        str(i): build_cola_from_gec(pairs, filters) for i, pairs in enumerate(inputs["m2"].values())
+    }
     corpus = merge_corpora(
         parts,
         split,

@@ -99,16 +99,6 @@ def _best_reference(
     return best
 
 
-def match_sentence(hyp: Sequence[Edit], pair: AnnotatedPair) -> tuple[MatchCounts, int | None]:
-    """Score one sentence, keeping the annotator that flatters it most.
-
-    Ties go to the lower annotator id. A pair without annotators counts
-    as a single empty reference.
-    """
-    annotator, _, matches = _best_reference(hyp, pair)
-    return _counts(hyp, matches), annotator
-
-
 @dataclass(frozen=True, slots=True)
 class MetricsReport:
     """Corpus-level scores on the unit scale; render with x100 and 2dp."""

@@ -7,7 +7,6 @@ from .decoding import (
     check_rerank_lam,
     decode,
     greedy_decode_batch,
-    rerank_score,
     rerank_with_cola,
 )
 from ..losses import (
@@ -72,7 +71,6 @@ __all__ = [
     "greedy_decode_batch",
     "loss_weight",
     "make_optimizer",
-    "rerank_score",
     "rerank_with_cola",
     "train_gec",
 ]

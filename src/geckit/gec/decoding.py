@@ -174,16 +174,12 @@ def rerank_with_cola(
         return hypotheses[0].sentence()
     best = hypotheses[0]
     best_score = -np.inf
-    for hyp in hypotheses:
-        score = rerank_score(hyp, judge, lam)
+    values = judge.scores([hyp.sentence() for hyp in hypotheses])
+    for hyp, value in zip(hypotheses, values):
+        score = hyp.log_prob / max(1, len(hyp.tokens)) - lam * value
         if score > best_score:
             best, best_score = hyp, score
     return best.sentence()
-
-
-def rerank_score(hypothesis: Hypothesis, judge, lam: float) -> float:
-    fluency = hypothesis.log_prob / max(1, len(hypothesis.tokens))
-    return fluency - lam * judge.score(hypothesis.sentence()).value
 
 
 def decode(

@@ -136,7 +136,7 @@ def train_gec(
                 enc = model.encode(batch_src)  # shared by the decode and the loss
                 decoded = greedy_decode_batch(model, batch_src, _enc=enc)
                 weights = np.array(
-                    [loss_weight(judge.dev_accuracy, judge.score(hyp).value) for hyp in decoded]
+                    [loss_weight(judge.dev_accuracy, value) for value in judge.scores(decoded)]
                 )
             else:
                 weights = np.ones(len(batch_idx))

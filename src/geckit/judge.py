@@ -120,23 +120,65 @@ class JudgeConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-# crc32 of each n-gram string seen so far. It holds the hash before
-# ``% dim``, so that judges of every size share it.
-_GRAM_HASHES: dict[str, int] = {}
+# The CRC-32 table of zlib's reflected polynomial 0xEDB88320: entry b is
+# the register after byte b from 0, which zlib.crc32 gives inverted.
+_CRC_TABLE = np.array(
+    [zlib.crc32(bytes([b]), 0xFFFFFFFF) ^ 0xFFFFFFFF for b in range(256)], dtype=np.uint32
+)
+# Texts per block of _hashed_ngrams. Its temporaries take about 250 bytes per
+# character, so a small block keeps a corpus's peak memory low, and larger
+# ones were no faster.
+_HASH_BLOCK = 32
 
 
-def _feature_counts(text: str, dim: int) -> dict[int, float]:
-    padded = _BOS_MARK + text + _EOS_MARK
-    counts: dict[int, float] = {}
-    for n in range(NGRAM_MIN, NGRAM_MAX + 1):
-        for i in range(len(padded) - n + 1):
-            gram = padded[i : i + n]
-            h = _GRAM_HASHES.get(gram)
-            if h is None:
-                h = _GRAM_HASHES[gram] = zlib.crc32(gram.encode("utf-8"))
-            idx = h % dim
-            counts[idx] = counts.get(idx, 0.0) + 1.0
-    return counts
+def _hashed_ngrams(texts: Sequence[str], dim: int):
+    """Each text's hashed character n-gram counts, _HASH_BLOCK texts at a time.
+
+    Yields (block, rows, cols, counts) per block of texts: row i of the
+    block holds counts[rows == i] at columns cols[rows == i], in order of
+    first occurrence, n ascending, then position. A gram's column is
+    zlib.crc32 of its UTF-8 bytes, % dim: every gram's CRC state grows by
+    one code point per n, table-driven (Sarwate 1988), with zlib's
+    0xFFFFFFFF pre- and post-inversion.
+    """
+    for start in range(0, len(texts), _HASH_BLOCK):
+        block = texts[start : start + _HASH_BLOCK]
+        padded = [_BOS_MARK + text + _EOS_MARK for text in block]
+        # Zero bytes past the end, so that every code point has 4 readable bytes.
+        raw = np.frombuffer("".join(padded).encode("utf-8") + bytes(3), dtype=np.uint8)
+        leads = np.flatnonzero((raw[:-3] & 0xC0) != 0x80)  # each code point's first byte
+        widths = np.diff(leads, append=len(raw) - 3)
+        n_cp = len(leads)
+        hashes = np.zeros((NGRAM_MAX, n_cp), dtype=np.uint32)
+        state = np.full(n_cp, 0xFFFFFFFF, dtype=np.uint32)
+        for n in range(1, NGRAM_MAX + 1):
+            # The grams of n code points: extend each by its last code point.
+            m = max(n_cp - n + 1, 0)
+            state = state[:m]
+            lead, width = leads[n - 1 : n - 1 + m], widths[n - 1 : n - 1 + m]
+            for k in range(int(width.max(initial=0))):
+                step = _CRC_TABLE[(state ^ raw[lead + k]) & 0xFF] ^ (state >> 8)
+                state = np.where(width > k, step, state) if k else step
+            hashes[n - 1, :m] = state ^ 0xFFFFFFFF
+        # Gather each row's grams, n ascending, then position.
+        lengths = np.array([len(text) for text in padded])
+        ns = np.arange(NGRAM_MIN, NGRAM_MAX + 1)
+        runs = np.maximum(lengths[:, None] - ns + 1, 0).ravel()
+        run_starts = ((ns - 1) * n_cp + (np.cumsum(lengths) - lengths)[:, None]).ravel()
+        pos = np.repeat(run_starts - (np.cumsum(runs) - runs), runs)
+        pos += np.arange(len(pos))
+        rows = np.arange(len(block)).repeat(len(ns)).repeat(runs)
+        cols = hashes.ravel()[pos].astype(np.int64) % dim
+        # Group equal (row, column) keys; every column is below 2**32. The
+        # sort is stable, so each group starts at its first occurrence.
+        keys = rows * min(dim, 1 << 32) + cols
+        perm = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(keys[perm], prepend=-1))
+        counts = np.diff(starts, append=len(keys)).astype(np.float64)
+        first = perm[starts]  # the gram where each (row, column) first occurs
+        order = np.argsort(first, kind="stable")
+        first = first[order]
+        yield block, rows[first], cols[first], counts[order]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -204,13 +246,15 @@ def featurize(sentences: Sequence[Sentence], dim: int) -> HashedRows:
     indptr = array("q", [0])
     indices = array("q")
     data = array("d")
-    for sentence in sentences:
-        counts = _feature_counts(sentence.text, dim)
-        norm = math.sqrt(sum(v * v for v in counts.values())) or 1.0
-        keys = sorted(counts)
-        indices.extend(keys)
-        data.extend([counts[idx] / norm for idx in keys])
-        indptr.append(indptr[-1] + len(keys))
+    for block, rows, cols, counts in _hashed_ngrams([s.text for s in sentences], dim):
+        order = np.argsort(rows * min(dim, 1 << 32) + cols, kind="stable")  # columns ascending
+        rows, cols, counts = rows[order], cols[order], counts[order]
+        # A sum of integer squares is exact in any order.
+        norms = np.sqrt(np.bincount(rows, counts * counts, minlength=len(block)))
+        indices.frombytes(cols.tobytes())
+        data.frombytes((counts / norms[rows]).tobytes())
+        ends = np.cumsum(np.bincount(rows, minlength=len(block))) + indptr[-1]
+        indptr.frombytes(ends.tobytes())
     return HashedRows(
         np.frombuffer(indptr, dtype=np.int64),
         np.frombuffer(indices, dtype=np.int64),
@@ -285,16 +329,31 @@ class JudgeModel:
         if not np.all(np.isfinite(weights)):
             raise InvalidLogits("non-finite weights")
 
+    def _memoize(self, sentences: Sequence[Sentence]) -> None:
+        """Memoize the margins of the texts not memoized yet, hashed in row blocks.
+
+        A margin adds weight * count over its columns in order of first
+        occurrence, starting from 0, then divides by the row's L2 norm.
+        """
+        memo = self._margins
+        texts = list(dict.fromkeys(s.text for s in sentences if s.text not in memo))
+        if not texts:
+            return
+        for block, rows, cols, counts in _hashed_ngrams(texts, self.dim):
+            norms = np.sqrt(np.bincount(rows, counts * counts, minlength=len(block)))
+            sums = np.bincount(rows, self.weights[cols] * counts, minlength=len(block))
+            memo.update(zip(block, sums / norms))
+
     def margin(self, sentence: Sentence) -> float:
         text = sentence.text
-        cached = self._margins.get(text)
-        if cached is not None:
-            return cached
-        counts = _feature_counts(text, self.dim)
-        norm = math.sqrt(sum(v * v for v in counts.values())) or 1.0
-        value = sum(self.weights[i] * v for i, v in counts.items()) / norm
-        self._margins[text] = value
-        return value
+        if text not in self._margins:
+            self._memoize([sentence])
+        return self._margins[text]
+
+    def scores(self, sentences: Sequence[Sentence]) -> list[float]:
+        """score(s).value for each sentence, the new texts hashed in one call."""
+        self._memoize(sentences)
+        return [self.score(s).value for s in sentences]
 
     def logits(self, sentence: Sentence) -> Logits:
         return Logits(self.bias0, self.margin(sentence) + self.bias1)
@@ -485,6 +544,8 @@ class ConfusionCounts:
 
 
 def evaluate_judge(model: JudgeModel, instances: Sequence[ColaInstance]) -> ConfusionCounts:
+    if isinstance(model, JudgeModel):  # a duck-typed judge gives logits one at a time
+        model._memoize([inst.sentence for inst in instances])
     tp = fp = fn = tn = 0
     for inst in instances:
         lg = model.logits(inst.sentence)

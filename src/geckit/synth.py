@@ -10,10 +10,11 @@ error label. Generation is pure given (seed, index).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -161,22 +162,6 @@ class SynthGrammar:
         return frozenset(tokens)
 
     @cached_property
-    def _noun_number(self) -> dict[str, int]:
-        out = {}
-        for pair in self.nouns:
-            out[pair[_SG]] = _SG
-            out[pair[_PL]] = _PL
-        return out
-
-    @cached_property
-    def _verb_number(self) -> dict[str, int]:
-        out = {}
-        for pair in self.verbs:
-            out[pair[_SG]] = _SG
-            out[pair[_PL]] = _PL
-        return out
-
-    @cached_property
     def _verb_flip(self) -> dict[str, str]:
         out = {}
         for sg, pl in self.verbs:
@@ -185,48 +170,8 @@ class SynthGrammar:
         return out
 
     @cached_property
-    def _determiner_numbers(self) -> dict[str, set[int]]:
-        out: dict[str, set[int]] = {}
-        for det in self.determiners_sg:
-            out.setdefault(det, set()).add(_SG)
-        for det in self.determiners_pl:
-            out.setdefault(det, set()).add(_PL)
-        return out
-
-    def is_valid(self, sentence: Sentence) -> bool:
-        """Check a sentence against the grammar's agreement rules.
-
-        Every token must be generable, punctuation must be final only,
-        each verb must agree with the nearest noun to its left, each
-        noun must directly follow a determiner, and each determiner
-        must agree with the nearest noun to its right.
-        """
-        if not sentence.tokens:
-            return False
-        tokens = sentence.tokens
-        punct = set(self.punctuation)
-        if tokens[-1] not in punct:
-            return False
-        if any(t in punct for t in tokens[:-1]):
-            return False
-        if any(t not in self.vocabulary for t in tokens):
-            return False
-        noun_number = self._noun_number
-        noun_positions = [i for i, t in enumerate(tokens) if t in noun_number]
-        for i, token in enumerate(tokens):
-            if token in self._verb_number:
-                left = [p for p in noun_positions if p < i]
-                if not left or noun_number[tokens[left[-1]]] != self._verb_number[token]:
-                    return False
-            if token in noun_number:
-                if i == 0 or tokens[i - 1] not in self._determiner_numbers:
-                    return False
-            numbers = self._determiner_numbers.get(token)
-            if numbers is not None:
-                right = [p for p in noun_positions if p > i]
-                if not right or noun_number[tokens[right[0]]] not in numbers:
-                    return False
-        return True
+    def _determiners(self) -> frozenset[str]:
+        return frozenset(self.determiners_sg + self.determiners_pl)
 
     def lexicons(self) -> LexiconSet:
         """Export the classification lexicons matching this grammar.
@@ -327,6 +272,17 @@ def _rng(seed: int | Sequence[int]):
     return default_rng(seed)
 
 
+def _cdf(weights) -> list[float]:
+    """The cumulative weights over their total.
+
+    bisect_right(cdf, rng.random()) is the index rng.choice(len(cdf),
+    p=weights) draws: the same cumsum, division and one uniform draw,
+    with the same stream consumed.
+    """
+    running = list(accumulate(float(w) for w in weights))
+    return [c / running[-1] for c in running]
+
+
 def _sample_sentence(grammar: SynthGrammar, rng) -> Sentence:
     template = grammar.templates[int(rng.integers(len(grammar.templates)))]
     subj_num = int(rng.integers(2))
@@ -351,13 +307,6 @@ def _sample_sentence(grammar: SynthGrammar, rng) -> Sentence:
     return Sentence(tuple(tokens))
 
 
-def gen_corpus(grammar: SynthGrammar, n: int, seed: int) -> list[Sentence]:
-    """Generate n sentences; item i depends only on (seed, i)."""
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    return [_sample_sentence(grammar, _rng([seed, i])) for i in range(n)]
-
-
 @dataclass(frozen=True, slots=True)
 class InjectionResult:
     """Corrupted sentence plus the exact edits that undo the corruption."""
@@ -380,7 +329,7 @@ def _applicable_positions(
     if kind == AGREEMENT_BREAK:
         candidates = [i for i, t in enumerate(tokens) if t in grammar._verb_flip]
     elif kind == DETERMINER_DROP:
-        candidates = [i for i, t in enumerate(tokens) if t in grammar._determiner_numbers]
+        candidates = [i for i, t in enumerate(tokens) if t in grammar._determiners]
     elif kind == PREPOSITION_SWAP:
         if not grammar.confusion_prepositions:
             return []
@@ -416,16 +365,15 @@ def inject(
     grammar = spec.grammar
     rng = _rng(seed)
     kinds = tuple(spec.kind_weights)
-    kind_p = [spec.kind_weights[k] for k in kinds]
+    kind_cdf = _cdf(spec.kind_weights.values())
     counts = tuple(spec.count_weights)
-    count_p = [spec.count_weights[c] for c in counts]
-    n_errors = int(counts[int(rng.choice(len(counts), p=count_p))])
+    n_errors = int(counts[bisect_right(_cdf(spec.count_weights.values()), rng.random())])
 
     tokens = sentence.tokens
     claimed: set[int] = set()
     plan: list[tuple[int, str, str | None]] = []
     for _ in range(n_errors):
-        kind = kinds[int(rng.choice(len(kinds), p=kind_p))]
+        kind = kinds[bisect_right(kind_cdf, rng.random())]
         positions = _applicable_positions(grammar, tokens, kind, claimed)
         if not positions:
             continue

@@ -216,7 +216,7 @@ class ColaInstance:
 #
 # Block grammar, repeated with exactly one blank line between blocks:
 #
-#   S <tokens joined by single space>\n
+#   S <tokens joined by single space; none for the empty sentence>\n
 #   A <start> <end>|||<type>|||<replacement or -NONE->|||REQUIRED|||-NONE-|||<annotator>\n   (zero or more)
 #
 # A "noop" line (type noop, span -1 -1) registers an annotator with zero
@@ -224,6 +224,8 @@ class ColaInstance:
 
 
 def _parse_sentence_field(text: str, name: str, line: int) -> Sentence:
+    if text == "":  # "S " is the empty sentence, as emit_m2 writes it
+        return Sentence(())
     tokens = text.split(" ")
     if any(not t for t in tokens):
         raise FormatError("empty token (doubled or trailing space)", name=name, line=line)

@@ -39,8 +39,9 @@ from geckit.gec import (
     train_gec,
 )
 from geckit.judge import JudgeConfig, Logits, acc, cola_score, evaluate_judge, mcc, train_judge
-from geckit.synth import ErrorInjectionSpec, SizeConfig, gen_corpus, inject, make_benchmark, make_preset
+from geckit.synth import ErrorInjectionSpec, SizeConfig, inject, make_benchmark, make_preset
 from geckit.textcore import PUNCT, Sentence, apply_edits, parse_m2
+from grammar_oracle import gen_corpus
 
 # Shared synthetic-benchmark settings. The GEC hyperparameters are the
 # same for every trained baseline in this file so criteria 7 and 8

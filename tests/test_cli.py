@@ -869,6 +869,22 @@ class TestExtractEdits:
         for pair in pairs:
             assert apply_edits(pair.source, pair.canonical_edits).tokens == pair.target.tokens
 
+    def test_blank_source_line_reads_back(self, tmp_path):
+        """A blank line is the empty sentence, and build-cola reads the M2 written for it."""
+        src = tmp_path / "src.txt"
+        tgt = tmp_path / "tgt.txt"
+        src.write_text("a b\n\n", encoding="utf-8")
+        tgt.write_text("a b\nc\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(
+            ["extract-edits", "--source", str(src), "--target", str(tgt), "--out", str(out)]
+        )
+        assert code == 0
+        pairs = parse_m2((out / "edits.m2").read_text(encoding="utf-8"))
+        assert [p.source.text for p in pairs] == ["a b", ""]
+        assert [p.target.text for p in pairs] == ["a b", "c"]
+        assert main(["build-cola", "--m2", str(out / "edits.m2"), "--out", str(tmp_path / "c")]) == 0
+
     def test_only_newline_ends_a_sentence(self, tmp_path):
         """Form feed, NEL and U+2028 are whitespace inside a line, as str.split has them."""
         src = tmp_path / "src.txt"
@@ -905,6 +921,19 @@ class TestExtractEdits:
 
 
 class TestBuildCola:
+    def test_stats_depend_on_bytes_not_paths(self, bench_dir, tmp_path):
+        data = (bench_dir / "gec_train.m2").read_bytes()
+        stats = []
+        for i, folder in enumerate(("a", "b/c")):
+            path = tmp_path / folder / "gec_train.m2"
+            path.parent.mkdir(parents=True)
+            path.write_bytes(data)
+            out = tmp_path / f"cola{i}"
+            assert main(["build-cola", "--m2", str(path), "--out", str(out)]) == 0
+            stats.append((out / "cola_stats.json").read_bytes())
+        assert stats[0] == stats[1]
+        assert list(json.loads(stats[0])["meta"]["parts"]) == ["0"]
+
     def test_splits_written(self, bench_dir, tmp_path):
         out = tmp_path / "cola"
         code = main(

@@ -7,11 +7,12 @@ from geckit.evalmetrics import (
     DROP_EDITS,
     DROP_SENTENCES,
     MatchCounts,
+    _best_reference,
+    _counts,
     evaluate_corpus,
     evaluate_hypotheses,
     fbeta,
     filter_eval,
-    match_sentence,
     prf,
 )
 from geckit.textcore import DET, PREP, PUNCT, SVA, AnnotatedPair, Edit, Sentence
@@ -19,6 +20,16 @@ from geckit.textcore import DET, PREP, PUNCT, SVA, AnnotatedPair, Edit, Sentence
 
 def sent(text):
     return Sentence(tuple(text.split()))
+
+
+def match_sentence(hyp, pair):
+    """One sentence's counts and the annotator that flatters it most, as evaluate_corpus picks it.
+
+    Ties go to the lower annotator id. A pair without annotators counts
+    as a single empty reference.
+    """
+    annotator, _, matches = _best_reference(hyp, pair)
+    return _counts(hyp, matches), annotator
 
 
 def pair_multi(source, annotator_edits):

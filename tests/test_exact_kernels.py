@@ -14,6 +14,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from geckit.gec import (
@@ -36,13 +38,15 @@ from geckit.gec.optim import Adam
 from geckit.gec.vocab import BOS_ID, EOS_ID, SPECIALS
 from geckit import judge as judge_mod
 from geckit.judge import (
+    _HASH_BLOCK,
     JudgeConfig,
     JudgeModel,
-    _feature_counts,
+    Logits,
     _map_columns,
     _row_sums,
     _scatter,
     _touched_columns,
+    cola_score,
     featurize,
     logistic_grad,
     logistic_loss,
@@ -142,6 +146,9 @@ class LengthJudge:
     def score(self, sentence):
         return type("Score", (), {"value": 1.0 - 1.0 / (2.0 + len(sentence))})()
 
+    def scores(self, sentences):
+        return [self.score(s).value for s in sentences]
+
 
 def reference_train(model, stage, judge, seed):
     """train_gec's loop with the decode and the loss each encoding the batch."""
@@ -239,7 +246,7 @@ class TestAdam:
 
 
 def reference_margin(judge, sentence):
-    counts = _feature_counts(sentence.text, judge.dim)
+    counts = reference_feature_counts(sentence.text, judge.dim)
     norm = math.sqrt(sum(v * v for v in counts.values())) or 1.0
     return sum(judge.weights[i] * v for i, v in counts.items()) / norm
 
@@ -255,7 +262,7 @@ class TestMarginMemo:
 
 
 def reference_feature_counts(text, dim):
-    """_feature_counts before the n-gram hash memo."""
+    """The judge's per-gram loop: each 1- to 4-gram's zlib.crc32 % dim, counted in first-occurrence order."""
     padded = "\x02" + text + "\x03"
     counts = {}
     for n in range(1, 5):
@@ -385,22 +392,6 @@ class TestCompactJudgeTraining:
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert featurize([], dim).shape == (0, dim)
 
-    def test_memoized_counts_equal_plain_crc32_at_two_dims(self):
-        texts = [inst.sentence.text for inst in judge_corpus(9, 40)]
-        for dim in (4096, 97, 4096, 2**18):
-            assert [_feature_counts(t, dim) for t in texts] == [
-                reference_feature_counts(t, dim) for t in texts
-            ]
-
-    def test_memo_holds_one_hash_per_gram_for_every_dim(self):
-        texts = [inst.sentence.text for inst in judge_corpus(10, 40)]
-        for text in texts:
-            _feature_counts(text, 4096)
-        size = len(judge_mod._GRAM_HASHES)
-        for text in texts:
-            _feature_counts(text, 97)
-        assert len(judge_mod._GRAM_HASHES) == size
-
     def test_loss_sees_the_full_width_weights(self, monkeypatch):
         """w @ w can group its sums differently on the compact vector."""
         shapes = []
@@ -433,6 +424,62 @@ class TestCompactJudgeTraining:
         train_judge(train, dev, cfg)
         assert len(grads) == cfg.epochs * math.ceil(len(train) / cfg.batch_size)
         assert rows == [len(train)]
+
+
+# Empty, one-character, ASCII and 2-, 3- and 4-byte UTF-8 texts.
+NGRAM_TEXTS = ("", "a", "é", "日", "😀", "the cat sat .", "naïve café straße", "日本語 ёж 😀😀", "a a a a a a")
+
+
+def ngram_sentences():
+    """NGRAM_TEXTS, then enough corpus sentences to fill several hash blocks."""
+    extra = [inst.sentence for inst in judge_corpus(21, 2 * _HASH_BLOCK + 7)]
+    return [Sentence(tuple(text.split())) for text in NGRAM_TEXTS] + extra
+
+
+_WEIGHTS = {}
+
+
+def judge_of_dim(dim):
+    """A judge with fixed random weights, one per dim."""
+    if dim not in _WEIGHTS:
+        _WEIGHTS[dim] = np.random.default_rng(dim).normal(0.0, 3.0, dim)
+    return JudgeModel(weights=_WEIGHTS[dim], bias0=0.1, bias1=-0.2, dim=dim)
+
+
+def assert_hashes_as_the_loop(sentences, dim):
+    """featurize's arrays, and the judge's margins and scores, equal the per-gram loop's."""
+    got, ref = featurize(sentences, dim), reference_featurize(sentences, dim)
+    for name, b in zip(("indptr", "indices", "data"), ref):
+        a = getattr(got, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    judge = judge_of_dim(dim)
+    margins = [reference_margin(judge, s) for s in sentences]
+    scores = [cola_score(Logits(judge.bias0, m + judge.bias1)).value for m in margins]
+    # Repeated texts in one call are hashed once and scored each time.
+    assert judge.scores(sentences + sentences[:3]) == scores + scores[:3]
+    assert [judge.margin(s) for s in sentences] == margins
+    assert judge_of_dim(dim).scores(sentences) == scores  # a fresh memo, one call
+
+
+class TestHashedNgrams:
+    """The numpy n-gram hash against the per-gram zlib.crc32 loop it replaced."""
+
+    @pytest.mark.parametrize("dim", [1, 2**16, 2**18])
+    def test_equals_the_loop(self, dim):
+        assert_hashes_as_the_loop(ngram_sentences(), dim)
+
+    def test_one_text_at_a_time_equals_the_loop(self):
+        sentences = ngram_sentences()[:40]
+        judge = judge_of_dim(2**16)
+        assert [judge.margin(s) for s in sentences] == [reference_margin(judge, s) for s in sentences]
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.text(st.characters(), max_size=12).map(lambda t: Sentence(tuple(t.split()))), max_size=5),
+        st.sampled_from([1, 97, 2**16]),
+    )
+    def test_drawn_unicode_text(self, sentences, dim):
+        assert_hashes_as_the_loop(sentences, dim)
 
 
 def wide_values(rng, size):

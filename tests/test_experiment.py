@@ -61,6 +61,9 @@ class FlatJudge:
     def score(self, sentence):
         return cola_score(self.logits(sentence))
 
+    def scores(self, sentences):
+        return [self.score(s).value for s in sentences]
+
 
 @pytest.fixture(scope="module")
 def toy_task():

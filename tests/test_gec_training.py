@@ -66,6 +66,9 @@ class ConstantJudge:
     def score(self, sentence):
         return type("Score", (), {"value": self.value})()
 
+    def scores(self, sentences):
+        return [self.value for _ in sentences]
+
 
 class TableJudge:
     """Acceptability lookup keyed by sentence text; unknown text scores 0.5."""
@@ -80,6 +83,9 @@ class TableJudge:
 
     def score(self, sentence):
         return cola_score(self.logits(sentence))
+
+    def scores(self, sentences):
+        return [self.score(s).value for s in sentences]
 
 
 @pytest.fixture(scope="module")

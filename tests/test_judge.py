@@ -176,9 +176,9 @@ class TestTrainJudge:
         dev = make_corpus(20, seed=7)
         model = train_judge(train, dev, JudgeConfig(dim=2**10, epochs=4, batch_size=16, seed=9))
         calls = []
-        counts = judge_module._feature_counts
+        hashed = judge_module._hashed_ngrams
         monkeypatch.setattr(
-            judge_module, "_feature_counts", lambda *args: calls.append(args) or counts(*args)
+            judge_module, "_hashed_ngrams", lambda *args: calls.append(args) or hashed(*args)
         )
         assert acc(evaluate_judge(model, dev)) == model.dev_accuracy
         assert calls == []

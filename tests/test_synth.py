@@ -1,9 +1,11 @@
 """Tests for grammar generation, error injection, and benchmark assembly."""
 
 import json
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from geckit import synth
@@ -22,7 +24,6 @@ from geckit.synth import (
     SizeConfig,
     SynthGrammar,
     default_typo_forms,
-    gen_corpus,
     inject,
     make_benchmark,
     make_preset,
@@ -39,6 +40,7 @@ from geckit.textcore import (
     parse_m2,
     write_json,
 )
+from grammar_oracle import gen_corpus, is_valid
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +122,7 @@ class TestGeneration:
     def test_all_outputs_valid(self, mix_a):
         grammar = mix_a.grammar
         for sentence in gen_corpus(grammar, 300, seed=2):
-            assert grammar.is_valid(sentence)
+            assert is_valid(grammar, sentence)
 
     def test_seed_changes_output_not_lengths(self, mix_a):
         grammar = mix_a.grammar
@@ -131,31 +133,26 @@ class TestGeneration:
         mean_b = sum(len(s) for s in b) / len(b)
         assert abs(mean_a - mean_b) / mean_a < 0.10
 
-    def test_n_zero_rejected(self, mix_a):
-        grammar = mix_a.grammar
-        with pytest.raises(ConfigError):
-            gen_corpus(grammar, 0, seed=0)
-
     def test_char_mode_outputs_valid(self, char_mix):
         grammar = char_mix.grammar
         sentences = gen_corpus(grammar, 100, seed=3)
         for sentence in sentences:
-            assert grammar.is_valid(sentence)
+            assert is_valid(grammar, sentence)
             assert all(len(token) == 1 for token in sentence.tokens)
 
 
 class TestValidityChecker:
     def test_rejects_structural_breaks(self, mix_a, char_mix):
         grammar = mix_a.grammar
-        assert grammar.is_valid(Sentence(("the", "dog", "is", "running", ".")))
-        assert not grammar.is_valid(Sentence(("the", "dog", "are", "running", ".")))
-        assert not grammar.is_valid(Sentence(("dog", "is", "running", ".")))
-        assert not grammar.is_valid(Sentence(("the", "dog", "is", "running")))
-        assert not grammar.is_valid(Sentence(("a", "dogs", "are", "running", ".")))
-        assert not grammar.is_valid(Sentence(("the", "dgo", "is", "running", ".")))
-        assert not grammar.is_valid(Sentence(()))
+        assert is_valid(grammar, Sentence(("the", "dog", "is", "running", ".")))
+        assert not is_valid(grammar, Sentence(("the", "dog", "are", "running", ".")))
+        assert not is_valid(grammar, Sentence(("dog", "is", "running", ".")))
+        assert not is_valid(grammar, Sentence(("the", "dog", "is", "running")))
+        assert not is_valid(grammar, Sentence(("a", "dogs", "are", "running", ".")))
+        assert not is_valid(grammar, Sentence(("the", "dgo", "is", "running", ".")))
+        assert not is_valid(grammar, Sentence(()))
         # char_mix sentences fall outside the word grammar.
-        assert not any(grammar.is_valid(s) for s in gen_corpus(char_mix.grammar, 20, seed=0))
+        assert not any(is_valid(grammar, s) for s in gen_corpus(char_mix.grammar, 20, seed=0))
 
 
 class TestSpecValidation:
@@ -204,6 +201,30 @@ class TestSpecValidation:
                 kind_weights={PUNCTUATION_DROP: 1.0},
                 count_weights={0: 1.0},
             )
+
+
+class TestWeightedDraw:
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0],
+            [0.0, 1.0],
+            [1.0, 0.0],
+            [0.5, 0.0, 0.5],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.2, 0.3, 0.1, 0.15, 0.15, 0.1],
+            [1 / 3, 1 / 3, 1 / 3],
+            [1, 0],
+        ],
+    )
+    def test_cdf_draw_is_rng_choice(self, weights):
+        """The draw inject makes: rng.choice's index from the same stream, and no more of it."""
+        cdf = synth._cdf(weights)
+        for seed in range(400):
+            expected, got = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
+            for _ in range(5):
+                assert bisect_right(cdf, got.random()) == expected.choice(len(weights), p=weights)
+            assert got.random() == expected.random()
 
 
 class TestInject:
@@ -382,8 +403,8 @@ class TestBenchmark:
         bad = [inst for inst in instances if inst.label == 0]
         for inst in instances:
             if inst.label == 1:
-                assert grammar.is_valid(inst.sentence)
-        flagged = sum(not grammar.is_valid(inst.sentence) for inst in bad)
+                assert is_valid(grammar, inst.sentence)
+        flagged = sum(not is_valid(grammar, inst.sentence) for inst in bad)
         assert flagged / len(bad) >= 0.85
 
     def test_manifest_counts(self, small_mix_b):

@@ -178,6 +178,26 @@ class TestM2:
         assert pairs[0].target is None
         assert emit_m2(pairs) == text
 
+    def test_empty_sentence_round_trips(self):
+        """The empty sentence is an S line with nothing after "S ", as emit_m2 writes it."""
+        pairs = [
+            AnnotatedPair.from_edits(Sentence(()), [Edit(0, 0, ("c",), "OTHER")]),
+            AnnotatedPair(source=Sentence(()), gold=(), annotator_ids=()),
+            AnnotatedPair.from_edits(Sentence(()), []),
+        ]
+        text = emit_m2(pairs)
+        assert text == (
+            "S \nA 0 0|||OTHER|||c|||REQUIRED|||-NONE-|||0\n\n"
+            "S \n\n"
+            "S \nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n"
+        )
+        assert parse_m2(text) == pairs
+        assert [p.target for p in parse_m2(text)] == [Sentence(("c",)), None, Sentence(())]
+        # A space with nothing after it is still an empty token.
+        for bad in ("S  \n", "S a \n"):
+            with pytest.raises(FormatError, match="empty token"):
+                parse_m2(bad)
+
     def test_empty_text_gives_no_pairs(self):
         assert parse_m2("") == []
         assert emit_m2([]) == ""
