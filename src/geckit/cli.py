@@ -68,11 +68,12 @@ from .synth import PRESETS, SizeConfig, make_benchmark, make_preset, write_bench
 from .textcore import (
     CORE_ERROR_TYPES,
     AnnotatedPair,
-    Sentence,
     emit_cola_tsv,
     emit_m2,
+    emit_sentences,
     parse_cola_tsv,
     parse_m2,
+    parse_sentences,
     read_text,
     write_json,
     write_text,
@@ -153,16 +154,6 @@ def _coerce(command: str, key: str, opt: _Opt, value):
     return result
 
 
-def _read_sentences(path: str) -> list[Sentence]:
-    # A blank line is a legitimate empty sentence (e.g. a deleted correction).
-    # Only "\n" ends a line (read_text maps "\r\n" and "\r" to it): the other
-    # breaks str.splitlines knows are whitespace inside a line to str.split.
-    text = read_text(path)
-    if not text:
-        return []
-    return [Sentence(tuple(line.split())) for line in text.removesuffix("\n").split("\n")]
-
-
 def _read_records(path: str, parse: Callable, what: str) -> list:
     records = parse(read_text(path), name=path)
     if not records:
@@ -186,7 +177,7 @@ def _read_model(path: str):
 _READERS: dict[str, Callable[[str], object]] = {
     "m2": lambda path: _read_records(path, parse_m2, "M2"),
     "tsv": lambda path: _read_records(path, parse_cola_tsv, "TSV"),
-    "sentences": _read_sentences,
+    "sentences": lambda path: parse_sentences(read_text(path)),
     "judge": _read_judge,
     "model": _read_model,
     "lexicons": load_lexicons,
@@ -395,7 +386,7 @@ def _run_decode(opts: dict, load: _Load, start: _Start) -> list[str]:
     check_beam_size(opts["beam"], len(model.vocab))
     out = start()
     decoded = decode(model, inputs["input"], opts["beam"], inputs["judge"], opts["rerank_lam"])
-    write_text(out / "corrected.txt", "".join(s.text + "\n" for s in decoded))
+    write_text(out / "corrected.txt", emit_sentences(decoded))
     return [f"wrote {out / 'corrected.txt'} ({len(decoded)} sentences)"]
 
 

@@ -101,11 +101,11 @@ def _died(key: tuple[int, str], exitcode: int) -> GeckitError:
 def _run_groups(group, keys: list[tuple[int, str]], workers: int) -> list:
     """group(key) for every key, each in its own forked child, at most workers at once.
 
-    Under fork the function and all it closes over (vocab, stage, judge
-    with its memo, test pairs) reach each child by inheritance: only the
-    rows or the exception come back, through a pipe. The results are in
-    key order. Any error, Ctrl-C included, terminates and joins the
-    children still running.
+    Under fork the function and all it closes over (vocab, stage, judge,
+    test pairs) reach each child by inheritance: only the rows or the
+    exception come back, through a pipe. The results are in key order.
+    Any error, Ctrl-C included, terminates and joins the children still
+    running.
     """
     import multiprocessing  # only here: every other subcommand runs in one process
     from multiprocessing.connection import wait

@@ -193,8 +193,11 @@ def decode(
 
     Without a judge, beam_size 1 decodes greedily over the whole batch
     and a larger beam keeps each search's top hypothesis. With a judge,
-    each beam's n-best is reranked by rerank_with_cola with weight lam.
+    each beam's n-best is reranked by rerank_with_cola with weight lam;
+    without one, a lam other than its default would go unread and is refused.
     """
+    if judge is None and lam != 0.5:
+        raise ConfigError(f"lam {lam} weighs the judge's score, so it needs a judge")
     if not sources:
         return []
     if judge is None and beam_size == 1:

@@ -46,6 +46,8 @@ class TrainStage:
             object.__setattr__(self, "pairs", tuple(self.pairs))
         if not self.pairs:
             raise ConfigError("no training pairs")
+        if any(pair.target is None for pair in self.pairs):
+            raise ConfigError("training pair without a target sentence")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.epochs < 1:
@@ -116,8 +118,6 @@ def train_gec(
     optimizer = make_optimizer(stage.optimizer, stage.effective_lr)
     sources = [pair.source for pair in stage.pairs]
     targets = [pair.target for pair in stage.pairs]
-    if None in targets:
-        raise ConfigError("training pair without a target sentence")
     n = len(stage.pairs)
     log = TrainLog()
     for epoch in range(1, stage.epochs + 1):

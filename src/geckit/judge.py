@@ -12,8 +12,9 @@ import json
 import math
 import zlib
 from array import array
+from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -303,10 +304,8 @@ class JudgeModel:
     """Trained judge: hashed-feature weight vector plus a bias pair.
 
     ``dev_accuracy`` is measured once on the dev split at the end of
-    training; downstream loss weighting reads it from here. The model is
-    immutable, so the margins it memoizes by text never go stale.
-    Equality and hashing are by identity, as befits an object that owns
-    a memo.
+    training; downstream loss weighting reads it from here. Equality and
+    hashing are by identity: an ndarray field has no usable ``==``.
     """
 
     weights: np.ndarray
@@ -317,49 +316,38 @@ class JudgeModel:
     epochs: int = 0
     dev_accuracy: float | None = None
     train_loss: float | None = None
-    _margins: dict[str, float] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # A read-only copy, so that no edit in place can stale the memo either.
+        # A float64 copy, so that the model never shares the caller's array.
         weights = np.array(self.weights, dtype=np.float64)
-        weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         if weights.shape != (self.dim,):
             raise ConfigError(f"weights shape {weights.shape} does not match dim {self.dim}")
         if not np.all(np.isfinite(weights)):
             raise InvalidLogits("non-finite weights")
 
-    def _memoize(self, sentences: Sequence[Sentence]) -> None:
-        """Memoize the margins of the texts not memoized yet, hashed in row blocks.
+    def margins(self, sentences: Sequence[Sentence]) -> list[float]:
+        """Each sentence's margin, the texts hashed in one _hashed_ngrams pass.
 
         A margin adds weight * count over its columns in order of first
         occurrence, starting from 0, then divides by the row's L2 norm.
         """
-        memo = self._margins
-        texts = list(dict.fromkeys(s.text for s in sentences if s.text not in memo))
-        if not texts:
-            return
-        for block, rows, cols, counts in _hashed_ngrams(texts, self.dim):
+        margins: list[float] = []
+        for block, rows, cols, counts in _hashed_ngrams([s.text for s in sentences], self.dim):
             norms = np.sqrt(np.bincount(rows, counts * counts, minlength=len(block)))
             sums = np.bincount(rows, self.weights[cols] * counts, minlength=len(block))
-            memo.update(zip(block, sums / norms))
-
-    def margin(self, sentence: Sentence) -> float:
-        text = sentence.text
-        if text not in self._margins:
-            self._memoize([sentence])
-        return self._margins[text]
+            margins.extend((sums / norms).tolist())
+        return margins
 
     def scores(self, sentences: Sequence[Sentence]) -> list[float]:
-        """score(s).value for each sentence, the new texts hashed in one call."""
-        self._memoize(sentences)
-        return [self.score(s).value for s in sentences]
+        """cola_score(logits(s)).value for each sentence, the texts hashed in one pass."""
+        margins = self.margins(sentences)
+        return [cola_score(self.logits(s, _margin=m)).value for s, m in zip(sentences, margins)]
 
-    def logits(self, sentence: Sentence) -> Logits:
-        return Logits(self.bias0, self.margin(sentence) + self.bias1)
-
-    def score(self, sentence: Sentence) -> ColaScore:
-        return cola_score(self.logits(sentence))
+    def logits(self, sentence: Sentence, *, _margin: float | None = None) -> Logits:
+        """The logit pair; _margin, when given, is margins([sentence])[0] from a batch."""
+        margin = self.margins([sentence])[0] if _margin is None else _margin
+        return Logits(self.bias0, margin + self.bias1)
 
     def save(self, path: str | Path) -> None:
         nz = np.flatnonzero(self.weights)
@@ -515,10 +503,7 @@ def train_judge(
         epochs=cfg.epochs,
         train_loss=loss,
     )
-    trained = replace(model, dev_accuracy=acc(evaluate_judge(model, dev)))
-    # Same weights and dim, so the margins just computed for dev still hold.
-    object.__setattr__(trained, "_margins", model._margins)
-    return trained
+    return replace(model, dev_accuracy=acc(evaluate_judge(model, dev)))
 
 
 # --- evaluation -----------------------------------------------------------
@@ -544,21 +529,14 @@ class ConfusionCounts:
 
 
 def evaluate_judge(model: JudgeModel, instances: Sequence[ColaInstance]) -> ConfusionCounts:
-    if isinstance(model, JudgeModel):  # a duck-typed judge gives logits one at a time
-        model._memoize([inst.sentence for inst in instances])
-    tp = fp = fn = tn = 0
-    for inst in instances:
-        lg = model.logits(inst.sentence)
-        pred = 1 if lg.logit1 > lg.logit0 else 0
-        if pred == 1 and inst.label == 1:
-            tp += 1
-        elif pred == 1:
-            fp += 1
-        elif inst.label == 1:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp, fp, fn, tn)
+    sentences = [inst.sentence for inst in instances]
+    if isinstance(model, JudgeModel):  # hashed in one pass; a duck-typed judge gives logits alone
+        logits = [model.logits(s, _margin=m) for s, m in zip(sentences, model.margins(sentences))]
+    else:
+        logits = [model.logits(s) for s in sentences]
+    # (predicted acceptable, labeled acceptable) -> count
+    cells = Counter((lg.logit1 > lg.logit0, inst.label == 1) for inst, lg in zip(instances, logits))
+    return ConfusionCounts(cells[True, True], cells[True, False], cells[False, True], cells[False, False])
 
 
 def acc(counts: ConfusionCounts) -> float:

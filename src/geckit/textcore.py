@@ -1,13 +1,13 @@
 """Core text types and interchange formats.
 
 Tokenized sentences, span edits, annotated correction pairs, and labeled
-acceptability instances, plus strict parsers and emitters for the M2 edit
-format and the two-column acceptability TSV, the one layout of the JSON
-reports, configs and manifests geckit writes, and the one way every
+acceptability instances, plus readers and writers for the M2 edit format,
+the two-column acceptability TSV and plain sentence files, the one layout of
+the JSON reports, configs and manifests geckit writes, and the one way every
 output file is written: whole, through a temporary file renamed into place.
 
-Both parsers enforce the grammar exactly and report the offending line on
-failure. They accept precisely the language the emitters produce, so
+The M2 and TSV parsers enforce the grammar exactly and report the offending
+line on failure. They accept precisely the language the emitters produce, so
 ``emit(parse(text)) == text`` holds byte for byte for any text that parses.
 """
 
@@ -392,6 +392,27 @@ def parse_cola_tsv(text: str, name: str = "<tsv>") -> list[ColaInstance]:
 def emit_cola_tsv(instances: Iterable[ColaInstance]) -> str:
     lines = [f"{inst.label}\t{inst.sentence.text}" for inst in instances]
     return "\n".join(lines) + "\n" if lines else ""
+
+
+# --- sentence files -----------------------------------------------------
+
+
+def parse_sentences(text: str) -> list[Sentence]:
+    r"""One sentence per line, tokens split on whitespace; an empty text holds none.
+
+    Lenient, unlike the parsers above: only parse(emit(s)) == s holds. A
+    blank line is a legitimate empty sentence (e.g. a deleted correction).
+    Only "\n" ends a line (read_text maps "\r\n" and "\r" to it): the other
+    breaks str.splitlines knows are whitespace inside a line to str.split.
+    """
+    if not text:
+        return []
+    return [Sentence(tuple(line.split())) for line in text.removesuffix("\n").split("\n")]
+
+
+def emit_sentences(sentences: Iterable[Sentence]) -> str:
+    """Each sentence's text on a line of its own (inverse of parse_sentences)."""
+    return "".join(s.text + "\n" for s in sentences)
 
 
 # --- output files -------------------------------------------------------

@@ -764,6 +764,14 @@ class TestInputs:
         assert f"error: {bad_file}: " in _single_error_line(capsys)
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["train-gec", "ablate"])
+    def test_training_pair_without_target(self, command, valid_options, tmp_path, capsys):
+        train = tmp_path / "t.m2"  # the second pair has no annotator, so no target
+        train.write_text("S a b c\nA 0 1|||OTHER|||x|||REQUIRED|||-NONE-|||0\n\nS d e\n", encoding="utf-8")
+        assert self._run(command, "train", train, valid_options, tmp_path) == 1
+        assert _single_error_line(capsys) == "error: training pair without a target sentence\n"
+        assert not (tmp_path / "x").exists()
+
     def test_missing_lexicon_directory(self, valid_options, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir"
         assert self._run("evaluate", "lexicons", missing, valid_options, tmp_path) == 1

@@ -251,16 +251,6 @@ def reference_margin(judge, sentence):
     return sum(judge.weights[i] * v for i, v in counts.items()) / norm
 
 
-class TestMarginMemo:
-    def test_memoized_margins_equal_fresh(self):
-        weights = np.random.default_rng(6).normal(0.0, 3.0, 512)
-        judge = JudgeModel(weights=weights, bias0=0.1, bias1=-0.2, dim=512)
-        texts = random_sentences(random.Random(6), 60) * 3
-        fresh = [reference_margin(judge, s) for s in texts]
-        assert np.array_equal([judge.margin(s) for s in texts], fresh)
-        assert np.array_equal([judge.margin(s) for s in texts], fresh)
-
-
 def reference_feature_counts(text, dim):
     """The judge's per-gram loop: each 1- to 4-gram's zlib.crc32 % dim, counted in first-occurrence order."""
     padded = "\x02" + text + "\x03"
@@ -447,18 +437,21 @@ def judge_of_dim(dim):
 
 
 def assert_hashes_as_the_loop(sentences, dim):
-    """featurize's arrays, and the judge's margins and scores, equal the per-gram loop's."""
+    """featurize's arrays, and the judge's margins and scores, equal the per-gram loop's.
+
+    The margins of one call equal those of one text at a time, bit for bit.
+    """
     got, ref = featurize(sentences, dim), reference_featurize(sentences, dim)
     for name, b in zip(("indptr", "indices", "data"), ref):
         a = getattr(got, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     judge = judge_of_dim(dim)
     margins = [reference_margin(judge, s) for s in sentences]
+    assert np.array_equal(judge.margins(sentences), margins)
+    assert np.array_equal([judge.margins([s])[0] for s in sentences], margins)
     scores = [cola_score(Logits(judge.bias0, m + judge.bias1)).value for m in margins]
-    # Repeated texts in one call are hashed once and scored each time.
+    # Repeated texts in one call are scored each time.
     assert judge.scores(sentences + sentences[:3]) == scores + scores[:3]
-    assert [judge.margin(s) for s in sentences] == margins
-    assert judge_of_dim(dim).scores(sentences) == scores  # a fresh memo, one call
 
 
 class TestHashedNgrams:
@@ -466,12 +459,14 @@ class TestHashedNgrams:
 
     @pytest.mark.parametrize("dim", [1, 2**16, 2**18])
     def test_equals_the_loop(self, dim):
-        assert_hashes_as_the_loop(ngram_sentences(), dim)
+        sentences = ngram_sentences()
+        assert_hashes_as_the_loop(sentences + sentences[: len(NGRAM_TEXTS)], dim)  # repeats too
 
     def test_one_text_at_a_time_equals_the_loop(self):
         sentences = ngram_sentences()[:40]
         judge = judge_of_dim(2**16)
-        assert [judge.margin(s) for s in sentences] == [reference_margin(judge, s) for s in sentences]
+        margins = [judge.margins([s])[0] for s in sentences]
+        assert margins == [reference_margin(judge, s) for s in sentences]
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(

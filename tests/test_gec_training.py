@@ -23,7 +23,7 @@ from geckit.gec import (
     rerank_with_cola,
     train_gec,
 )
-from geckit.judge import Logits, cola_score
+from geckit.judge import JudgeModel, Logits, cola_score
 from geckit.textcore import OTHER, AnnotatedPair, Edit, Sentence
 
 WORDS = ("a", "b", "c", "d", "e", "f", "g", "h")
@@ -241,7 +241,8 @@ class TestDecode:
             expected = greedy_decode_batch(model, sources)
         else:
             expected = [beam_decode(model, src, beam_size)[0].sentence() for src in sources]
-        assert decode(model, sources, beam_size, judge, self.LAM) == expected
+        lam = self.LAM if with_judge else 0.5  # without a judge only the default is accepted
+        assert decode(model, sources, beam_size, judge, lam) == expected
 
     def test_judge_changes_beam_choice(self, copy_model, sources, table_judge):
         model, _ = copy_model
@@ -252,6 +253,17 @@ class TestDecode:
     def test_empty_sources(self, copy_model, table_judge, beam_size, with_judge):
         model, _ = copy_model
         assert decode(model, [], beam_size, table_judge if with_judge else None) == []
+
+
+class TestDecodeValidation:
+    def test_lam_without_judge_rejected(self, copy_model):
+        model, _ = copy_model
+        sources = [sent("a b c")]
+        with pytest.raises(ConfigError, match="needs a judge"):
+            decode(model, sources, 4, lam=1.0)
+        with pytest.raises(ConfigError, match="needs a judge"):
+            decode(model, [], 1, None, float("nan"))
+        assert decode(model, sources, 1, lam=0.5) == decode(model, sources)
 
 
 class TestTrainValidation:
@@ -275,6 +287,9 @@ class TestTrainValidation:
         pairs = tuple(copy_pairs(2, 0))
         with pytest.raises(ConfigError):
             TrainStage(pairs=(), epochs=1, lr=0.1)
+        untargeted = AnnotatedPair(source=sent("a b"), gold=(), annotator_ids=())
+        with pytest.raises(ConfigError, match="without a target sentence"):
+            TrainStage(pairs=pairs + (untargeted,), epochs=1, lr=0.1)
         with pytest.raises(ConfigError):
             TrainStage(pairs=pairs, epochs=0, lr=0.1)
         with pytest.raises(ConfigError):
@@ -325,6 +340,24 @@ class TestTrainingRuns:
         for record in log.records:
             assert record.mean_weight == pytest.approx(expected, abs=1e-12)
             assert record.lr == 0.01 * DYNAMIC_LR_MULTIPLIER  # the logged lr is multiplied
+
+    def test_dynamic_loss_calls_judge_logits_once_per_decode(self, monkeypatch):
+        pairs = tuple(copy_pairs(20, 7))
+        vocab = Vocab.from_sentences([p.source for p in pairs])
+        model = Seq2SeqModel(vocab, ModelConfig(embed_dim=4, hidden_dim=4, seed=1))
+        weights = np.random.default_rng(0).normal(size=64)
+        judge = JudgeModel(weights=weights, bias0=0.0, bias1=0.0, dim=64, dev_accuracy=0.9)
+        seen = []
+        logits = JudgeModel.logits
+
+        def counted(self, sentence, **kwargs):
+            seen.append(sentence)
+            return logits(self, sentence, **kwargs)
+
+        monkeypatch.setattr(JudgeModel, "logits", counted)
+        stage = TrainStage(pairs=pairs, epochs=2, lr=0.01, loss=DYNAMIC, batch_size=8)
+        train_gec(model, stage, judge=judge)
+        assert len(seen) == len(pairs) * stage.epochs
 
     def test_unit_weight_reduces_to_plain_bitwise(self):
         pairs = tuple(copy_pairs(24, 10))

@@ -170,6 +170,7 @@ class TestTrainJudge:
         assert a.dev_accuracy == b.dev_accuracy
 
     def test_dev_split_is_scored_once(self, monkeypatch):
+        """evaluate_judge hashes all of a JudgeModel's instances in one _hashed_ngrams call."""
         import geckit.judge as judge_module
 
         train = make_corpus(60, seed=6)
@@ -181,11 +182,7 @@ class TestTrainJudge:
             judge_module, "_hashed_ngrams", lambda *args: calls.append(args) or hashed(*args)
         )
         assert acc(evaluate_judge(model, dev)) == model.dev_accuracy
-        assert calls == []
-        # The carried margins are the ones a fresh model computes.
-        fresh = JudgeModel(weights=model.weights, bias0=model.bias0, bias1=model.bias1, dim=model.dim)
-        assert [fresh.margin(i.sentence) for i in dev] == [model.margin(i.sentence) for i in dev]
-        assert len(calls) == len({i.sentence.text for i in dev})
+        assert calls == [([i.sentence.text for i in dev], model.dim)]
 
     def test_score_orientation(self):
         train = make_corpus(200, seed=8)
@@ -193,7 +190,8 @@ class TestTrainJudge:
         model = train_judge(train, dev, JudgeConfig(dim=2**12, epochs=8, seed=1))
         bad = [i for i in dev if i.label == 0][0]
         good = [i for i in dev if i.label == 1][0]
-        assert model.score(bad.sentence).value > model.score(good.sentence).value
+        bad_score, good_score = model.scores([bad.sentence, good.sentence])
+        assert bad_score > good_score
 
     def test_empty_sentence_scores(self):
         train = make_corpus(40, seed=10)
@@ -222,35 +220,55 @@ class TestModelFile:
             JudgeModel.load(path)
 
 
-class TestMarginMemo:
-    """margin() memoizes by text; no edit to its inputs may serve a stale value."""
+class TestModelValue:
+    """A model is its dataclass fields; scoring stores nothing on it."""
 
-    def test_weights_are_read_only_and_copied(self):
+    def test_weights_are_copied(self):
         weights = np.zeros(64)
         model = JudgeModel(weights=weights, bias0=0.0, bias1=0.0, dim=64)
-        weights[:] = 1.0  # the caller's array stays writable and is not shared
-        assert model.margin(sent("a b")) == 0.0
-        with pytest.raises(ValueError):
-            model.weights[3] = 1.0
-        with pytest.raises(ValueError):
-            model.weights *= 2.0
+        weights[:] = 1.0  # the caller's array is not shared
+        assert model.margins([sent("a b")]) == [0.0]
 
     def test_assigning_any_field_raises(self):
-        probe = sent("the cat runs")
         rng = np.random.default_rng(3)
         model = JudgeModel(weights=rng.normal(size=256), bias0=0.0, bias1=0.0, dim=256)
-        memoized = model.margin(probe)
         for field in dataclasses.fields(JudgeModel):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(model, field.name, getattr(model, field.name))
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.dim = 128
-        # A replaced model starts with an empty memo.
-        other = rng.normal(size=256)
-        fresh = JudgeModel(weights=other, bias0=0.0, bias1=0.0, dim=256)
-        replaced = dataclasses.replace(model, weights=other)
-        assert replaced.margin(probe) == fresh.margin(probe) != memoized
-        assert model.margin(probe) == memoized
+
+    def test_scoring_changes_nothing(self):
+        train = make_corpus(40, seed=12)
+        model = train_judge(train, train, JudgeConfig(dim=2**10, epochs=2, seed=0))
+        before = dict(model.__dict__)
+        weights = model.weights.copy()
+        assert set(before) == {field.name for field in dataclasses.fields(JudgeModel)}
+        model.scores([inst.sentence for inst in train])
+        evaluate_judge(model, train)
+        assert model.__dict__.keys() == before.keys()
+        assert all(model.__dict__[name] is value for name, value in before.items())
+        assert np.array_equal(model.weights, weights)
+
+    def test_one_logits_call_per_text(self, monkeypatch):
+        """scores and evaluate_judge go through logits once per text, repeats included."""
+        data = make_corpus(30, seed=13)
+        data += data[:7]
+        model = train_judge(data, data, JudgeConfig(dim=2**10, epochs=2, seed=0))
+        seen = []
+        logits = JudgeModel.logits
+
+        def counted(self, sentence, **kwargs):
+            seen.append(sentence)
+            return logits(self, sentence, **kwargs)
+
+        monkeypatch.setattr(JudgeModel, "logits", counted)
+        sentences = [inst.sentence for inst in data]
+        model.scores(sentences)
+        assert seen == sentences
+        seen.clear()
+        evaluate_judge(model, data)
+        assert seen == sentences
 
     def test_equality_and_hash_are_by_identity(self):
         a = JudgeModel(weights=np.zeros(8), bias0=0.0, bias1=0.0, dim=8)

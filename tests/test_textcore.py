@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geckit.errors import FormatError, InvalidEditSet
 from geckit.textcore import (
@@ -9,8 +11,10 @@ from geckit.textcore import (
     apply_edits,
     emit_cola_tsv,
     emit_m2,
+    emit_sentences,
     parse_cola_tsv,
     parse_m2,
+    parse_sentences,
     replace_file,
     write_json,
     write_text,
@@ -287,6 +291,32 @@ class TestColaTsv:
     def test_bad_origin_rejected(self):
         with pytest.raises(InvalidEditSet):
             ColaInstance(Sentence(("a",)), 1, origin="scraped")
+
+
+# Tokens of any characters but whitespace, which separates them.
+_TOKENS = st.text(st.characters(), min_size=1, max_size=4).filter(lambda t: t.split() == [t])
+_SENTENCES = st.lists(_TOKENS, max_size=4).map(lambda tokens: Sentence(tuple(tokens)))
+
+
+class TestSentenceFiles:
+    def test_one_line_per_sentence(self):
+        sentences = [Sentence(("a", "b")), Sentence(()), Sentence(("日本",))]
+        assert emit_sentences(sentences) == "a b\n\n日本\n"
+        assert emit_sentences([]) == ""
+
+    def test_lenient_reader(self):
+        assert parse_sentences("") == []
+        assert parse_sentences("\n") == [Sentence(())]
+        # Any whitespace run separates tokens, and the final newline may be missing.
+        assert parse_sentences("a\t b\x85c\n d") == [Sentence(("a", "b", "c")), Sentence(("d",))]
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_SENTENCES, max_size=6))
+    @example([])
+    @example([Sentence(())])
+    @example([Sentence(()), Sentence(("a",)), Sentence(())])
+    def test_round_trip(self, sentences):
+        assert parse_sentences(emit_sentences(sentences)) == sentences
 
 
 class TestOutputFiles:
