@@ -28,6 +28,7 @@ from .textcore import (
     Edit,
     Sentence,
     apply_edits,
+    is_m2_type,
     read_text,
     write_text,
 )
@@ -214,8 +215,8 @@ class InflectionTable:
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        if not self.category:
-            raise ConfigError("inflection table with empty category")
+        if not is_m2_type(self.category):  # written to M2 as the type of the edits it labels
+            raise ConfigError(f"inflection category {self.category!r} cannot be written to M2")
         for a, b in self.pairs:
             if not a or not b or a == b:
                 raise ConfigError(f"bad inflection pair ({a!r}, {b!r})")
@@ -280,8 +281,9 @@ def load_inflections(path: str | Path) -> tuple[InflectionTable, ...]:
         if len(parts) != 3:
             raise FormatError(f"expected 3 tab-separated fields, got {len(parts)}", name=str(path), line=lineno)
         category, form1, form2 = (p.strip() for p in parts)
-        # A form is one token: empty or holding whitespace, it could never match.
-        if not category or len(form1.split()) != 1 or len(form2.split()) != 1 or form1 == form2:
+        # A form is one token: empty or holding whitespace, it could never match. The
+        # category is written to M2 as an edit type.
+        if not is_m2_type(category) or len(form1.split()) != 1 or len(form2.split()) != 1 or form1 == form2:
             raise FormatError(f"bad inflection line {line!r}", name=str(path), line=lineno)
         grouped.setdefault(category, []).append((form1, form2))
     return tuple(

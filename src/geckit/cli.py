@@ -315,7 +315,7 @@ def _run_build_cola(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_train_judge(opts: dict, load: _Load, start: _Start) -> list[str]:
-    from .judge import JudgeConfig, check_training_labels, evaluate_judge, train_judge
+    from .judge import JudgeConfig, acc, check_training_labels, evaluate_judge, train_judge
 
     config = JudgeConfig(
         dim=opts["dim"],
@@ -328,9 +328,10 @@ def _run_train_judge(opts: dict, load: _Load, start: _Start) -> list[str]:
     inputs = load()
     check_training_labels(inputs["train"])
     out = start()
-    model = train_judge(inputs["train"], inputs["dev"], config)
-    model.save(out / "judge.json")
-    data, text = _judge_report(evaluate_judge(model, inputs["dev"]))
+    model = train_judge(inputs["train"], config)
+    counts = evaluate_judge(model, inputs["dev"])
+    replace(model, dev_accuracy=acc(counts)).save(out / "judge.json")
+    data, text = _judge_report(counts)
     write_json(out / "judge_metrics.json", data)
     write_text(out / "judge_metrics.txt", text)
     return [
@@ -351,13 +352,15 @@ def _run_judge_eval(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_train_gec(opts: dict, load: _Load, start: _Start) -> list[str]:
-    from .gec import Seq2SeqModel, train_gec
+    from .gec import Seq2SeqModel, check_dynamic_judge, train_gec
 
     if bool(opts["judge"]) != (opts["loss"] == DYNAMIC):
         raise ConfigError(
             "train-gec: the dynamic loss needs option 'judge', and no other loss reads it"
         )
     inputs = load()
+    if opts["loss"] == DYNAMIC:
+        check_dynamic_judge(inputs["judge"])
     stage, config, vocab = _train_recipe(opts, inputs["train"])
     out = start()
     model = Seq2SeqModel(vocab, replace(config, seed=opts["seed"]))
@@ -432,10 +435,11 @@ def _run_error_analysis(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 def _run_ablate(opts: dict, load: _Load, start: _Start) -> list[str]:
     from .experiment import ablation_run
-    from .gec import check_beam_size, check_rerank_lam
+    from .gec import check_beam_size, check_dynamic_judge, check_rerank_lam
 
     check_rerank_lam(opts["rerank_lam"])
     inputs = load()
+    check_dynamic_judge(inputs["judge"])
     stage, config, vocab = _train_recipe(opts, inputs["train"])
     check_beam_size(opts["beam"], len(vocab))
     out = start()

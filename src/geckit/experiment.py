@@ -24,6 +24,7 @@ from .gec import (
     TrainStage,
     Vocab,
     check_beam_size,
+    check_dynamic_judge,
     check_rerank_lam,
     decode,
     train_gec,
@@ -152,8 +153,8 @@ def ablation_run(
     stage: TrainStage,
     test_pairs: Sequence[AnnotatedPair],
     judge,
-    seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    model_config: ModelConfig | None = None,
+    seeds: Sequence[int],
+    model_config: ModelConfig,
     beam_size: int = 4,
     rerank_lam: float = 0.5,
 ) -> AblationReport:
@@ -178,7 +179,7 @@ def ablation_run(
     if not test_pairs:
         raise EmptyEvaluation("empty test set")
     check_rerank_lam(rerank_lam)
-    base_config = model_config or ModelConfig()
+    check_dynamic_judge(judge)
     vocab = Vocab.from_pairs(stage.pairs)
     check_beam_size(beam_size, len(vocab))
     sources = [pair.source for pair in test_pairs]
@@ -186,7 +187,7 @@ def ablation_run(
     def group(key: tuple[int, str]) -> list[Prf]:
         """Train one model for (seed, loss); score its greedy and its reranked decode."""
         seed, loss = key
-        model = Seq2SeqModel(vocab, replace(base_config, seed=seed))
+        model = Seq2SeqModel(vocab, replace(model_config, seed=seed))
         train_gec(model, replace(stage, loss=loss), judge=judge)
         greedy = decode(model, sources)
         reranked = decode(model, sources, beam_size, judge, rerank_lam)

@@ -23,6 +23,7 @@ from .training import (
     TrainLog,
     TrainRecord,
     TrainStage,
+    check_dynamic_judge,
     train_gec,
 )
 from .vocab import (
@@ -65,6 +66,7 @@ __all__ = [
     "Vocab",
     "beam_decode",
     "check_beam_size",
+    "check_dynamic_judge",
     "check_rerank_lam",
     "clip_gradients",
     "decode",

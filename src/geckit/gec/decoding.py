@@ -24,24 +24,18 @@ class Hypothesis:
         return Sentence(self.tokens)
 
 
-def _step_limit(sources: list[Sentence]) -> int:
-    longest = max((len(s) for s in sources), default=0)
-    return 2 * longest + 8
+def _step_limit(enc: EncoderState) -> int:
+    """2 * the longest source + 8, read from the mask: empty sources are padded to width 1."""
+    return 2 * int(enc.src_mask.sum(axis=1).max(initial=0)) + 8
 
 
-def greedy_decode_batch(
-    model: Seq2SeqModel, sources: list[Sentence], *, _enc: EncoderState | None = None
-) -> list[Sentence]:
-    """Argmax decoding over a whole batch; ties take the lowest token id.
+def greedy_decode_batch(model: Seq2SeqModel, enc: EncoderState) -> list[Sentence]:
+    """Argmax decoding over a whole encoded batch; ties take the lowest token id.
 
-    _enc, when given, is model.encode(sources) under the current
-    parameters, shared with a loss computation on the same batch.
+    enc is left as it was, so a loss on the same batch can use it after.
     """
-    if not sources:
-        return []
-    limit = _step_limit(sources)
-    enc = model.encode(sources) if _enc is None else _enc
-    batch = len(sources)
+    batch = len(enc.s0)
+    limit = _step_limit(enc)
     s = enc.s0
     tokens = np.full(batch, BOS_ID, dtype=np.int64)
     done = np.zeros(batch, dtype=bool)
@@ -104,8 +98,8 @@ def beam_decode(model: Seq2SeqModel, source: Sentence, beam_size: int = 4) -> li
     are <= 0, so no extension could enter the returned list.
     """
     check_beam_size(beam_size, len(model.vocab))
-    limit = _step_limit([source])
     enc = model.encode([source])
+    limit = _step_limit(enc)
     alive_tokens: list[tuple[int, ...]] = [()]
     alive_logps = np.zeros(1)
     alive_states = enc.s0
@@ -201,7 +195,7 @@ def decode(
     if not sources:
         return []
     if judge is None and beam_size == 1:
-        return greedy_decode_batch(model, sources)
+        return greedy_decode_batch(model, model.encode(sources))
     if judge is None:
         return [beam_decode(model, src, beam_size)[0].sentence() for src in sources]
     return [

@@ -146,9 +146,9 @@ def param_shapes(v: int, config: ModelConfig) -> dict[str, tuple[int, ...]]:
 class Seq2SeqModel:
     """Sentence corrector mapping a source sentence to a corrected one."""
 
-    def __init__(self, vocab: Vocab, config: ModelConfig | None = None):
+    def __init__(self, vocab: Vocab, config: ModelConfig):
         self.vocab = vocab
-        self.config = config or ModelConfig()
+        self.config = config
         rng = np.random.default_rng(self.config.seed)
         shapes = param_shapes(len(vocab), self.config)
         self.params: dict[str, np.ndarray] = {}
@@ -266,29 +266,19 @@ class Seq2SeqModel:
 
     # --- teacher-forced loss and gradients --------------------------------
 
-    def loss_and_grads(
-        self,
-        sources: list[Sentence],
-        targets: list[Sentence],
-        sentence_scale: np.ndarray | None = None,
-        *,
-        _enc: EncoderState | None = None,
-    ):
+    def loss_and_grads(self, enc: EncoderState, targets: list[Sentence], sentence_scale: np.ndarray):
         """Per-sentence summed NLL and gradients of sum_i scale_i * nll_i.
 
-        scale defaults to 1/B, making the objective the batch mean.
-        Returns (nll (B,), grads, clamped_step_count). _enc, when given,
-        is encode(sources) under the current parameters, shared with a
-        decode of the same batch.
+        enc is encode(sources) under the current parameters.
+        Returns (nll (B,), grads, clamped_step_count).
         """
         p = self.params
-        batch = len(sources)
+        batch = len(enc.s0)
         if len(targets) != batch:
             raise ConfigError(f"{batch} sources for {len(targets)} targets")
-        scale = np.full(batch, 1.0 / batch) if sentence_scale is None else np.asarray(sentence_scale)
+        scale = np.asarray(sentence_scale)
         if scale.shape != (batch,):
             raise ConfigError(f"scale shape {scale.shape} does not match batch {batch}")
-        enc = self.encode(sources) if _enc is None else _enc
         henc, kproj, src_mask, s0 = enc.henc, enc.kproj, enc.src_mask, enc.s0
         tgt_in, tgt_out, tgt_mask = self.target_arrays(targets)
         steps = tgt_in.shape[1]

@@ -91,9 +91,17 @@ class TrainLog:
         return self.records[-1]
 
 
+def check_dynamic_judge(judge) -> None:
+    """Refuse a judge that cannot weight the dynamic loss: none, or dev accuracy outside (0, 1]."""
+    if judge is None:
+        raise ConfigError("the dynamic loss needs a judge")
+    accuracy = getattr(judge, "dev_accuracy", None)
+    if accuracy is None or not (0.0 < accuracy <= 1.0):
+        raise ConfigError(f"judge dev accuracy {accuracy!r} is unusable")
+
+
 def _dev_f05(model: Seq2SeqModel, dev_pairs) -> float:
-    sources = [pair.source for pair in dev_pairs]
-    decoded = greedy_decode_batch(model, sources)
+    decoded = greedy_decode_batch(model, model.encode([pair.source for pair in dev_pairs]))
     return evalmetrics.evaluate_hypotheses(decoded, list(dev_pairs)).f05
 
 
@@ -110,11 +118,7 @@ def train_gec(
     batches, and runs are reproducible.
     """
     if stage.loss == DYNAMIC:
-        if judge is None:
-            raise ConfigError("the dynamic loss needs a judge")
-        accuracy = getattr(judge, "dev_accuracy", None)
-        if accuracy is None or not (0.0 < accuracy <= 1.0):
-            raise ConfigError(f"judge dev accuracy {accuracy!r} is unusable")
+        check_dynamic_judge(judge)
     optimizer = make_optimizer(stage.optimizer, stage.effective_lr)
     sources = [pair.source for pair in stage.pairs]
     targets = [pair.target for pair in stage.pairs]
@@ -129,20 +133,17 @@ def train_gec(
         clamped_total = 0
         for start in range(0, n, stage.batch_size):
             batch_idx = order[start : start + stage.batch_size]
-            batch_src = [sources[i] for i in batch_idx]
             batch_tgt = [targets[i] for i in batch_idx]
-            enc = None
+            enc = model.encode([sources[i] for i in batch_idx])  # for the decode, then the loss
             if stage.loss == DYNAMIC:
-                enc = model.encode(batch_src)  # shared by the decode and the loss
-                decoded = greedy_decode_batch(model, batch_src, _enc=enc)
+                decoded = greedy_decode_batch(model, enc)
                 weights = np.array(
                     [loss_weight(judge.dev_accuracy, value) for value in judge.scores(decoded)]
                 )
             else:
                 weights = np.ones(len(batch_idx))
-            nll, grads, clamped = model.loss_and_grads(
-                batch_src, batch_tgt, sentence_scale=weights / len(batch_idx), _enc=enc
-            )
+            nll, grads, clamped = model.loss_and_grads(enc, batch_tgt, weights / len(batch_idx))
+            del enc  # freed before the next batch is encoded
             clip_gradients(grads)
             optimizer.step(model.params, grads)
             loss_sum += float(weights @ nll)

@@ -14,7 +14,7 @@ import zlib
 from array import array
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -303,8 +303,8 @@ def _is_number(value) -> bool:
 class JudgeModel:
     """Trained judge: hashed-feature weight vector plus a bias pair.
 
-    ``dev_accuracy`` is measured once on the dev split at the end of
-    training; downstream loss weighting reads it from here. Equality and
+    ``dev_accuracy`` is measured once on the dev split after training
+    (see train_judge); downstream loss weighting reads it from here. Equality and
     hashing are by identity: an ndarray field has no usable ``==``.
     """
 
@@ -463,47 +463,42 @@ def check_training_labels(train: Sequence[ColaInstance]) -> None:
         raise DegenerateCorpus(f"training labels {sorted(labels)} cover a single class")
 
 
-def train_judge(
-    train: Sequence[ColaInstance],
-    dev: Sequence[ColaInstance],
-    config: JudgeConfig | None = None,
-) -> JudgeModel:
+def train_judge(train: Sequence[ColaInstance], config: JudgeConfig) -> JudgeModel:
     """Fit the judge by minibatch SGD, deterministically under config.seed.
 
     Each epoch shuffles with a generator derived from (seed, epoch).
+    dev_accuracy stays unset: the caller measures it with evaluate_judge.
     """
-    cfg = config or JudgeConfig()
     check_training_labels(train)
-    x = featurize([inst.sentence for inst in train], cfg.dim)
+    x = featurize([inst.sentence for inst in train], config.dim)
     y = np.array([float(inst.label) for inst in train])
     cols, xc = _touched_columns(x)
     w = np.zeros(len(cols))
     b0 = b1 = 0.0
     n = len(train)
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng([cfg.seed, epoch])
+    for epoch in range(config.epochs):
+        rng = np.random.default_rng([config.seed, epoch])
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            gw, gb0, gb1 = logistic_grad(w, b0, b1, xc.take(batch), y[batch], cfg.l2)
-            w -= cfg.lr * gw
-            b0 -= cfg.lr * gb0
-            b1 -= cfg.lr * gb1
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            gw, gb0, gb1 = logistic_grad(w, b0, b1, xc.take(batch), y[batch], config.l2)
+            w -= config.lr * gw
+            b0 -= config.lr * gb0
+            b1 -= config.lr * gb1
     _map_columns(x, cols)  # x, which xc shares, holds the hash columns again
-    weights = np.zeros(cfg.dim)
+    weights = np.zeros(config.dim)
     weights[cols] = w
     # On the full vector: w @ w may group its sums differently on a shorter one.
-    loss = logistic_loss(weights, b0, b1, x, y, cfg.l2)
-    model = JudgeModel(
+    loss = logistic_loss(weights, b0, b1, x, y, config.l2)
+    return JudgeModel(
         weights=weights,
         bias0=b0,
         bias1=b1,
-        dim=cfg.dim,
-        seed=cfg.seed,
-        epochs=cfg.epochs,
+        dim=config.dim,
+        seed=config.seed,
+        epochs=config.epochs,
         train_loss=loss,
     )
-    return replace(model, dev_accuracy=acc(evaluate_judge(model, dev)))
 
 
 # --- evaluation -----------------------------------------------------------

@@ -46,6 +46,14 @@ _NONE_FIELD = "-NONE-"
 _NOOP_TYPE = "noop"
 
 
+def is_m2_type(etype) -> bool:
+    """Whether M2 can carry etype: a non-empty string, not "noop", with no "|" or line break."""
+    return (
+        isinstance(etype, str) and etype not in ("", _NOOP_TYPE)
+        and "|" not in etype and "\n" not in etype and "\r" not in etype
+    )
+
+
 def _check_tokens(tokens: tuple) -> None:
     """Raise InvalidEditSet unless every token is a non-empty string without whitespace.
 
@@ -95,7 +103,7 @@ class Edit:
 
     ``start``/``end`` index tokens of the source sentence, end exclusive.
     An insertion has ``start == end``; a deletion has an empty replacement.
-    Null edits (empty span and empty replacement) are forbidden.
+    Null edits (empty span and empty replacement) and types M2 cannot carry are forbidden.
     """
 
     start: int
@@ -113,8 +121,8 @@ class Edit:
         if self.start == self.end and not self.replacement:
             raise InvalidEditSet(f"null edit at position {self.start}")
         _check_tokens(self.replacement)
-        if not self.etype:
-            raise InvalidEditSet("empty edit type")
+        if not is_m2_type(self.etype):
+            raise InvalidEditSet(f"edit type {self.etype!r} cannot be written to M2")
 
 
 def _sorted_edits(edits: Sequence[Edit]) -> list[Edit]:

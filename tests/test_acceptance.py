@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +66,8 @@ def mix_a():
 def mix_a_judge(mix_a):
     bench, _ = mix_a
     start = time.perf_counter()
-    judge = train_judge(bench.cola.split("train"), bench.cola.split("dev"), JudgeConfig())
+    judge = train_judge(bench.cola.split("train"), JudgeConfig())
+    judge = replace(judge, dev_accuracy=acc(evaluate_judge(judge, bench.cola.split("dev"))))
     return judge, time.perf_counter() - start
 
 
@@ -199,21 +201,12 @@ def test_criterion_3_weighted_loss_identity_and_gradient():
     rng = np.random.default_rng(3)
     for _ in range(LOSS_IDENTITY_INSTANCES):
         model, sources, targets = _random_loss_instance(rng)
-        batch = len(sources)
-
-        # The default scale is the batch mean.
-        nll_none, grads_none, _ = model.loss_and_grads(sources, targets)
-        nll_mean, grads_mean, _ = model.loss_and_grads(
-            sources, targets, sentence_scale=np.full(batch, 1.0 / batch)
-        )
-        assert np.array_equal(nll_none, nll_mean)
-        assert all(np.array_equal(grads_none[name], grads_mean[name]) for name in grads_mean)
 
         # One sentence at weight w: the same NLL bits, and w x the unit-weight gradient.
-        one_src, one_tgt = sources[:1], targets[:1]
+        one_enc, one_tgt = model.encode(sources[:1]), targets[:1]
         weight = loss_weight(rng.uniform(1e-6, 1.0), rng.uniform(1e-6, 1.0))
-        nll_w, grads_w, _ = model.loss_and_grads(one_src, one_tgt, sentence_scale=np.array([weight]))
-        nll_unit, grads_unit, _ = model.loss_and_grads(one_src, one_tgt, sentence_scale=np.ones(1))
+        nll_w, grads_w, _ = model.loss_and_grads(one_enc, one_tgt, sentence_scale=np.array([weight]))
+        nll_unit, grads_unit, _ = model.loss_and_grads(one_enc, one_tgt, sentence_scale=np.ones(1))
         assert np.array_equal(nll_w, nll_unit)
         for name, unit in grads_unit.items():
             limit = GRAD_IDENTITY_TOL * max(float(np.abs(unit).max()), np.finfo(float).tiny)
@@ -233,10 +226,10 @@ def test_criterion_3_weighted_loss_identity_and_gradient():
     scale = weights / len(sources)
 
     def objective():
-        nll, _, _ = model.loss_and_grads(sources, targets_s, sentence_scale=scale)
+        nll, _, _ = model.loss_and_grads(model.encode(sources), targets_s, sentence_scale=scale)
         return float(scale @ nll)
 
-    _, grads, _ = model.loss_and_grads(sources, targets_s, sentence_scale=scale)
+    _, grads, _ = model.loss_and_grads(model.encode(sources), targets_s, sentence_scale=scale)
     flat_grad = np.concatenate([grads[name].ravel() for name in sorted(grads)])
     base = model.flat_params()
     worst = 0.0
@@ -432,7 +425,7 @@ def test_criterion_8_out_of_distribution_punct_filtering(mix_a, acceptance_note)
     model = Seq2SeqModel(Vocab.from_sentences(sources + targets), GEC_MODEL)
     train_gec(model, _gec_stage(bench_a.gec_train))
 
-    hypotheses = greedy_decode_batch(model, [pair.source for pair in bench_b.gec_test])
+    hypotheses = greedy_decode_batch(model, model.encode([pair.source for pair in bench_b.gec_test]))
     lexicons = spec_b.grammar.lexicons()
     hyp_edits = [
         extract_edits(pair.source, hyp, lexicons)

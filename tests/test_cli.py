@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line front end."""
 
 import ast
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -22,8 +24,11 @@ import geckit
 import geckit.experiment
 from geckit import cli
 from geckit.cli import _COMMANDS, _GLOBAL_OPTS, build_parser, main, resolve_options
+from geckit.colacorpus import FilterConfig, SplitConfig
 from geckit.errors import ConfigError
-from geckit.judge import MAX_ARRAY_SIZE
+from geckit.gec import ModelConfig, TrainStage, decode
+from geckit.judge import MAX_ARRAY_SIZE, JudgeConfig
+from geckit.synth import SizeConfig
 from geckit.textcore import apply_edits, parse_m2
 
 SMALL_BENCH = [
@@ -263,6 +268,30 @@ def test_help_is_unchanged(command, monkeypatch):
         main(["--help"] if command == "geckit" else [command, "--help"])
     assert excinfo.value.code == 0
     assert out.getvalue() == _HELP_SNAPSHOT[command]
+
+
+# (registry options, key, library class or function, its field or parameter)
+_LIBRARY_DEFAULTS = [
+    *((_COMMANDS["train-judge"].opts, f.name, JudgeConfig, f.name) for f in dataclasses.fields(JudgeConfig)),
+    *((_COMMANDS["synth-gen"].opts, f.name, SizeConfig, f.name) for f in dataclasses.fields(SizeConfig)),
+    *((_COMMANDS["build-cola"].opts, f.name, FilterConfig, f.name) for f in dataclasses.fields(FilterConfig)),
+    (_COMMANDS["build-cola"].opts, "dev_frac", SplitConfig, "dev"),
+    (cli._TRAIN_OPTS, "embed_dim", ModelConfig, "embed_dim"),
+    (cli._TRAIN_OPTS, "hidden_dim", ModelConfig, "hidden_dim"),
+    (cli._TRAIN_OPTS, "batch_size", TrainStage, "batch_size"),
+    (cli._TRAIN_OPTS, "optimizer", TrainStage, "optimizer"),
+    (cli._BEAM_OPTS, "rerank_lam", decode, "lam"),
+]
+
+
+@pytest.mark.parametrize(
+    "opts,key,owner,name",
+    _LIBRARY_DEFAULTS,
+    ids=[f"{key}={owner.__name__}.{name}" for _, key, owner, name in _LIBRARY_DEFAULTS],
+)
+def test_cli_default_is_the_library_default(opts, key, owner, name):
+    """The registry repeats the library's defaults, because cli imports without numpy."""
+    assert opts[key].default == inspect.signature(owner).parameters[name].default
 
 
 class TestConfigResolution:
@@ -877,6 +906,23 @@ class TestExtractEdits:
         for pair in pairs:
             assert apply_edits(pair.source, pair.canonical_edits).tokens == pair.target.tokens
 
+    @pytest.mark.parametrize("category", ["noop", "A|||B", "a|b"])
+    def test_lexicon_category_m2_cannot_carry(self, category, tmp_path, capsys):
+        """Such a category would be written as an edit type that build-cola and evaluate refuse."""
+        lexicons = tmp_path / "lex"
+        lexicons.mkdir()
+        (lexicons / "morphology.tsv").write_text(f"{category}\tis\tare\n", encoding="utf-8")
+        src, tgt = tmp_path / "src.txt", tmp_path / "tgt.txt"
+        src.write_text("he is here\n", encoding="utf-8")
+        tgt.write_text("he are here\n", encoding="utf-8")
+        code = main(
+            ["extract-edits", "--source", str(src), "--target", str(tgt),
+             "--lexicons", str(lexicons), "--out", str(tmp_path / "o")]
+        )  # fmt: skip
+        assert code == 1
+        assert "morphology.tsv: line 1: bad inflection line" in _single_error_line(capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_blank_source_line_reads_back(self, tmp_path):
         """A blank line is the empty sentence, and build-cola reads the M2 written for it."""
         src = tmp_path / "src.txt"
@@ -997,6 +1043,31 @@ class TestJudgeCommands:
         assert code == 1
         assert _single_error_line(capsys) == "error: training labels [1] cover a single class\n"
         assert not (tmp_path / "o").exists()
+
+    def test_dev_split_is_scored_once(self, bench_dir, tmp_path, monkeypatch):
+        """judge.json's dev_accuracy and judge_metrics.* come from one evaluate_judge call."""
+        import geckit.judge
+
+        calls = []
+        evaluate = geckit.judge.evaluate_judge
+
+        def counted(model, instances):
+            calls.append(len(instances))
+            return evaluate(model, instances)
+
+        monkeypatch.setattr(geckit.judge, "evaluate_judge", counted)
+        out = tmp_path / "j"
+        code = main(
+            ["train-judge", "--train", str(bench_dir / "cola_train.tsv"),
+             "--dev", str(bench_dir / "cola_dev.tsv"), "--dim", "4096", "--epochs", "2",
+             "--out", str(out)]
+        )  # fmt: skip
+        assert code == 0
+        dev_lines = (bench_dir / "cola_dev.tsv").read_text(encoding="utf-8").splitlines()
+        assert calls == [len(dev_lines)]
+        metrics = json.loads((out / "judge_metrics.json").read_text(encoding="utf-8"))
+        saved = json.loads((out / "judge.json").read_text(encoding="utf-8"))
+        assert metrics["accuracy"] == round(saved["dev_accuracy"], 4)
 
     def test_judge_eval(self, bench_dir, judge_dir, tmp_path):
         out = tmp_path / "eval"
@@ -1126,6 +1197,29 @@ class TestGecCommands:
         )  # fmt: skip
         assert code == 0
         assert (out / "corrected.txt").read_bytes() == (decoded_dir / "corrected.txt").read_bytes()
+
+
+class TestUnusableJudge:
+    """A judge whose dev accuracy cannot weight the dynamic loss is refused before --out exists."""
+
+    @pytest.mark.parametrize("accuracy", [None, 0.0, 5.0], ids=["null", "zero", "five"])
+    @pytest.mark.parametrize("command", ["train-gec", "ablate"])
+    def test_one_error_line_and_no_out(
+        self, command, accuracy, bench_dir, judge_dir, tmp_path, capsys
+    ):
+        payload = json.loads((judge_dir / "judge.json").read_text(encoding="utf-8"))
+        payload["dev_accuracy"] = accuracy
+        judge = tmp_path / "judge.json"
+        judge.write_text(json.dumps(payload), encoding="utf-8")
+        argv = [command, "--train", str(bench_dir / "gec_train.m2"), "--judge", str(judge),
+                "--epochs", "1", "--out", str(tmp_path / "o")]  # fmt: skip
+        if command == "train-gec":
+            argv += ["--loss", "dynamic"]
+        else:
+            argv += ["--test", str(bench_dir / "gec_test.m2"), "--seeds", "0"]
+        assert main(argv) == 1
+        assert _single_error_line(capsys) == f"error: judge dev accuracy {accuracy!r} is unusable\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvaluateCommands:

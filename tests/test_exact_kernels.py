@@ -33,7 +33,7 @@ from geckit.gec import (
     train_gec,
 )
 from geckit.gec import model as gec_model
-from geckit.gec.decoding import Hypothesis, _replicate, _step_limit
+from geckit.gec.decoding import Hypothesis, _replicate
 from geckit.gec.optim import Adam
 from geckit.gec.vocab import BOS_ID, EOS_ID, SPECIALS
 from geckit import judge as judge_mod
@@ -46,7 +46,9 @@ from geckit.judge import (
     _row_sums,
     _scatter,
     _touched_columns,
+    acc,
     cola_score,
+    evaluate_judge,
     featurize,
     logistic_grad,
     logistic_loss,
@@ -163,13 +165,13 @@ def reference_train(model, stage, judge, seed):
             batch_src = [sources[i] for i in batch_idx]
             batch_tgt = [targets[i] for i in batch_idx]
             if stage.loss == DYNAMIC:
-                decoded = greedy_decode_batch(model, batch_src)
+                decoded = greedy_decode_batch(model, model.encode(batch_src))
                 scores = [judge.score(hyp).value for hyp in decoded]
                 weights = np.array([loss_weight(judge.dev_accuracy, v) for v in scores])
             else:
                 weights = np.ones(len(batch_idx))
             _nll, grads, _clamped = model.loss_and_grads(
-                batch_src, batch_tgt, sentence_scale=weights / len(batch_idx)
+                model.encode(batch_src), batch_tgt, sentence_scale=weights / len(batch_idx)
             )
             clip_gradients(grads)
             optimizer.step(model.params, grads)
@@ -190,11 +192,15 @@ class TestSharedEncoding:
             assert np.array_equal(shared.params[name], unshared.params[name]), name
 
     def test_loss_with_shared_encoding_equals_fresh(self):
+        """A greedy decode leaves its encoding as the loss needs it."""
         model = random_model(11)
         rng = random.Random(11)
         sources, targets = random_sentences(rng, 5), random_sentences(rng, 5)
-        fresh = model.loss_and_grads(sources, targets)
-        shared = model.loss_and_grads(sources, targets, _enc=model.encode(sources))
+        scale = np.full(5, 1.0 / 5)
+        fresh = model.loss_and_grads(model.encode(sources), targets, scale)
+        enc = model.encode(sources)
+        greedy_decode_batch(model, enc)
+        shared = model.loss_and_grads(enc, targets, scale)
         assert np.array_equal(fresh[0], shared[0]) and fresh[2] == shared[2]
         for name in fresh[1]:
             assert np.array_equal(fresh[1][name], shared[1][name]), name
@@ -344,10 +350,10 @@ class TestCompactJudgeTraining:
         train, dev = judge_corpus(dim + batch_size, 90), judge_corpus(-dim - batch_size, 30)
         cfg = JudgeConfig(dim=dim, epochs=3, lr=8.0, l2=0.2, batch_size=batch_size, seed=batch_size)
         w, b0, b1, loss, dev_acc = reference_train_judge(train, dev, cfg)
-        model = train_judge(train, dev, cfg)
+        model = train_judge(train, cfg)
         assert np.array_equal(model.weights, w)
         assert model.bias0 == b0 and model.bias1 == b1
-        assert model.train_loss == loss and model.dev_accuracy == dev_acc
+        assert model.train_loss == loss and acc(evaluate_judge(model, dev)) == dev_acc
         if dim == 16:  # every column touched, with hash collisions
             cols, _ = _touched_columns(featurize([inst.sentence for inst in train], dim))
             assert np.array_equal(cols, np.arange(dim))
@@ -392,7 +398,7 @@ class TestCompactJudgeTraining:
 
         monkeypatch.setattr(judge_mod, "logistic_loss", recording_loss)
         train = judge_corpus(14, 40)
-        train_judge(train, judge_corpus(15, 10), JudgeConfig(dim=4096, epochs=1))
+        train_judge(train, JudgeConfig(dim=4096, epochs=1))
         assert shapes == [((4096,), (len(train), 4096))]
 
     def test_tracer_counts_keep_their_meaning(self, monkeypatch):
@@ -409,9 +415,9 @@ class TestCompactJudgeTraining:
 
         monkeypatch.setattr(judge_mod, "logistic_grad", counting_grad)
         monkeypatch.setattr(judge_mod, "featurize", counting_featurize)
-        train, dev = judge_corpus(12, 75), judge_corpus(13, 20)
+        train = judge_corpus(12, 75)
         cfg = JudgeConfig(dim=512, epochs=3, batch_size=7)
-        train_judge(train, dev, cfg)
+        train_judge(train, cfg)
         assert len(grads) == cfg.epochs * math.ceil(len(train) / cfg.batch_size)
         assert rows == [len(train)]
 
@@ -551,7 +557,7 @@ def reference_beam(model, source, beam_size):
     alive_tokens, alive_logps = [()], np.zeros(1)
     alive_states, alive_last = enc.s0, np.full(1, BOS_ID, dtype=np.int64)
     finished, steps = [], 0
-    for _ in range(_step_limit([source])):
+    for _ in range(2 * len(source) + 8):
         k = len(alive_tokens)
         logp, states = model.decode_step(_replicate(enc, k), alive_states, alive_last)
         steps += 1

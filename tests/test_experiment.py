@@ -192,7 +192,7 @@ class TestAblation:
                             for src in sources
                         ]
                     else:
-                        decoded = greedy_decode_batch(model, sources)
+                        decoded = greedy_decode_batch(model, model.encode(sources))
                     r = evaluate_hypotheses(decoded, test)
                     expected.append(Prf(r.precision, r.recall, r.f05))
                 name = f"{loss}+rerank" if rerank else loss

@@ -32,6 +32,11 @@ def toy_model(seed=0):
     return model, corpus
 
 
+def mean_loss(model, sources, targets):
+    """loss_and_grads of the batch mean, on a fresh encoding of sources."""
+    return model.loss_and_grads(model.encode(sources), targets, np.full(len(sources), 1.0 / len(sources)))
+
+
 class TestVocab:
     def test_reserved_ids(self):
         vocab = Vocab.from_sentences([sent("b a")])
@@ -72,14 +77,14 @@ class TestCeLoss:
 
     def test_frozen_example(self):
         model = bias_only_model(np.log([0.1, 0.1, 0.25, 0.05, 0.5]))
-        nll, _, clamped = model.loss_and_grads([sent("a")], [sent("a")])
+        nll, _, clamped = mean_loss(model, [sent("a")], [sent("a")])
         # -log p(a) - log p(eos) = -log 0.5 - log 0.25
         assert nll[0] == pytest.approx(2.079442, abs=5e-7)
         assert clamped == 0
 
     def test_perfect_prediction_is_zero(self):
         model = bias_only_model([0.0, 0.0, 1000.0, 0.0, 0.0])
-        nll, grads, _ = model.loss_and_grads([sent("a")], [Sentence(())])
+        nll, grads, _ = mean_loss(model, [sent("a")], [Sentence(())])
         assert nll[0] == 0.0
         assert all(np.all(g == 0) for g in grads.values())
 
@@ -87,7 +92,7 @@ class TestCeLoss:
         model = bias_only_model(np.zeros(5))
         v = len(model.vocab)
         targets = [Sentence(()), sent("a"), sent("a a a a")]
-        nll, _, _ = model.loss_and_grads([sent("a")] * 3, targets)
+        nll, _, _ = mean_loss(model, [sent("a")] * 3, targets)
         for i, target in enumerate(targets):
             assert nll[i] == pytest.approx((len(target) + 1) * math.log(v), rel=1e-12)
 
@@ -95,15 +100,15 @@ class TestCeLoss:
         model, _ = toy_model(seed=6)
         sources = [sent("a b c d"), sent("e"), Sentence(())]
         targets = [sent("f"), sent("a b c e f"), sent("d d")]
-        batch, _, _ = model.loss_and_grads(sources, targets)
+        batch, _, _ = mean_loss(model, sources, targets)
         for i in range(len(sources)):
-            alone, _, _ = model.loss_and_grads(sources[i : i + 1], targets[i : i + 1])
+            alone, _, _ = mean_loss(model, sources[i : i + 1], targets[i : i + 1])
             assert batch[i] == pytest.approx(alone[0], rel=1e-12, abs=0)
 
     def test_clamp_counts_and_flat_gradient(self):
         # Both gold steps (a, then eos) sit far below log(PROB_FLOOR).
         model = bias_only_model([0.0, 0.0, -100.0, 0.0, -100.0])
-        nll, grads, clamped = model.loss_and_grads([sent("a")], [sent("a")])
+        nll, grads, clamped = mean_loss(model, [sent("a")], [sent("a")])
         assert clamped == 2
         assert nll[0] == pytest.approx(-2 * math.log(PROB_FLOOR))
         assert all(np.all(g == 0) for g in grads.values())
@@ -118,10 +123,10 @@ class TestCeLoss:
         scale = np.ones(len(sources))
 
         def objective():
-            nll, _, _ = model.loss_and_grads(sources, targets, sentence_scale=scale)
+            nll, _, _ = model.loss_and_grads(model.encode(sources), targets, sentence_scale=scale)
             return float(scale @ nll)
 
-        _, grads, clamped = model.loss_and_grads(sources, targets, sentence_scale=scale)
+        _, grads, clamped = model.loss_and_grads(model.encode(sources), targets, sentence_scale=scale)
         assert clamped == 0
         out_b = model.params["out_b"].copy()
         h = 1e-7
@@ -138,9 +143,9 @@ class TestCeLoss:
     def test_rejects_invalid_rows(self):
         model, corpus = toy_model()
         with pytest.raises(ConfigError):
-            model.loss_and_grads(corpus, corpus[:-1])
+            mean_loss(model, corpus, corpus[:-1])
         with pytest.raises(ConfigError):
-            model.loss_and_grads(corpus, corpus, sentence_scale=np.ones(len(corpus) + 1))
+            model.loss_and_grads(model.encode(corpus), corpus, sentence_scale=np.ones(len(corpus) + 1))
 
 
 class TestLossWeight:
@@ -169,8 +174,8 @@ class TestDynamicLoss:
     def test_frozen_example(self):
         model = bias_only_model(np.log([0.1, 0.1, 0.25, 0.05, 0.5]))
         weight = loss_weight(0.85, 0.5)
-        nll, grads, clamped = model.loss_and_grads([sent("a")], [sent("a")], np.array([weight]))
-        _, unit, _ = model.loss_and_grads([sent("a")], [sent("a")], np.ones(1))
+        nll, grads, clamped = model.loss_and_grads(model.encode([sent("a")]), [sent("a")], np.array([weight]))
+        _, unit, _ = model.loss_and_grads(model.encode([sent("a")]), [sent("a")], np.ones(1))
         assert weight * nll[0] == pytest.approx(1.355630, abs=5e-7)
         assert clamped == 0
         for name in grads:
@@ -180,8 +185,8 @@ class TestDynamicLoss:
         model, corpus = toy_model(seed=8)
         ones = np.ones(len(corpus))
         weights = np.array([loss_weight(1.0, 1.0)] * len(corpus))
-        nll_w, grads_w, _ = model.loss_and_grads(corpus, corpus, weights)
-        nll, grads, _ = model.loss_and_grads(corpus, corpus, ones)
+        nll_w, grads_w, _ = model.loss_and_grads(model.encode(corpus), corpus, weights)
+        nll, grads, _ = model.loss_and_grads(model.encode(corpus), corpus, ones)
         assert np.array_equal(nll_w, nll)
         assert all(np.array_equal(grads_w[name], grads[name]) for name in grads)
 
@@ -192,8 +197,8 @@ class TestDynamicLoss:
             i = int(rng.integers(len(corpus)))
             src, tgt = [corpus[i]], [corpus[int(rng.integers(len(corpus)))]]
             weight = loss_weight(float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.01, 0.99)))
-            nll_w, grads_w, _ = model.loss_and_grads(src, tgt, np.array([weight]))
-            nll, grads, _ = model.loss_and_grads(src, tgt, np.ones(1))
+            nll_w, grads_w, _ = model.loss_and_grads(model.encode(src), tgt, np.array([weight]))
+            nll, grads, _ = model.loss_and_grads(model.encode(src), tgt, np.ones(1))
             assert np.array_equal(nll_w, nll)
             for name in grads:
                 limit = 1e-12 * max(1.0, float(np.abs(grads[name]).max()))
@@ -218,8 +223,8 @@ class TestModelBasics:
 
     def test_loss_reproducible(self):
         model, corpus = toy_model()
-        nll1, _, _ = model.loss_and_grads(corpus, corpus)
-        nll2, _, _ = model.loss_and_grads(corpus, corpus)
+        nll1, _, _ = mean_loss(model, corpus, corpus)
+        nll2, _, _ = mean_loss(model, corpus, corpus)
         assert np.array_equal(nll1, nll2)
 
     def test_save_load_round_trip(self, tmp_path):
@@ -228,8 +233,8 @@ class TestModelBasics:
         loaded = Seq2SeqModel.load(tmp_path / "model")
         assert np.array_equal(loaded.flat_params(), model.flat_params())
         assert loaded.vocab.tokens == model.vocab.tokens
-        nll_a, _, _ = model.loss_and_grads(corpus, corpus)
-        nll_b, _, _ = loaded.loss_and_grads(corpus, corpus)
+        nll_a, _, _ = mean_loss(model, corpus, corpus)
+        nll_b, _, _ = mean_loss(loaded, corpus, corpus)
         assert np.array_equal(nll_a, nll_b)
 
 
@@ -262,10 +267,10 @@ class TestModelGradients:
         scale = weights / len(sources)
 
         def objective():
-            nll, _, _ = model.loss_and_grads(sources, targets, sentence_scale=scale)
+            nll, _, _ = model.loss_and_grads(model.encode(sources), targets, sentence_scale=scale)
             return float(scale @ nll)
 
-        nll, grads, clamped = model.loss_and_grads(sources, targets, sentence_scale=scale)
+        nll, grads, clamped = model.loss_and_grads(model.encode(sources), targets, sentence_scale=scale)
         assert clamped == 0
         flat_grad = np.concatenate([grads[name].ravel() for name in sorted(grads)])
         base = model.flat_params()
@@ -287,14 +292,14 @@ class TestModelGradients:
 
     def test_per_sentence_nll_non_negative(self):
         model, corpus = toy_model(seed=2)
-        nll, _, _ = model.loss_and_grads(corpus, corpus)
+        nll, _, _ = mean_loss(model, corpus, corpus)
         assert np.all(nll >= 0)
 
     def test_scale_zero_sentence_contributes_no_gradient(self):
         model, _ = toy_model(seed=5)
         sources = [sent("a b"), sent("c d")]
         targets = [sent("a b"), sent("c d")]
-        _, grads_full, _ = model.loss_and_grads(sources, targets, np.array([0.5, 0.0]))
-        _, grads_solo, _ = model.loss_and_grads(sources[:1], targets[:1], np.array([0.5]))
+        _, grads_full, _ = model.loss_and_grads(model.encode(sources), targets, np.array([0.5, 0.0]))
+        _, grads_solo, _ = model.loss_and_grads(model.encode(sources[:1]), targets[:1], np.array([0.5]))
         for name in grads_full:
             assert np.allclose(grads_full[name], grads_solo[name], atol=1e-12)

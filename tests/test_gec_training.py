@@ -12,6 +12,7 @@ from geckit.errors import ConfigError
 from geckit.gec import (
     DYNAMIC,
     DYNAMIC_LR_MULTIPLIER,
+    EOS_ID,
     Hypothesis,
     ModelConfig,
     Seq2SeqModel,
@@ -102,14 +103,14 @@ class TestGreedyAndBeam:
     def test_copy_task_exact_match(self, copy_model):
         model, _ = copy_model
         dev = copy_pairs(100, 2)
-        decoded = greedy_decode_batch(model, [p.source for p in dev])
+        decoded = greedy_decode_batch(model, model.encode([p.source for p in dev]))
         exact = sum(d.tokens == p.target.tokens for d, p in zip(decoded, dev)) / len(dev)
         assert exact >= 0.99
 
     def test_beam_one_equals_greedy(self, copy_model):
         model, _ = copy_model
         for pair in copy_pairs(25, 3):
-            greedy = greedy_decode_batch(model, [pair.source])[0]
+            greedy = greedy_decode_batch(model, model.encode([pair.source]))[0]
             beam = beam_decode(model, pair.source, beam_size=1)
             assert len(beam) == 1
             assert beam[0].tokens == greedy.tokens
@@ -153,11 +154,25 @@ class TestGreedyAndBeam:
     def test_greedy_respects_max_len(self):
         source = sent("a b c d e f")
         model, limit = self.untrained(source)
-        assert len(greedy_decode_batch(model, [source])[0]) <= limit
+        assert len(greedy_decode_batch(model, model.encode([source]))[0]) <= limit
+
+    @pytest.mark.parametrize("text", ["a b c d e f", ""])
+    def test_greedy_runs_to_the_step_limit(self, text, monkeypatch):
+        """Without EOS a batch decodes 2 * its longest source + 8 steps, an empty source included."""
+        source = sent(text)
+        model, limit = self.untrained(source)
+        model.params["out_b"][EOS_ID] = -1e3
+        steps = []
+        decode_step = Seq2SeqModel.decode_step
+        monkeypatch.setattr(
+            Seq2SeqModel, "decode_step", lambda self, *args: steps.append(1) or decode_step(self, *args)
+        )
+        greedy_decode_batch(model, model.encode([source, Sentence(())]))
+        assert len(steps) == limit
 
     def test_empty_source_decodes(self, copy_model):
         model, _ = copy_model
-        decoded = greedy_decode_batch(model, [Sentence(())])[0]
+        decoded = greedy_decode_batch(model, model.encode([Sentence(())]))[0]
         assert isinstance(decoded, Sentence)
 
     def test_bad_args(self, copy_model):
@@ -225,7 +240,7 @@ class TestDecode:
     def table_judge(self, copy_model, sources):
         # Mark every greedy output unacceptable so reranking has work to do.
         model, _ = copy_model
-        return TableJudge({d.text: 50.0 for d in greedy_decode_batch(model, sources)})
+        return TableJudge({d.text: 50.0 for d in greedy_decode_batch(model, model.encode(sources))})
 
     @pytest.mark.parametrize("beam_size", [1, 4])
     @pytest.mark.parametrize("with_judge", [False, True])
@@ -238,7 +253,7 @@ class TestDecode:
                 for src in sources
             ]
         elif beam_size == 1:
-            expected = greedy_decode_batch(model, sources)
+            expected = greedy_decode_batch(model, model.encode(sources))
         else:
             expected = [beam_decode(model, src, beam_size)[0].sentence() for src in sources]
         lam = self.LAM if with_judge else 0.5  # without a judge only the default is accepted

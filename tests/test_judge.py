@@ -35,6 +35,12 @@ def sent(text):
     return Sentence(tuple(text.split()))
 
 
+def trained(train, dev, config):
+    """train_judge, then dev_accuracy measured on dev, as train-judge sets it."""
+    model = train_judge(train, config)
+    return dataclasses.replace(model, dev_accuracy=acc(evaluate_judge(model, dev)))
+
+
 def make_corpus(n, seed):
     """Separable toy data: label 0 sentences carry a 'zq' marker token."""
     rng = random.Random(seed)
@@ -148,13 +154,13 @@ class TestTrainJudge:
     def test_single_label_rejected(self):
         only_ones = [ColaInstance(sent(f"fine sentence {i}"), 1) for i in range(4)]
         with pytest.raises(DegenerateCorpus):
-            train_judge(only_ones, only_ones)
+            train_judge(only_ones, JudgeConfig())
 
     def test_learns_separable_data(self):
         train = make_corpus(200, seed=2)
         dev = make_corpus(60, seed=3)
         cfg = JudgeConfig(dim=2**12, epochs=30, batch_size=32, seed=5)
-        model = train_judge(train, dev, cfg)
+        model = trained(train, dev, cfg)
         assert model.dev_accuracy >= 0.95
         counts = evaluate_judge(model, dev)
         assert acc(counts) == model.dev_accuracy
@@ -163,8 +169,8 @@ class TestTrainJudge:
         train = make_corpus(60, seed=6)
         dev = make_corpus(20, seed=7)
         cfg = JudgeConfig(dim=2**10, epochs=4, batch_size=16, seed=9)
-        a = train_judge(train, dev, cfg)
-        b = train_judge(train, dev, cfg)
+        a = trained(train, dev, cfg)
+        b = trained(train, dev, cfg)
         assert np.array_equal(a.weights, b.weights)
         assert (a.bias0, a.bias1) == (b.bias0, b.bias1)
         assert a.dev_accuracy == b.dev_accuracy
@@ -175,7 +181,7 @@ class TestTrainJudge:
 
         train = make_corpus(60, seed=6)
         dev = make_corpus(20, seed=7)
-        model = train_judge(train, dev, JudgeConfig(dim=2**10, epochs=4, batch_size=16, seed=9))
+        model = trained(train, dev, JudgeConfig(dim=2**10, epochs=4, batch_size=16, seed=9))
         calls = []
         hashed = judge_module._hashed_ngrams
         monkeypatch.setattr(
@@ -187,7 +193,7 @@ class TestTrainJudge:
     def test_score_orientation(self):
         train = make_corpus(200, seed=8)
         dev = make_corpus(40, seed=9)
-        model = train_judge(train, dev, JudgeConfig(dim=2**12, epochs=8, seed=1))
+        model = train_judge(train, JudgeConfig(dim=2**12, epochs=8, seed=1))
         bad = [i for i in dev if i.label == 0][0]
         good = [i for i in dev if i.label == 1][0]
         bad_score, good_score = model.scores([bad.sentence, good.sentence])
@@ -195,7 +201,7 @@ class TestTrainJudge:
 
     def test_empty_sentence_scores(self):
         train = make_corpus(40, seed=10)
-        model = train_judge(train, train, JudgeConfig(dim=2**10, epochs=2, seed=0))
+        model = train_judge(train, JudgeConfig(dim=2**10, epochs=2, seed=0))
         lg = model.logits(Sentence(()))
         assert math.isfinite(lg.logit0) and math.isfinite(lg.logit1)
 
@@ -203,7 +209,7 @@ class TestTrainJudge:
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         train = make_corpus(60, seed=11)
-        model = train_judge(train, train, JudgeConfig(dim=2**10, epochs=3, seed=2))
+        model = trained(train, train, JudgeConfig(dim=2**10, epochs=3, seed=2))
         path = tmp_path / "judge.json"
         model.save(path)
         loaded = JudgeModel.load(path)
@@ -240,7 +246,7 @@ class TestModelValue:
 
     def test_scoring_changes_nothing(self):
         train = make_corpus(40, seed=12)
-        model = train_judge(train, train, JudgeConfig(dim=2**10, epochs=2, seed=0))
+        model = trained(train, train, JudgeConfig(dim=2**10, epochs=2, seed=0))
         before = dict(model.__dict__)
         weights = model.weights.copy()
         assert set(before) == {field.name for field in dataclasses.fields(JudgeModel)}
@@ -254,7 +260,7 @@ class TestModelValue:
         """scores and evaluate_judge go through logits once per text, repeats included."""
         data = make_corpus(30, seed=13)
         data += data[:7]
-        model = train_judge(data, data, JudgeConfig(dim=2**10, epochs=2, seed=0))
+        model = train_judge(data, JudgeConfig(dim=2**10, epochs=2, seed=0))
         seen = []
         logits = JudgeModel.logits
 

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from geckit.textcore import (
     parse_cola_tsv,
     parse_m2,
     parse_sentences,
+    read_text,
     replace_file,
     write_json,
     write_text,
@@ -57,6 +61,11 @@ class TestEdit:
     def test_end_before_start_forbidden(self):
         with pytest.raises(InvalidEditSet):
             Edit(3, 2, ("x",))
+
+    @pytest.mark.parametrize("etype", ["", "noop", "A|||B", "a|", "|b", "x\ny", "x\rz", None])
+    def test_type_m2_cannot_carry_is_refused(self, etype):
+        with pytest.raises(InvalidEditSet):
+            Edit(0, 1, ("are",), etype)
 
     def test_insertion_and_deletion_are_fine(self):
         Edit(2, 2, ("x",))
@@ -174,6 +183,23 @@ class TestM2:
     def test_parse_of_emit_is_identity(self):
         pairs = parse_m2(GOLDEN_M2)
         assert parse_m2(emit_m2(pairs)) == pairs
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.text(alphabet="ab |\n\ro", max_size=6))
+    @example("noop")
+    @example("A|||B")
+    @example(" a b ")
+    def test_every_edit_type_reads_back(self, etype):
+        """A type that Edit accepts is written to an M2 file and read back from it."""
+        try:
+            edit = Edit(1, 2, ("are",), etype)
+        except InvalidEditSet:
+            return
+        pair = AnnotatedPair.from_edits(Sentence(("he", "is", "here")), [edit])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edits.m2"
+            write_text(path, emit_m2([pair]))
+            assert parse_m2(read_text(path)) == [pair]
 
     def test_s_only_block_has_no_annotators(self):
         text = "S a b\n\nS c d\nA 0 1|||OTHER|||x|||REQUIRED|||-NONE-|||0\n"
