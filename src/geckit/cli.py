@@ -31,10 +31,9 @@ large to allocate), 2 I/O failure, 130 interrupted (Ctrl-C).
 
 from __future__ import annotations
 
-# Only modules that load without numpy are imported here, so --help, an
-# option refused while resolving and the scoring subcommands start without
-# it. judge, gec and experiment are imported by the runners and readers
-# that use them.
+# Only the modules that every subcommand needs are imported here, so --help
+# and an option refused while resolving load neither numpy nor the stages.
+# Each runner and reader imports the stage modules it uses.
 import argparse
 import json
 import math
@@ -45,28 +44,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
-from .align import extract_edits, load_lexicons
-from .colacorpus import (
-    FilterConfig,
-    SplitConfig,
-    build_cola_from_gec,
-    corpus_stats,
-    merge_corpora,
-)
 from .errors import ConfigError, FormatError, GeckitError
-from .evalmetrics import (
-    DROP_EDITS,
-    FILTER_MODES,
-    MetricsReport,
-    evaluate_corpus,
-    evaluate_hypotheses,
-    filter_eval,
-    prf_table,
-)
 from .losses import DYNAMIC, LOSS_KINDS, PLAIN_CE
-from .synth import PRESETS, SizeConfig, make_benchmark, make_preset, write_benchmark
 from .textcore import (
     CORE_ERROR_TYPES,
+    DROP_EDITS,
+    FILTER_MODES,
+    MIX_A,
+    PRESETS,
     AnnotatedPair,
     emit_cola_tsv,
     emit_m2,
@@ -161,6 +146,12 @@ def _read_records(path: str, parse: Callable, what: str) -> list:
     return records
 
 
+def _read_lexicons(path: str):
+    from .align import load_lexicons
+
+    return load_lexicons(path)
+
+
 def _read_judge(path: str):
     from .judge import JudgeModel
 
@@ -180,7 +171,7 @@ _READERS: dict[str, Callable[[str], object]] = {
     "sentences": lambda path: parse_sentences(read_text(path)),
     "judge": _read_judge,
     "model": _read_model,
-    "lexicons": load_lexicons,
+    "lexicons": _read_lexicons,
 }
 
 
@@ -265,6 +256,8 @@ _Start = Callable[[], Path]
 
 
 def _run_synth_gen(opts: dict, load: _Load, start: _Start) -> list[str]:
+    from .synth import SizeConfig, make_benchmark, make_preset, write_benchmark
+
     spec = make_preset(opts["preset"])
     sizes = SizeConfig(
         gec_train=opts["gec_train"],
@@ -279,6 +272,8 @@ def _run_synth_gen(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_extract_edits(opts: dict, load: _Load, start: _Start) -> list[str]:
+    from .align import extract_edits
+
     inputs = load()
     _check_one_for_one(opts, inputs, "source", "target")
     out = start()
@@ -292,6 +287,8 @@ def _run_extract_edits(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_build_cola(opts: dict, load: _Load, start: _Start) -> list[str]:
+    from .colacorpus import FilterConfig, SplitConfig, build_cola_from_gec, corpus_stats, merge_corpora
+
     filters = FilterConfig(opts["min_len"], opts["max_len"], opts["max_edits"])
     # M2 input yields only GEC-origin instances, which never enter test.
     split = SplitConfig(dev=opts["dev_frac"], test=0.0)
@@ -362,8 +359,9 @@ def _run_train_gec(opts: dict, load: _Load, start: _Start) -> list[str]:
     if opts["loss"] == DYNAMIC:
         check_dynamic_judge(inputs["judge"])
     stage, config, vocab = _train_recipe(opts, inputs["train"])
-    out = start()
+    # Built before start(), so a model too large to allocate leaves nothing behind.
     model = Seq2SeqModel(vocab, replace(config, seed=opts["seed"]))
+    out = start()
     log = train_gec(model, stage, inputs["judge"], dev_pairs=inputs["dev"])
     model.save(out / "gec_model")
     log.write(out / "train_log.jsonl")
@@ -394,6 +392,8 @@ def _run_decode(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_evaluate(opts: dict, load: _Load, start: _Start) -> list[str]:
+    from .evalmetrics import evaluate_hypotheses
+
     inputs = load()
     _check_one_for_one(opts, inputs, "hyp", "gold")
     out = start()
@@ -405,6 +405,9 @@ def _run_evaluate(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_error_analysis(opts: dict, load: _Load, start: _Start) -> list[str]:
+    from .align import extract_edits
+    from .evalmetrics import evaluate_corpus, filter_eval, prf_table
+
     for etype in opts["types"]:
         if etype not in CORE_ERROR_TYPES:
             raise ConfigError(
@@ -416,7 +419,7 @@ def _run_error_analysis(opts: dict, load: _Load, start: _Start) -> list[str]:
     out = start()
     hyps, pairs, lexicons = inputs["hyp"], inputs["gold"], inputs["lexicons"]
     hyp_edits = [extract_edits(pair.source, hyp, lexicons) for hyp, pair in zip(hyps, pairs)]
-    sections: dict[str, MetricsReport] = {"unfiltered": evaluate_corpus(hyp_edits, pairs)}
+    sections = {"unfiltered": evaluate_corpus(hyp_edits, pairs)}
     for etype in opts["types"]:
         sections[f"no_{etype}"] = filter_eval(
             hyp_edits, pairs, {etype}, mode=opts["filter_mode"]
@@ -479,7 +482,7 @@ _COMMANDS: dict[str, _Command] = {
     "synth-gen": _Command(
         "generate a synthetic benchmark from a grammar preset",
         {
-            "preset": _Opt("str", "mix_a", "grammar preset", choices=PRESETS),
+            "preset": _Opt("str", MIX_A, "grammar preset", choices=PRESETS),
             "gec_train": _Opt("int", 2000, "correction training pairs"),
             "gec_dev": _Opt("int", 300, "correction dev pairs"),
             "gec_test": _Opt("int", 500, "correction test pairs"),

@@ -73,9 +73,7 @@ class Corpus:
         return getattr(self, name)
 
 
-def build_cola_from_gec(
-    pairs: Iterable[AnnotatedPair], filters: FilterConfig | None = None
-) -> list[ColaInstance]:
+def build_cola_from_gec(pairs: Iterable[AnnotatedPair], filters: FilterConfig) -> list[ColaInstance]:
     """Mine labeled instances from correction pairs.
 
     Each pair that passes the gates and carries at least one canonical gold
@@ -83,15 +81,14 @@ def build_cola_from_gec(
     reference equals the source teach nothing about the boundary and are
     dropped entirely.
     """
-    flt = filters or FilterConfig()
     instances: list[ColaInstance] = []
     for pair in pairs:
         edits = pair.canonical_edits
         if not edits:
             continue
-        if not (flt.min_len <= len(pair.source) <= flt.max_len):
+        if not (filters.min_len <= len(pair.source) <= filters.max_len):
             continue
-        if len(edits) > flt.max_edits:
+        if len(edits) > filters.max_edits:
             continue
         instances.append(ColaInstance(pair.source, 0, ORIGIN_GEC_SOURCE))
         instances.append(ColaInstance(pair.target, 1, ORIGIN_GEC_TARGET))
@@ -136,7 +133,7 @@ def _balance(instances: list[ColaInstance], rng: random.Random) -> list[ColaInst
 
 def merge_corpora(
     parts: Mapping[str, Sequence[ColaInstance]],
-    split: SplitConfig | None = None,
+    split: SplitConfig,
     seed: int = 0,
     dedupe: bool = True,
     balance: bool = False,
@@ -146,7 +143,6 @@ def merge_corpora(
     GEC-origin instances are confined to train/dev; the test split draws
     only from linguistics and synthetic material.
     """
-    cfg = split or SplitConfig()
     merged: list[ColaInstance] = []
     for name in parts:
         merged.extend(parts[name])
@@ -161,11 +157,11 @@ def merge_corpora(
     rng.shuffle(eligible)
     rng.shuffle(confined)
     total = len(merged)
-    n_test = min(round(cfg.test * total), len(eligible))
+    n_test = min(round(split.test * total), len(eligible))
     test = eligible[:n_test]
     rest = eligible[n_test:] + confined
     rng.shuffle(rest)
-    n_dev = min(round(cfg.dev * total), len(rest))
+    n_dev = min(round(split.dev * total), len(rest))
     dev = rest[:n_dev]
     train = rest[n_dev:]
     meta = {

@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 
 from .align import LexiconSet, extract_edits
 from .errors import ConfigError, EmptyEvaluation
-from .textcore import AnnotatedPair, Edit, Sentence
-
-DROP_SENTENCES = "drop_sentences"
-DROP_EDITS = "drop_edits"
-FILTER_MODES = (DROP_SENTENCES, DROP_EDITS)
+from .textcore import DROP_EDITS, DROP_SENTENCES, FILTER_MODES, AnnotatedPair, Edit, Sentence
 
 
 @dataclass(frozen=True, slots=True)

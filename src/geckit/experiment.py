@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from .errors import ConfigError, EmptyEvaluation, GeckitError
 from .evalmetrics import Prf, evaluate_hypotheses, prf_table
 from .gec import (
+    DYNAMIC,
     LOSS_KINDS,
     ModelConfig,
     Seq2SeqModel,
@@ -172,7 +173,10 @@ def ablation_run(
 
     The (seed, loss) groups are independent and fully seeded, so each
     runs in its own forked child, as many at once as there are usable
-    CPUs, and their scores are put back in seed-major order.
+    CPUs, and their scores are put back in seed-major order. The
+    dynamic groups, which also decode and score every batch, take
+    longest and start first, so that the run does not end on one of
+    them alone.
     """
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be non-empty and unique")
@@ -198,10 +202,12 @@ def ablation_run(
         return rows
 
     keys = [(seed, loss) for seed in seeds for loss in LOSS_KINDS]
-    results = _run_groups(group, keys, len(os.sched_getaffinity(0)))
+    order = sorted(keys, key=lambda key: key[1] != DYNAMIC)
+    results = dict(zip(order, _run_groups(group, order, len(os.sched_getaffinity(0)))))
     names = (*LOSS_KINDS, *(f"{loss}+rerank" for loss in LOSS_KINDS))
     scores: dict[str, list[Prf]] = {name: [] for name in names}
-    for (_seed, loss), (greedy, reranked) in zip(keys, results):
+    for seed, loss in keys:
+        greedy, reranked = results[seed, loss]
         scores[loss].append(greedy)
         scores[f"{loss}+rerank"].append(reranked)
     per_seed = {name: tuple(values) for name, values in scores.items()}

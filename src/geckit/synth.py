@@ -18,14 +18,20 @@ from itertools import accumulate, product
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from numpy.random import default_rng
+
 from .align import InflectionTable, LexiconSet, save_lexicons
 from .colacorpus import Corpus, SplitConfig, corpus_stats, merge_corpora
 from .errors import ConfigError, InvalidEditSet
 from .textcore import (
+    CHAR_MIX,
     DET,
+    MIX_A,
+    MIX_B,
     ORIGIN_SYNTHETIC,
     OTHER,
     PREP,
+    PRESETS,
     PUNCT,
     SPELL,
     SVA,
@@ -265,13 +271,6 @@ def _validate_distribution(name: str, weights: Mapping, known: tuple) -> None:
         raise ConfigError(f"{name} sums to {total!r}, expected 1")
 
 
-def _rng(seed: int | Sequence[int]):
-    """numpy's default generator for seed; numpy loads at the first draw, not at import."""
-    from numpy.random import default_rng
-
-    return default_rng(seed)
-
-
 def _cdf(weights) -> list[float]:
     """The cumulative weights over their total.
 
@@ -363,7 +362,7 @@ def inject(
     ``seed`` may be an int or a sequence of ints.
     """
     grammar = spec.grammar
-    rng = _rng(seed)
+    rng = default_rng(seed)
     kinds = tuple(spec.kind_weights)
     kind_cdf = _cdf(spec.kind_weights.values())
     counts = tuple(spec.count_weights)
@@ -486,7 +485,7 @@ def _unique_pool(grammar: SynthGrammar, need: int, seed: int) -> list[Sentence]:
     for i in range(cap):
         if len(pool) >= need:
             break
-        sentence = _sample_sentence(grammar, _rng([seed, 0, i]))
+        sentence = _sample_sentence(grammar, default_rng([seed, 0, i]))
         if sentence.text not in seen:
             seen.add(sentence.text)
             pool.append(sentence)
@@ -498,9 +497,7 @@ def _unique_pool(grammar: SynthGrammar, need: int, seed: int) -> list[Sentence]:
     return pool
 
 
-def make_benchmark(
-    spec: ErrorInjectionSpec, sizes: SizeConfig | None = None, seed: int = 0
-) -> Benchmark:
+def make_benchmark(spec: ErrorInjectionSpec, sizes: SizeConfig, seed: int = 0) -> Benchmark:
     """Build disjoint GEC splits and a balanced acceptability corpus from
     spec.grammar's sentences, corrupted as spec says.
 
@@ -510,7 +507,6 @@ def make_benchmark(
     acceptable (original) instance; skipped injections contribute
     nothing, which keeps the label balance exact before deduplication.
     """
-    sizes = sizes or SizeConfig()
     gec_total = sizes.gec_train + sizes.gec_dev + sizes.gec_test
     pool = _unique_pool(spec.grammar, gec_total + sizes.cola_pairs, seed)
 
@@ -609,11 +605,6 @@ def write_benchmark(benchmark: Benchmark, out_dir: str | Path) -> dict[str, str]
 
 
 # --- presets ---------------------------------------------------------------
-
-MIX_A = "mix_a"
-MIX_B = "mix_b"
-CHAR_MIX = "char_mix"
-PRESETS = (MIX_A, MIX_B, CHAR_MIX)
 
 _WORD_NOUNS = (
     ("dog", "dogs"),

@@ -42,6 +42,17 @@ ORIGIN_GEC_TARGET = "gec_target"
 ORIGIN_SYNTHETIC = "synthetic"
 ORIGINS = (ORIGIN_LINGUISTICS, ORIGIN_GEC_SOURCE, ORIGIN_GEC_TARGET, ORIGIN_SYNTHETIC)
 
+# synth's benchmark presets and evalmetrics' exclusion modes. They live here,
+# below align, so that the CLI offers them as choices without loading either.
+MIX_A = "mix_a"
+MIX_B = "mix_b"
+CHAR_MIX = "char_mix"
+PRESETS = (MIX_A, MIX_B, CHAR_MIX)
+
+DROP_SENTENCES = "drop_sentences"
+DROP_EDITS = "drop_edits"
+FILTER_MODES = (DROP_SENTENCES, DROP_EDITS)
+
 _NONE_FIELD = "-NONE-"
 _NOOP_TYPE = "noop"
 

@@ -55,7 +55,7 @@ class TestFilterConfig:
 class TestBuildColaFromGec:
     def test_pair_yields_both_sides(self):
         p = pair(["She", "go", "home"], [Edit(1, 2, ("goes",))])
-        out = build_cola_from_gec([p])
+        out = build_cola_from_gec([p], FilterConfig())
         assert len(out) == 2
         source_inst, target_inst = out
         assert source_inst.label == 0
@@ -66,12 +66,12 @@ class TestBuildColaFromGec:
         assert target_inst.sentence.text == "She goes home"
 
     def test_zero_edit_pair_dropped(self):
-        assert build_cola_from_gec([noop_pair(["All", "is", "well"])]) == []
+        assert build_cola_from_gec([noop_pair(["All", "is", "well"])], FilterConfig()) == []
 
     def test_length_gate_applies_to_source(self):
         short = pair(["go", "on"], [Edit(0, 1, ("goes",))])
         long = pair(["w"] * 81, [Edit(0, 1, ("x",))])
-        assert build_cola_from_gec([short, long]) == []
+        assert build_cola_from_gec([short, long], FilterConfig()) == []
         assert len(build_cola_from_gec([short], FilterConfig(min_len=2))) == 2
 
     def test_edit_count_gate(self):
@@ -85,7 +85,7 @@ class TestBuildColaFromGec:
             pair(["He", "go", "there"], [Edit(1, 2, ("goes",))]),
             pair(["They", "goes", "there"], [Edit(1, 2, ("go",))]),
         ]
-        out = build_cola_from_gec(pairs)
+        out = build_cola_from_gec(pairs, FilterConfig())
         assert [i.sentence.text for i in out] == [
             "He go there",
             "He goes there",
@@ -98,7 +98,7 @@ class TestMergeCorpora:
     def test_dedupe_keeps_first(self):
         a = inst("the cat sat", 1)
         b = inst("the cat sat", 1, ORIGIN_GEC_TARGET)
-        corpus = merge_corpora({"one": [a], "two": [b]}, seed=1)
+        corpus = merge_corpora({"one": [a], "two": [b]}, SplitConfig(), seed=1)
         assert len(corpus) == 1
         assert corpus.meta["duplicates_removed"] == 1
         assert corpus.meta["label_conflicts"] == 0
@@ -108,7 +108,7 @@ class TestMergeCorpora:
     def test_conflict_between_gec_sides_keeps_first(self):
         a = inst("same words twice", 0, ORIGIN_GEC_SOURCE)
         b = inst("same words twice", 1, ORIGIN_GEC_TARGET)
-        corpus = merge_corpora({"p": [a, b]}, seed=1)
+        corpus = merge_corpora({"p": [a, b]}, SplitConfig(), seed=1)
         kept = (corpus.train + corpus.dev + corpus.test)[0]
         assert kept.label == 0
         assert corpus.meta["label_conflicts"] == 1
@@ -122,7 +122,7 @@ class TestMergeCorpora:
             )
             instances.append(inst(f"sentence number {i}", rng.randint(0, 1), origin))
         for seed in range(5):
-            corpus = merge_corpora({"all": instances}, seed=seed)
+            corpus = merge_corpora({"all": instances}, SplitConfig(), seed=seed)
             assert all(
                 i.origin in (ORIGIN_LINGUISTICS, ORIGIN_SYNTHETIC) for i in corpus.test
             )
@@ -143,16 +143,16 @@ class TestMergeCorpora:
 
     def test_deterministic_under_seed(self):
         instances = [inst(f"item {i}", i % 2) for i in range(50)]
-        a = merge_corpora({"x": instances}, seed=11)
-        b = merge_corpora({"x": instances}, seed=11)
+        a = merge_corpora({"x": instances}, SplitConfig(), seed=11)
+        b = merge_corpora({"x": instances}, SplitConfig(), seed=11)
         assert a == b
-        c = merge_corpora({"x": instances}, seed=12)
+        c = merge_corpora({"x": instances}, SplitConfig(), seed=12)
         assert a != c
 
     def test_balance_downsamples_majority(self):
         ones = [inst(f"pos {i}", 1) for i in range(30)]
         zeros = [inst(f"neg {i}", 0) for i in range(10)]
-        corpus = merge_corpora({"x": ones + zeros}, seed=0, balance=True)
+        corpus = merge_corpora({"x": ones + zeros}, SplitConfig(), seed=0, balance=True)
         labels = [i.label for i in corpus.train + corpus.dev + corpus.test]
         assert labels.count(0) == labels.count(1) == 10
 
@@ -176,7 +176,7 @@ class TestCorpusStats:
             )
             for i in range(120)
         ]
-        corpus = merge_corpora({"x": instances}, seed=2)
+        corpus = merge_corpora({"x": instances}, SplitConfig(), seed=2)
         stats = corpus_stats(corpus)
         total = sum(
             count
@@ -188,7 +188,7 @@ class TestCorpusStats:
         assert set(stats) == {"train", "dev", "test"}
 
     def test_schema_keys(self):
-        corpus = merge_corpora({"x": [inst("tiny corpus here", 1)]}, seed=0)
+        corpus = merge_corpora({"x": [inst("tiny corpus here", 1)]}, SplitConfig(), seed=0)
         stats = corpus_stats(corpus)
         for split in stats.values():
             for label, by_origin in split.items():

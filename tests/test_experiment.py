@@ -221,6 +221,24 @@ class TestAblation:
                     expected[name].append(Prf(r.precision, r.recall, r.f05))
         assert report.per_seed == {name: tuple(rows) for name, rows in expected.items()}
 
+    def test_dynamic_groups_start_first_and_rows_come_back_seed_major(self, toy_task, monkeypatch):
+        stage, test, config = toy_task
+        started = []
+
+        def tagged_groups(group, keys, workers):
+            """Start nothing; each group's rows name it: precision the seed, recall the row, f05 the loss."""
+            started.extend(keys)
+            return [[Prf(seed, row, float(loss == DYNAMIC)) for row in (0.0, 1.0)] for seed, loss in keys]
+
+        monkeypatch.setattr(geckit.experiment, "_run_groups", tagged_groups)
+        seeds = (3, 1, 2)
+        report = ablation_run(stage, test, FlatJudge(), seeds, config, beam_size=2)
+        assert started == [(seed, DYNAMIC) for seed in seeds] + [(seed, PLAIN_CE) for seed in seeds]
+        for loss in (PLAIN_CE, DYNAMIC):
+            tag = float(loss == DYNAMIC)
+            assert report.per_seed[loss] == tuple(Prf(seed, 0.0, tag) for seed in seeds)
+            assert report.per_seed[f"{loss}+rerank"] == tuple(Prf(seed, 1.0, tag) for seed in seeds)
+
     def test_error_in_a_group_reaches_the_caller(self, toy_task):
         class RaisingJudge(FlatJudge):
             def logits(self, sentence):
@@ -241,7 +259,7 @@ class TestAblation:
         def dying_train_gec(model, stage, judge=None, **kwargs):
             with pids.open("a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()}\n")
-            if (model.config.seed, stage.loss) == (0, PLAIN_CE):
+            if (model.config.seed, stage.loss) == (0, DYNAMIC):
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(60)
 
@@ -259,7 +277,7 @@ class TestAblation:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert str(excinfo.value) == (
-            "ablation group (seed 0, loss plain_ce) ended by signal SIGKILL without its scores"
+            "ablation group (seed 0, loss dynamic) ended by signal SIGKILL without its scores"
         )
         assert multiprocessing.active_children() == []
         for pid in map(int, pids.read_text(encoding="utf-8").split()):
