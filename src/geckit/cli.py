@@ -265,8 +265,9 @@ def _run_synth_gen(opts: dict, load: _Load, start: _Start) -> list[str]:
         gec_test=opts["gec_test"],
         cola_pairs=opts["cola_pairs"],
     )
-    out = start()
+    # Built before start(), so sizes the grammar cannot fill leave nothing behind.
     benchmark = make_benchmark(spec, sizes, seed=opts["seed"])
+    out = start()
     paths = write_benchmark(benchmark, out)
     return [f"wrote benchmark {opts['preset']!r} to {out} ({len(paths)} entries)"]
 
@@ -416,7 +417,6 @@ def _run_error_analysis(opts: dict, load: _Load, start: _Start) -> list[str]:
             )
     inputs = load()
     _check_one_for_one(opts, inputs, "hyp", "gold")
-    out = start()
     hyps, pairs, lexicons = inputs["hyp"], inputs["gold"], inputs["lexicons"]
     hyp_edits = [extract_edits(pair.source, hyp, lexicons) for hyp, pair in zip(hyps, pairs)]
     sections = {"unfiltered": evaluate_corpus(hyp_edits, pairs)}
@@ -429,6 +429,8 @@ def _run_error_analysis(opts: dict, load: _Load, start: _Start) -> list[str]:
         sections[combined] = filter_eval(
             hyp_edits, pairs, set(opts["types"]), mode=opts["filter_mode"]
         )
+    # Scored before start(), so types that exclude every gold edit leave nothing behind.
+    out = start()
     data = {name: report.to_json_dict() for name, report in sections.items()}
     write_json(out / "error_analysis.json", data)
     table = prf_table("analysis", list(sections.items()))
@@ -438,13 +440,17 @@ def _run_error_analysis(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 def _run_ablate(opts: dict, load: _Load, start: _Start) -> list[str]:
     from .experiment import ablation_run
-    from .gec import check_beam_size, check_dynamic_judge, check_rerank_lam
+    from .gec import Seq2SeqModel, check_beam_size, check_dynamic_judge, check_rerank_lam
 
     check_rerank_lam(opts["rerank_lam"])
     inputs = load()
     check_dynamic_judge(inputs["judge"])
     stage, config, vocab = _train_recipe(opts, inputs["train"])
     check_beam_size(opts["beam"], len(vocab))
+    # One model built here, and dropped: a model too large to allocate leaves
+    # nothing behind, and its generator loads numpy.random once in this process,
+    # so the forked groups share those library pages instead of each loading them.
+    Seq2SeqModel(vocab, config)
     out = start()
     beam, lam = opts["beam"], opts["rerank_lam"]
     report = ablation_run(stage, inputs["test"], inputs["judge"], opts["seeds"], config, beam, lam)

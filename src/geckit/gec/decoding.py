@@ -34,26 +34,21 @@ def greedy_decode_batch(model: Seq2SeqModel, enc: EncoderState) -> list[Sentence
 
     enc is left as it was, so a loss on the same batch can use it after.
     """
-    batch = len(enc.s0)
     limit = _step_limit(enc)
     s = enc.s0
-    tokens = np.full(batch, BOS_ID, dtype=np.int64)
-    done = np.zeros(batch, dtype=bool)
-    outputs: list[list[int]] = [[] for _ in range(batch)]
+    tokens = np.full(len(s), BOS_ID, dtype=np.int64)
+    done = np.zeros(len(s), dtype=bool)
+    steps = []
     for _ in range(limit):
         logp, s = model.decode_step(enc, s, tokens)
         tokens = logp.argmax(axis=1)
+        # A row that has emitted EOS emits PAD, and Vocab.decode drops both.
         tokens[done] = PAD_ID
-        for i in range(batch):
-            if done[i]:
-                continue
-            if tokens[i] == EOS_ID:
-                done[i] = True
-            else:
-                outputs[i].append(int(tokens[i]))
+        steps.append(tokens)
+        done |= tokens == EOS_ID
         if done.all():
             break
-    return [model.vocab.decode(ids) for ids in outputs]
+    return [model.vocab.decode(ids) for ids in np.stack(steps, axis=1).tolist()]
 
 
 def _replicate(enc: EncoderState, count: int) -> EncoderState:
@@ -111,34 +106,24 @@ def beam_decode(model: Seq2SeqModel, source: Sentence, beam_size: int = 4) -> li
         if k not in replicas:
             replicas[k] = _replicate(enc, k)
         logp, states = model.decode_step(replicas[k], alive_states, alive_last)
-        vocab_size = logp.shape[1]
         cand = (alive_logps[:, None] + logp).ravel()
-        beam_idx = np.repeat(np.arange(k), vocab_size)
-        token_idx = np.tile(np.arange(vocab_size), k)
-        order = np.lexsort((token_idx, beam_idx, -cand))[:beam_size]
-        next_tokens: list[tuple[int, ...]] = []
-        next_logps = []
-        next_states = []
-        next_last = []
-        for flat in order:
-            b, tok = int(beam_idx[flat]), int(token_idx[flat])
-            score = float(cand[flat])
-            if tok == EOS_ID:
-                finished.append(
-                    Hypothesis(model.vocab.decode(alive_tokens[b]).tokens, score, False)
-                )
-            else:
-                next_tokens.append(alive_tokens[b] + (tok,))
-                next_logps.append(score)
-                next_states.append(states[b])
-                next_last.append(tok)
-        if not next_tokens:
+        # Flat indices run in (beam, token) order, so a stable sort breaks ties by both.
+        order = np.argsort(-cand, kind="stable")[:beam_size]
+        beams, tokens = np.divmod(order, logp.shape[1])
+        scores = cand[order]
+        ended = tokens == EOS_ID
+        for b, score in zip(beams[ended].tolist(), scores[ended].tolist()):
+            finished.append(Hypothesis(model.vocab.decode(alive_tokens[b]).tokens, score, False))
+        go = ~ended
+        if not go.any():
             alive_tokens = []
             break
-        alive_tokens = next_tokens
-        alive_logps = np.array(next_logps)
-        alive_states = np.stack(next_states)
-        alive_last = np.array(next_last, dtype=np.int64)
+        alive_tokens = [
+            alive_tokens[b] + (tok,) for b, tok in zip(beams[go].tolist(), tokens[go].tolist())
+        ]
+        alive_logps = scores[go]
+        alive_states = states[beams[go]]
+        alive_last = tokens[go]
         if len(finished) >= beam_size:
             kth_best = sorted((h.log_prob for h in finished), reverse=True)[beam_size - 1]
             if alive_logps.max() < kth_best:

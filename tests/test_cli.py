@@ -29,7 +29,7 @@ from geckit.errors import ConfigError
 from geckit.gec import ModelConfig, TrainStage, decode
 from geckit.judge import MAX_ARRAY_SIZE, JudgeConfig
 from geckit.synth import SizeConfig
-from geckit.textcore import apply_edits, parse_m2
+from geckit.textcore import PUNCT, AnnotatedPair, Edit, Sentence, apply_edits, emit_m2, parse_m2
 
 SMALL_BENCH = [
     "--preset",
@@ -264,6 +264,31 @@ def test_each_invocation_loads_only_what_it_runs(row, bench_dir, judge_dir, gec_
     exit_code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert exit_code == _LOAD_EXIT_CODES.get(row, 0), proc.stderr
     assert sorted(set(unloaded) & set(loaded)) == []
+
+
+def test_ablate_forks_with_numpy_random_loaded(bench_dir, judge_dir, tmp_path):
+    """The parent loads numpy.random before it forks, so the groups share its pages."""
+    argv = [
+        "ablate", "--train", str(bench_dir / "gec_dev.m2"), "--test", str(bench_dir / "gec_dev.m2"),
+        "--judge", str(judge_dir / "judge.json"), "--seeds", "0", "--epochs", "1",
+        "--embed-dim", "4", "--hidden-dim", "4", "--beam", "2", "--out", str(tmp_path / "out"),
+    ]  # fmt: skip
+    code = (
+        "import sys, geckit.cli, geckit.experiment\n"
+        "run_groups = geckit.experiment._run_groups\n"
+        "loaded = []\n"
+        "def recording(*args):\n"
+        "    loaded.append('numpy.random' in sys.modules)\n"
+        "    return run_groups(*args)\n"
+        "geckit.experiment._run_groups = recording\n"
+        f"print(geckit.cli.main({argv!r}), loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(geckit.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 [True]"
 
 
 _HELP_SNAPSHOT = json.loads((Path(__file__).parent / "help_snapshot.json").read_text(encoding="utf-8"))
@@ -560,6 +585,8 @@ class TestConfigResolution:
         "argv,message",
         [
             (["synth-gen", "--gec-train", "0"], "gec_train must be >= 1"),
+            # More unique sentences than the grammar can yield, refused before --out is made.
+            (["synth-gen", "--gec-train", "100000000"], "grammar yields at most"),
             (["build-cola", "--m2", "t.m2", "--dev-frac", "1.5"], "sum to 1.5 > 1"),
             (["build-cola", "--m2", "t.m2", "--min-len", "0"], "need 1 <= min_len <= max_len"),
             (["train-judge", "--train", "t.tsv", "--dev", "d.tsv", "--dim", "2"], "too small"),
@@ -1270,6 +1297,20 @@ class TestEvaluateCommands:
         text = (out / "error_analysis.txt").read_text(encoding="utf-8")
         assert len(text.splitlines()) == 5
 
+    def test_error_analysis_excluding_every_gold_edit_writes_nothing(self, tmp_path, capsys):
+        gold = tmp_path / "gold.m2"
+        pair = AnnotatedPair.from_edits(Sentence(("the", "dog", "runs")), [Edit(3, 3, (".",), PUNCT)])
+        gold.write_text(emit_m2([pair]), encoding="utf-8")
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("the dog runs .\n", encoding="utf-8")
+        code = main(
+            ["error-analysis", "--hyp", str(hyp), "--gold", str(gold), "--types", "PUNCT",
+             "--out", str(tmp_path / "o")]
+        )  # fmt: skip
+        assert code == 1
+        assert _single_error_line(capsys) == "error: excluding ['PUNCT'] leaves no gold edits\n"
+        assert not (tmp_path / "o").exists()
+
     def test_error_analysis_unknown_type(self, bench_dir, decoded_dir, tmp_path):
         code = main(
             ["error-analysis", "--hyp", str(decoded_dir / "corrected.txt"),
@@ -1334,6 +1375,8 @@ class TestAblate:
             ("--epochs", "0", "epochs must be >= 1"),
             ("--hidden-dim", "0", "hidden_dim must be positive"),
             ("--hidden-dim", str(10**20), "too large to allocate"),
+            # A model is built before --out is made: its (H, H) attn_Wk is 80 PB at H = 10**8.
+            ("--hidden-dim", "100000000", "error: out of memory: "),
             ("--beam", str(10**20), "exceeds the vocabulary"),
         ],
     )

@@ -35,7 +35,7 @@ from geckit.gec import (
 from geckit.gec import model as gec_model
 from geckit.gec.decoding import Hypothesis, _replicate
 from geckit.gec.optim import Adam
-from geckit.gec.vocab import BOS_ID, EOS_ID, SPECIALS
+from geckit.gec.vocab import BOS_ID, EOS_ID, PAD_ID, SPECIALS, UNK_ID
 from geckit import judge as judge_mod
 from geckit.judge import (
     _HASH_BLOCK,
@@ -586,6 +586,47 @@ def reference_beam(model, source, beam_size):
     return finished[:beam_size], steps
 
 
+def reference_greedy(model, enc):
+    """greedy_decode_batch as a per-row loop: each row's ids up to its EOS, and which rows ended."""
+    batch = len(enc.s0)
+    s = enc.s0
+    tokens = np.full(batch, BOS_ID, dtype=np.int64)
+    done = np.zeros(batch, dtype=bool)
+    outputs = [[] for _ in range(batch)]
+    for _ in range(2 * int(enc.src_mask.sum(axis=1).max(initial=0)) + 8):
+        logp, s = model.decode_step(enc, s, tokens)
+        tokens = logp.argmax(axis=1)
+        tokens[done] = PAD_ID
+        for i in range(batch):
+            if done[i]:
+                continue
+            if tokens[i] == EOS_ID:
+                done[i] = True
+            else:
+                outputs[i].append(int(tokens[i]))
+        if done.all():
+            break
+    return outputs, done
+
+
+class TestGreedyRows:
+    def test_equals_per_row_loop(self):
+        rng = random.Random(5)
+        seen = set()
+        for seed in range(20):
+            model = random_model(seed, embed_dim=4, hidden_dim=6)
+            # Favour one token per model, so that every kind of row occurs.
+            favoured = (None, PAD_ID, BOS_ID, UNK_ID, EOS_ID)[seed % 5]
+            if favoured is not None:
+                model.params["out_b"][favoured] += 1.5
+            enc = model.encode(random_sentences(rng, 6))
+            ids, done = reference_greedy(model, enc)
+            assert greedy_decode_batch(model, enc) == [model.vocab.decode(row) for row in ids]
+            seen.update(tok for row in ids for tok in row if tok in (PAD_ID, BOS_ID, UNK_ID))
+            seen.update(["ended", "step limit"] if done.any() and not done.all() else [])
+        assert seen == {PAD_ID, BOS_ID, UNK_ID, "ended", "step limit"}
+
+
 class TestBeamStop:
     def test_nbest_equals_run_to_step_limit(self, monkeypatch):
         calls = []
@@ -598,9 +639,13 @@ class TestBeamStop:
         monkeypatch.setattr(Seq2SeqModel, "decode_step", counting)
         saved_steps = 0
         rng = random.Random(8)
-        for seed in range(12):
-            model = random_model(seed, embed_dim=4, hidden_dim=6)
+        models = [random_model(seed, embed_dim=4, hidden_dim=6) for seed in range(13)]
+        for model in models[:-1]:
             model.params["out_b"][EOS_ID] += 2.0  # finish early enough to stop before the limit
+        # The last model gives every token the same score, so every candidate ties.
+        models[-1].params["out_W"][:] = 0.0
+        models[-1].params["out_b"][:] = 0.0
+        for model in models:
             for source in random_sentences(rng, 4):
                 for beam_size in (1, 2, 4):
                     expected, ref_steps = reference_beam(model, source, beam_size)
