@@ -585,14 +585,14 @@ class TestConfigResolution:
         "argv,message",
         [
             (["synth-gen", "--gec-train", "0"], "gec_train must be >= 1"),
-            # More unique sentences than the grammar can yield, refused before --out is made.
-            (["synth-gen", "--gec-train", "100000000"], "grammar yields at most"),
             (["build-cola", "--m2", "t.m2", "--dev-frac", "1.5"], "sum to 1.5 > 1"),
             (["build-cola", "--m2", "t.m2", "--min-len", "0"], "need 1 <= min_len <= max_len"),
             (["train-judge", "--train", "t.tsv", "--dev", "d.tsv", "--dim", "2"], "too small"),
             # Bytes beyond numpy's index type, where numpy raises ValueError or OverflowError.
             (["train-judge", "--train", "t.tsv", "--dev", "d.tsv", "--dim", str(2**62)], "too large"),
             (["train-judge", "--train", "t.tsv", "--dev", "d.tsv", "--dim", str(10**20)], "too large"),
+            # More unique sentences than the grammar can yield, refused before --out is made.
+            (["synth-gen", "--gec-train", "100000000"], "grammar yields at most"),
         ],
     )
     def test_rejected_value_writes_nothing(self, tmp_path, capsys, argv, message):
