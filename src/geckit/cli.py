@@ -202,11 +202,9 @@ def _check_one_for_one(opts: dict, inputs: dict, first: str, second: str) -> Non
 def _train_recipe(opts: dict, pairs) -> tuple:
     """The training stage, model shape and vocabulary that the shared training options set.
 
-    Every parameter must fit numpy. The model keeps the default seed;
-    train-gec and ablate each set their own.
+    The model keeps the default seed; train-gec and ablate each set their own.
     """
     from .gec import ModelConfig, TrainStage, Vocab
-    from .gec.model import param_shapes
 
     stage = TrainStage(
         pairs=tuple(pairs),
@@ -218,7 +216,6 @@ def _train_recipe(opts: dict, pairs) -> tuple:
     )
     config = ModelConfig(embed_dim=opts["embed_dim"], hidden_dim=opts["hidden_dim"])
     vocab = Vocab.from_pairs(pairs)
-    param_shapes(len(vocab), config)
     return stage, config, vocab
 
 
@@ -313,7 +310,7 @@ def _run_build_cola(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_train_judge(opts: dict, load: _Load, start: _Start) -> list[str]:
-    from .judge import JudgeConfig, acc, check_training_labels, evaluate_judge, train_judge
+    from .judge import JudgeConfig, acc, evaluate_judge, train_judge
 
     config = JudgeConfig(
         dim=opts["dim"],
@@ -324,10 +321,10 @@ def _run_train_judge(opts: dict, load: _Load, start: _Start) -> list[str]:
         seed=opts["seed"],
     )
     inputs = load()
-    check_training_labels(inputs["train"])
-    out = start()
+    # Trained before start(), so a --dim too large to allocate leaves nothing behind.
     model = train_judge(inputs["train"], config)
     counts = evaluate_judge(model, inputs["dev"])
+    out = start()
     replace(model, dev_accuracy=acc(counts)).save(out / "judge.json")
     data, text = _judge_report(counts)
     write_json(out / "judge_metrics.json", data)

@@ -152,8 +152,7 @@ class Seq2SeqModel:
         rng = np.random.default_rng(self.config.seed)
         shapes = param_shapes(len(vocab), self.config)
         self.params: dict[str, np.ndarray] = {}
-        for name in sorted(shapes):
-            shape = shapes[name]
+        for name, shape in sorted(shapes.items()):
             if name == "emb":
                 self.params[name] = rng.uniform(-0.1, 0.1, shape)
             elif len(shape) == 1:
@@ -362,16 +361,19 @@ class Seq2SeqModel:
         return np.concatenate([self.params[name].ravel() for name in sorted(self.params)])
 
     def set_flat_params(self, flat: np.ndarray) -> None:
-        offset = 0
-        for name in sorted(self.params):
-            size = self.params[name].size
-            self.params[name] = flat[offset : offset + size].reshape(self.params[name].shape).copy()
+        """Every parameter from flat, in sorted name order: needs only vocab and config."""
+        expected = self.num_params()
+        if flat.size != expected:
+            raise ConfigError(f"flat vector has {flat.size} values, expected {expected}")
+        self.params, offset = {}, 0
+        for name, shape in sorted(param_shapes(len(self.vocab), self.config).items()):
+            size = math.prod(shape)
+            self.params[name] = flat[offset : offset + size].reshape(shape).copy()
             offset += size
-        if offset != flat.size:
-            raise ConfigError(f"flat vector has {flat.size} values, expected {offset}")
 
     def num_params(self) -> int:
-        return sum(arr.size for arr in self.params.values())
+        shapes = param_shapes(len(self.vocab), self.config)
+        return sum(math.prod(shape) for shape in shapes.values())
 
     # --- persistence --------------------------------------------------------
 
@@ -418,13 +420,14 @@ class Seq2SeqModel:
         tokens = meta.get("vocab")
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise FormatError("vocab must be a list of strings", name=name)
+        # Built from the file alone: no random initialization to overwrite.
+        model = cls.__new__(cls)
         try:
-            vocab, model_config = Vocab(tokens), ModelConfig(**config)
-            # Checked before the model is built, so a corrupt size allocates nothing.
-            shapes = param_shapes(len(vocab), model_config)
+            model.vocab, model.config = Vocab(tokens), ModelConfig(**config)
+            # Every size is checked before any parameter exists, so a corrupt one allocates nothing.
+            expected = model.num_params()
         except ConfigError as exc:
             raise FormatError(str(exc), name=name) from exc
-        expected = sum(math.prod(s) for s in shapes.values())
         params = directory / "params.npy"
         try:
             flat = np.load(params)
@@ -438,6 +441,5 @@ class Seq2SeqModel:
             )
         if not np.all(np.isfinite(flat)):
             raise FormatError("non-finite parameter values", name=str(params))
-        model = cls(vocab, model_config)
         model.set_flat_params(flat)
         return model

@@ -2,9 +2,13 @@
 
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geckit.errors import ConfigError
 from geckit.gec import (
@@ -12,6 +16,7 @@ from geckit.gec import (
     EOS_ID,
     PAD_ID,
     PROB_FLOOR,
+    SPECIALS,
     UNK_ID,
     ModelConfig,
     Seq2SeqModel,
@@ -255,6 +260,34 @@ class TestModelBasics:
         assert replaced == ["params.npy", "meta.json"]
         assert sorted(p.name for p in (tmp_path / "model").iterdir()) == ["meta.json", "params.npy"]
         assert np.array_equal(Seq2SeqModel.load(tmp_path / "model").flat_params(), model.flat_params())
+
+
+# Any token a vocabulary may hold: non-empty, not a control token, valid UTF-8.
+_TOKENS = st.text(st.characters(exclude_categories=["Cs"]), min_size=1, max_size=3).filter(
+    lambda token: token not in SPECIALS
+)
+
+
+class TestModelDirectory:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        tokens=st.lists(_TOKENS, unique=True, max_size=6),
+        embed_dim=st.integers(1, 4),
+        hidden_dim=st.integers(1, 4),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_save_load_save_is_bytewise(self, tokens, embed_dim, hidden_dim, seed):
+        """A saved model loads back to the same values and saves to the same bytes."""
+        model = Seq2SeqModel(Vocab(SPECIALS + tuple(tokens)), ModelConfig(embed_dim, hidden_dim, seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first"), Path(tmp, "second")
+            model.save(first)
+            loaded = Seq2SeqModel.load(first)
+            loaded.save(second)
+            for name in ("meta.json", "params.npy"):
+                assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert (loaded.vocab.tokens, loaded.config) == (model.vocab.tokens, model.config)
+        assert np.array_equal(loaded.flat_params(), model.flat_params())
 
 
 class TestModelGradients:

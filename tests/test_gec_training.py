@@ -222,6 +222,17 @@ class TestRerank:
         picked = rerank_with_cola(hyps, judge, lam=1.0)
         assert picked.tokens == ("a", "b")
 
+    def test_log_prob_is_divided_by_length(self):
+        """The mean log-prob per token ranks: the longer hypothesis has the higher mean."""
+        hyps = [
+            Hypothesis(tokens=("a",), log_prob=-2.0),
+            Hypothesis(tokens=("a", "b", "c", "d"), log_prob=-4.0),
+        ]
+        # Means -2 and -1. The raw sums (-2, -4), or the sums times the lengths
+        # (-2, -16), would keep the first.
+        picked = rerank_with_cola(hyps, ConstantJudge(0.5, 1.0), lam=0.5)
+        assert picked.tokens == ("a", "b", "c", "d")
+
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError):
             rerank_with_cola([], ConstantJudge(0.5, 1.0), lam=0.5)

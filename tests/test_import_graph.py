@@ -102,6 +102,19 @@ def test_function_level_geckit_imports_occur_only_in_cli():
     assert not {f"geckit.{name}" for name in stages} & edges["geckit.cli"]
 
 
+def test_the_corrector_is_reached_only_through_its_package():
+    """Outside geckit.gec, no module imports a geckit.gec submodule directly."""
+    edges, local = _graph()
+    pairs = {(module, target) for module, targets in edges.items() for target in targets}
+    pairs |= {(module, target) for module, _function, target in local}
+    direct = sorted(
+        f"{module} -> {target}"
+        for module, target in pairs
+        if target.startswith("geckit.gec.") and not f"{module}.".startswith("geckit.gec.")
+    )
+    assert direct == []
+
+
 def test_no_geckit_module_imports_a_private_name_of_another():
     files = _files()
     private = []

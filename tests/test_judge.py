@@ -219,6 +219,17 @@ class TestModelFile:
         probe = sent("the cat zqruns")
         assert loaded.logits(probe) == model.logits(probe)
 
+    def test_weight_at_column_zero_round_trips(self, tmp_path):
+        """Column 0 is a column: a judge whose only weight is there loads back equal."""
+        weights = np.zeros(16)
+        weights[0] = 0.75
+        model = JudgeModel(weights=weights, bias0=0.25, bias1=-0.5, dim=16)
+        path = tmp_path / "judge.json"
+        model.save(path)
+        loaded = JudgeModel.load(path)
+        assert np.array_equal(loaded.weights, weights)
+        assert (loaded.bias0, loaded.bias1, loaded.dim) == (0.25, -0.5, 16)
+
     def test_rejects_other_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
