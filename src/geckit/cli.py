@@ -436,6 +436,10 @@ def _run_error_analysis(opts: dict, load: _Load, start: _Start) -> list[str]:
 
 
 def _run_ablate(opts: dict, load: _Load, start: _Start) -> list[str]:
+    # One OpenBLAS thread, read as numpy loads, so that the groups fork from a
+    # single-threaded process (Python 3.12 and later warn at a threaded fork).
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .experiment import ablation_run
     from .gec import Seq2SeqModel, check_beam_size, check_dynamic_judge, check_rerank_lam
 

@@ -11,6 +11,8 @@ without its scores ends the run with one error naming its group.
 from __future__ import annotations
 
 import os
+import pickle
+import select
 import signal
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -80,15 +82,19 @@ class AblationReport:
         return prf_table("variant", [(name, self.means[name]) for name in self.variants])
 
 
-def _child(group, key: tuple[int, str], writer) -> None:
-    """Run one group in a forked child and send (True, rows) or (False, exception)."""
-    # Ctrl-C reaches the whole process group; only the parent reports it.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def _child(group, key: tuple[int, str], writer: int) -> None:
+    """In a forked child: pickle (True, rows) or (False, exception) into writer; exit 0 once written."""
     try:
-        message = (True, group(key))
-    except Exception as exc:  # raised again in the parent
-        message = (False, exc)
-    writer.send(message)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # only the parent reports Ctrl-C
+        try:
+            message = pickle.dumps((True, group(key)))
+        except Exception as exc:  # raised again in the parent
+            message = pickle.dumps((False, exc))
+        with open(writer, "wb") as pipe:
+            pipe.write(message)
+        os._exit(0)
+    finally:
+        os._exit(1)  # never return into the parent's stack
 
 
 def _died(key: tuple[int, str], exitcode: int) -> GeckitError:
@@ -104,49 +110,43 @@ def _run_groups(group, keys: list[tuple[int, str]], workers: int) -> list:
     """group(key) for every key, each in its own forked child, at most workers at once.
 
     Under fork the function and all it closes over (vocab, stage, judge,
-    test pairs) reach each child by inheritance: only the rows or the
-    exception come back, through a pipe. The results are in key order.
-    Any error, Ctrl-C included, terminates and joins the children still
-    running.
+    test pairs) reach each child by inheritance: only the pickled rows or
+    exception come back, through the child's own pipe, read to its end
+    before the child is reaped. The results are in key order. Any error,
+    Ctrl-C included, terminates and reaps the children still running.
     """
-    import multiprocessing  # only here: every other subcommand runs in one process
-    from multiprocessing.connection import wait
-
-    context = multiprocessing.get_context("fork")
     results: dict[int, list] = {}
-    running: dict[int, tuple] = {}  # key index -> (process, reader)
+    running: dict[int, tuple[int, int, bytearray]] = {}  # read end -> (key index, pid, bytes read)
 
-    def finish(index: int) -> None:
-        process, reader = running[index]
-        try:
-            ok, value = reader.recv()
-        except EOFError:  # the child ended without sending
-            process.join()
-            raise _died(keys[index], process.exitcode) from None
+    def finish(reader: int) -> None:
+        index, pid, data = running.pop(reader)
+        os.close(reader)
+        exitcode = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if exitcode != 0 or not data:
+            raise _died(keys[index], exitcode)
+        ok, results[index] = pickle.loads(data)  # the rows, or the exception the group raised
         if not ok:
-            raise value
-        process.join()
-        reader.close()
-        del running[index]
-        results[index] = value
+            raise results[index]
 
     try:
         for index, key in enumerate(keys):
-            reader, writer = context.Pipe(duplex=False)
-            process = context.Process(target=_child, args=(group, key, writer), daemon=True)
-            process.start()
-            writer.close()  # the child holds the only copy left, so its end closes the pipe
-            running[index] = (process, reader)
+            reader, writer = os.pipe()
+            if (pid := os.fork()) == 0:
+                _child(group, key, writer)
+            os.close(writer)  # the child holds the only copy left, so its exit ends the pipe
+            running[reader] = (index, pid, bytearray())
             while len(running) == workers or (running and index == len(keys) - 1):
-                ready = wait([obj for p, r in running.values() for obj in (r, p.sentinel)])
-                for done in [i for i, (p, r) in running.items() if r in ready or p.sentinel in ready]:
-                    finish(done)
+                for ready in select.select(list(running), [], [])[0]:
+                    chunk = os.read(ready, 1 << 16)
+                    running[ready][2].extend(chunk)
+                    if not chunk:
+                        finish(ready)
     finally:
-        for process, reader in running.values():
-            process.terminate()
-        for process, reader in running.values():
-            process.join()
-            reader.close()
+        for index, pid, data in running.values():
+            os.kill(pid, signal.SIGTERM)
+        for reader, (index, pid, data) in running.items():
+            os.close(reader)
+            os.waitpid(pid, 0)
     return [results[index] for index in range(len(keys))]
 
 

@@ -233,7 +233,7 @@ _LOAD_ROWS = {
         ["ablate", "--train", "{bench}/gec_dev.m2", "--test", "{bench}/gec_dev.m2",
          "--judge", "{judge}/judge.json", "--seeds", "0", "--epochs", "1", "--embed-dim", "4",
          "--hidden-dim", "4", "--beam", "2"],
-        ("multiprocessing.pool", "geckit.colacorpus", "geckit.synth"),
+        ("multiprocessing", "geckit.colacorpus", "geckit.synth"),
     ),  # fmt: skip
 }
 # The rows whose invocation is refused: it exits 1 while its options resolve.
@@ -290,6 +290,34 @@ def test_ablate_forks_with_numpy_random_loaded(bench_dir, judge_dir, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 [True]"
+
+
+def test_ablate_forks_from_one_thread(bench_dir, judge_dir, tmp_path):
+    """With OPENBLAS_NUM_THREADS unset, ablate still forks its groups from a single-threaded process."""
+    argv = [
+        "ablate", "--train", str(bench_dir / "gec_dev.m2"), "--test", str(bench_dir / "gec_dev.m2"),
+        "--judge", str(judge_dir / "judge.json"), "--seeds", "0", "--epochs", "1",
+        "--embed-dim", "4", "--hidden-dim", "4", "--beam", "2", "--out", str(tmp_path / "out"),
+    ]  # fmt: skip
+    # Counted at each fork; importing geckit.experiment here would load numpy first.
+    code = (
+        "import os, re, geckit.cli\n"
+        "fork = os.fork\n"
+        "threads = []\n"
+        "def recording():\n"
+        "    status = open('/proc/self/status', encoding='utf-8').read()\n"
+        "    threads.append(int(re.search(r'^Threads:\\s*(\\d+)$', status, re.M).group(1)))\n"
+        "    return fork()\n"
+        "os.fork = recording\n"
+        f"print(geckit.cli.main({argv!r}), threads)\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(geckit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 [1, 1]"
 
 
 _HELP_SNAPSHOT = json.loads((Path(__file__).parent / "help_snapshot.json").read_text(encoding="utf-8"))

@@ -51,6 +51,9 @@ class TestFilterConfig:
         with pytest.raises(ConfigError):
             FilterConfig(max_edits=0)
 
+    def test_accepts_one_edit(self):
+        assert FilterConfig(max_edits=1).max_edits == 1
+
 
 class TestBuildColaFromGec:
     def test_pair_yields_both_sides(self):
@@ -155,6 +158,18 @@ class TestMergeCorpora:
         corpus = merge_corpora({"x": ones + zeros}, SplitConfig(), seed=0, balance=True)
         labels = [i.label for i in corpus.train + corpus.dev + corpus.test]
         assert labels.count(0) == labels.count(1) == 10
+
+    def test_balance_keeps_equal_labels_and_the_split(self):
+        """With both labels equally common, balancing drops nothing and draws nothing."""
+        # Already grouped by label, as balancing leaves it, so only a draw could move the splits.
+        instances = [inst(f"neg {i}", 0) for i in range(20)] + [inst(f"pos {i}", 1) for i in range(20)]
+        balanced = merge_corpora({"x": instances}, SplitConfig(), seed=4, balance=True)
+        plain = merge_corpora({"x": instances}, SplitConfig(), seed=4)
+        assert (balanced.train, balanced.dev, balanced.test) == (plain.train, plain.dev, plain.test)
+
+    def test_accepts_fractions_summing_to_one(self):
+        split = SplitConfig(dev=0.5, test=0.5)
+        assert (split.dev, split.test) == (0.5, 0.5)
 
     def test_rejects_bad_split(self):
         with pytest.raises(ConfigError):

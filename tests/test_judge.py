@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from geckit.errors import (
+    ConfigError,
     DegenerateCorpus,
     EmptyEvaluation,
     FormatError,
@@ -148,6 +149,17 @@ class TestLogisticGradient:
         fd1 = (logistic_loss(w, b0, b1 + h, x, y, l2) - logistic_loss(w, b0, b1 - h, x, y, l2)) / (2 * h)
         assert abs(fd0 - gb0) <= 1e-4 * max(1.0, abs(fd0))
         assert abs(fd1 - gb1) <= 1e-4 * max(1.0, abs(fd1))
+
+
+class TestJudgeConfig:
+    def test_accepts_the_smallest_dim_and_no_l2(self):
+        assert JudgeConfig(dim=4).dim == 4
+        assert JudgeConfig(l2=0).l2 == 0
+
+    @pytest.mark.parametrize("field", [{"dim": 3}, {"lr": 0}], ids=["dim=3", "lr=0"])
+    def test_refuses_the_value_below_the_boundary(self, field):
+        with pytest.raises(ConfigError):
+            JudgeConfig(**field)
 
 
 class TestTrainJudge:
@@ -330,3 +342,12 @@ class TestMetrics:
         ]
         counts = evaluate_judge(TableJudge(), data)
         assert (counts.tp, counts.tn, counts.fp, counts.fn) == (1, 1, 0, 0)
+
+    def test_evaluate_judge_counts_a_tie_as_unacceptable(self):
+        class TiedJudge:
+            def logits(self, sentence):
+                return Logits(0.25, 0.25)
+
+        data = [ColaInstance(sent("she goes home"), 1), ColaInstance(sent("she go home"), 0)]
+        counts = evaluate_judge(TiedJudge(), data)
+        assert (counts.tp, counts.tn, counts.fp, counts.fn) == (0, 1, 0, 1)
