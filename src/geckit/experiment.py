@@ -83,18 +83,15 @@ class AblationReport:
 
 
 def _child(group, key: tuple[int, str], writer: int) -> None:
-    """In a forked child: pickle (True, rows) or (False, exception) into writer; exit 0 once written."""
+    """In a forked child: pickle (True, rows) or (False, exception) into writer, then exit 0."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # only the parent reports Ctrl-C
     try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # only the parent reports Ctrl-C
-        try:
-            message = pickle.dumps((True, group(key)))
-        except Exception as exc:  # raised again in the parent
-            message = pickle.dumps((False, exc))
-        with open(writer, "wb") as pipe:
-            pipe.write(message)
-        os._exit(0)
-    finally:
-        os._exit(1)  # never return into the parent's stack
+        message = pickle.dumps((True, group(key)))
+    except Exception as exc:  # raised again in the parent
+        message = pickle.dumps((False, exc))
+    with open(writer, "wb") as pipe:
+        pipe.write(message)
+    os._exit(0)
 
 
 def _died(key: tuple[int, str], exitcode: int) -> GeckitError:
@@ -117,11 +114,14 @@ def _run_groups(group, keys: list[tuple[int, str]], workers: int) -> list:
     """
     results: dict[int, list] = {}
     running: dict[int, tuple[int, int, bytearray]] = {}  # read end -> (key index, pid, bytes read)
+    poller = select.poll()  # unlike select.select, it takes descriptors numbered 1024 and above
 
     def finish(reader: int) -> None:
+        status = os.waitpid(running[reader][1], 0)[1]  # still in running, so an interrupt here reaps it
         index, pid, data = running.pop(reader)
+        poller.unregister(reader)
         os.close(reader)
-        exitcode = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        exitcode = os.waitstatus_to_exitcode(status)
         if exitcode != 0 or not data:
             raise _died(keys[index], exitcode)
         ok, results[index] = pickle.loads(data)  # the rows, or the exception the group raised
@@ -131,12 +131,22 @@ def _run_groups(group, keys: list[tuple[int, str]], workers: int) -> list:
     try:
         for index, key in enumerate(keys):
             reader, writer = os.pipe()
-            if (pid := os.fork()) == 0:
-                _child(group, key, writer)
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:
+                try:  # entered before any call, so nothing the child raises unwinds the parent's stack
+                    _child(group, key, writer)
+                finally:
+                    os._exit(1)
             os.close(writer)  # the child holds the only copy left, so its exit ends the pipe
             running[reader] = (index, pid, bytearray())
+            poller.register(reader, select.POLLIN)
             while len(running) == workers or (running and index == len(keys) - 1):
-                for ready in select.select(list(running), [], [])[0]:
+                for ready, _ in poller.poll():
                     chunk = os.read(ready, 1 << 16)
                     running[ready][2].extend(chunk)
                     if not chunk:

@@ -159,12 +159,13 @@ class TestMergeCorpora:
         labels = [i.label for i in corpus.train + corpus.dev + corpus.test]
         assert labels.count(0) == labels.count(1) == 10
 
-    def test_balance_keeps_equal_labels_and_the_split(self):
-        """With both labels equally common, balancing drops nothing and draws nothing."""
-        # Already grouped by label, as balancing leaves it, so only a draw could move the splits.
-        instances = [inst(f"neg {i}", 0) for i in range(20)] + [inst(f"pos {i}", 1) for i in range(20)]
+    def test_balance_on_equal_labels_drops_and_draws_nothing(self):
+        """With both labels equally common, balancing only groups the instances by label."""
+        instances = [inst(f"item {i}", i % 2) for i in range(40)]
+        grouped = sorted(instances, key=lambda instance: instance.label)  # stable, as _balance regroups
         balanced = merge_corpora({"x": instances}, SplitConfig(), seed=4, balance=True)
-        plain = merge_corpora({"x": instances}, SplitConfig(), seed=4)
+        plain = merge_corpora({"x": grouped}, SplitConfig(), seed=4)
+        # Equal splits: nothing was dropped and the shuffles drew from an untouched generator.
         assert (balanced.train, balanced.dev, balanced.test) == (plain.train, plain.dev, plain.test)
 
     def test_accepts_fractions_summing_to_one(self):

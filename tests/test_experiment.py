@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import signal
 import time
 from dataclasses import replace
@@ -284,6 +285,26 @@ class TestAblation:
         for pid in map(int, pids.read_text(encoding="utf-8").split()):
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_groups_run_with_descriptors_past_1024(self):
+        """The pipes may be numbered 1024 and above, where select.select would refuse them."""
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if soft != resource.RLIM_INFINITY and soft < 1100:
+            if hard != resource.RLIM_INFINITY and hard < 1100:
+                pytest.skip(f"at most {hard} open files allowed")
+            resource.setrlimit(resource.RLIMIT_NOFILE, (1100, hard))
+        held = [os.open(os.devnull, os.O_RDONLY)]
+        try:
+            while held[-1] < 1024:
+                held.append(os.open(os.devnull, os.O_RDONLY))
+            keys = [(0, PLAIN_CE), (0, DYNAMIC), (1, PLAIN_CE)]
+            assert geckit.experiment._run_groups(lambda key: [key], keys, 2) == [[key] for key in keys]
+        finally:
+            for fd in held:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        with pytest.raises(ChildProcessError):  # no child is left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize(
         "exitcode,how",
